@@ -12,14 +12,13 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
-from .pricing import PriceBook, RequestTally
 from .tracemodel import Trace
 from .units import MB
 
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Cache geometry and policy.
+    """Cache geometry; eviction is LRU and misses are fetched per run.
 
     Capacity is used in whole blocks; a capacity that is not a
     multiple of the block size is rounded down, see
@@ -29,18 +28,12 @@ class CacheConfig:
 
     capacity_bytes: int
     block_bytes: int = MB
-    policy: str = "lru"
-    fetch: str = "per-run"
 
     def __post_init__(self) -> None:
         if self.block_bytes <= 0:
             raise ValueError(f"block bytes must be > 0, got {self.block_bytes}")
         if self.capacity_bytes < 0:
             raise ValueError(f"capacity bytes must be >= 0, got {self.capacity_bytes}")
-        if self.policy != "lru":
-            raise ValueError(f"unsupported eviction policy {self.policy!r} (supported: lru)")
-        if self.fetch != "per-run":
-            raise ValueError(f"unsupported fetch mode {self.fetch!r} (supported: per-run)")
 
     @property
     def capacity_blocks(self) -> int:
@@ -161,12 +154,3 @@ def distinct_blocks(trace: Trace, block_bytes: int) -> int:
         for idx in range(first, last + 1):
             seen.add((rec.obj, idx))
     return len(seen)
-
-
-def price_origin(report: CacheReport, book: PriceBook) -> int:
-    """Cost in nanoUSD of the origin GET traffic a simulation produced."""
-    tally = RequestTally(
-        counts={"get": report.origin_requests},
-        transferred_bytes={"get": report.origin_bytes},
-    )
-    return book.cost_of(tally)

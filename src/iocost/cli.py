@@ -1,22 +1,25 @@
 """Command-line interface.
 
 One subcommand per module plus `scenario run` for end-to-end runs.
-Byte-valued flags accept decimal-unit suffixes (KB, MB, GB, TB, PB,
-all powers of 10). Exit codes: 0 success, 2 validation error,
-3 runtime error.
+`scan` and `join` build a one-section scenario from their flags and
+run it through the same section code as `scenario run`, then reshape
+the result into their own JSON. Byte-valued flags accept decimal-unit
+suffixes (KB, MB, GB, TB, PB, all powers of 10). Exit codes: 0
+success, 2 validation error, 3 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
-from . import cachesim, columnar, joinplan, scenario as scenario_mod, tracemodel
+from . import cachesim, joinplan, scenario as scenario_mod, tracemodel
 from .pricing import RequestTally, format_usd, get_pricebook, load_pricebook
 from .tracemodel import DEFAULT_ZIPF_EXPONENT, SynthSpec
-from .units import parse_bytes
+from .units import load_json, parse_bytes
 
 
 def _print_json(payload: dict) -> None:
@@ -25,11 +28,7 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_price(args) -> int:
     book = load_pricebook(args.book_file) if args.book_file else get_pricebook(args.book)
-    with open(args.tally, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"tally file {args.tally}: invalid JSON ({exc})") from None
+    raw = load_json(args.tally, "tally file")
     if not isinstance(raw, dict) or not isinstance(raw.get("counts"), dict):
         raise ValueError(f"tally file {args.tally}: expected {{\"counts\": {{kind: count}}}}")
     tally = RequestTally(counts=raw["counts"], transferred_bytes=raw.get("bytes", {}))
@@ -61,88 +60,57 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _load_scan_data(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"data file {path}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"data file {path}: expected an object mapping columns to value arrays")
-    return raw
+def _run_section(name: str, section: dict, seed: int = 0) -> scenario_mod.SectionResult:
+    """Run one scenario section built from flags, priced with a fixed built-in book."""
+    raw = {"price_book": "s3-standard", "seed": seed, name: section}
+    s = scenario_mod.scenario_from_dict(raw, base_dir=os.getcwd())
+    return scenario_mod.run_scenario(s).sections[0]
 
 
 def _cmd_scan(args) -> int:
-    layout = columnar.load_layout(args.layout)
-    select, predicates, pushdown = columnar.load_query(args.query)
+    section = {"layout": args.layout, "query": args.query, "coalesce_gap": args.coalesce_gap}
     if args.data:
-        data = _load_scan_data(args.data)
-    else:
-        data = columnar.synthesize_column_data(layout, args.seed)
-    plans = {}
-    for mode, flag in (("pushdown", True), ("full_scan", False)):
-        plan = columnar.plan_scan(layout, data, select, predicates, pushdown=flag)
-        if args.coalesce_gap is not None:
-            plan = columnar.coalesce_requests(plan, args.coalesce_gap)
-        plans[mode] = plan
-    _print_json(
-        {
-            "table": layout.table,
-            "rows": layout.rows,
-            "mode": "pushdown" if pushdown else "full_scan",
-            "survivors": len(plans["pushdown"].survivors),
-            "pushdown": {
-                "requests": plans["pushdown"].request_count,
-                "bytes": plans["pushdown"].total_bytes,
-            },
-            "full_scan": {
-                "requests": plans["full_scan"].request_count,
-                "bytes": plans["full_scan"].total_bytes,
-            },
-        }
-    )
+        data = load_json(args.data, "data file")
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"data file {args.data}: expected an object mapping columns to value arrays"
+            )
+        section["data"] = data
+    result = _run_section("scan", section, args.seed)
+    details, comp = result.details, result.comparison
+    out = {key: details[key] for key in ("table", "rows", "mode", "survivors")}
+    for mode in ("pushdown", "full_scan"):
+        out[mode] = {"requests": comp[mode]["requests"], "bytes": comp[mode]["bytes"]}
+    _print_json(out)
     return 0
 
 
 def _cmd_join(args) -> int:
-    spec = joinplan.JoinSpec(
-        build_bytes=args.build_bytes,
-        probe_bytes=args.probe_bytes,
-        workers=args.workers,
-        strategy=args.strategy,
-    )
-    per_query = joinplan.plan_join(spec, args.request_bytes)
-    params = joinplan.FleetParams(
-        queries_per_day=args.queries,
-        broadcast_fraction=args.broadcast_frac,
-        workers=args.workers,
-        build_bytes=args.build_bytes,
-    )
-    broadcast_bytes = joinplan.fleet_aggregate(params)
-    shuffle_bytes = joinplan.fleet_aggregate(
-        joinplan.FleetParams(args.queries, args.broadcast_frac, 1, args.build_bytes)
-    )
-    waste = joinplan.waste_fraction(args.workers)
+    result = _run_section("join", {
+        "queries_per_day": args.queries,
+        "broadcast_fraction": args.broadcast_frac,
+        "workers": args.workers,
+        "build_bytes": args.build_bytes,
+        "probe_bytes": args.probe_bytes,
+        "request_bytes": args.request_bytes,
+        "strategy": args.strategy,
+    })
+    details, comp = result.details, result.comparison
+    fleet = {}
+    for strategy in ("broadcast", "shuffle"):
+        fleet[f"{strategy}_bytes_per_day"] = comp[strategy]["bytes"]
+        fleet[f"{strategy}_requests_per_day"] = comp[strategy]["requests"]
     _print_json(
         {
             "per_query": {
-                "strategy": per_query.strategy,
-                "storage_bytes": per_query.storage_bytes,
-                "requests": per_query.requests,
-                "duplicated_bytes": per_query.duplicated_bytes,
-                "network_bytes": per_query.network_bytes,
+                "strategy": details["strategy"],
+                "storage_bytes": details["per_query_storage_bytes"],
+                "requests": details["per_query_requests"],
+                "duplicated_bytes": details["per_query_duplicated_bytes"],
+                "network_bytes": details["per_query_network_bytes"],
             },
-            "fleet": {
-                "broadcast_bytes_per_day": broadcast_bytes,
-                "broadcast_requests_per_day": joinplan.fleet_api_calls(
-                    broadcast_bytes, args.request_bytes
-                ),
-                "shuffle_bytes_per_day": shuffle_bytes,
-                "shuffle_requests_per_day": joinplan.fleet_api_calls(
-                    shuffle_bytes, args.request_bytes
-                ),
-            },
-            "waste_fraction": f"{float(waste):.4f}",
+            "fleet": fleet,
+            "waste_fraction": details["waste_fraction"],
         }
     )
     return 0
@@ -158,8 +126,8 @@ def _cmd_cache(args) -> int:
                 "capacity_bytes": config.capacity_bytes,
                 "effective_capacity_bytes": config.effective_capacity_bytes,
                 "block_bytes": config.block_bytes,
-                "policy": config.policy,
-                "fetch": config.fetch,
+                "policy": "lru",
+                "fetch": "per-run",
             },
             "report": report.to_dict(),
         }

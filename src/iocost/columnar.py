@@ -8,7 +8,6 @@ read pages that still contain surviving rows.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -391,21 +390,3 @@ def query_from_dict(spec: dict):
     if not isinstance(pushdown, bool):
         raise ValueError(f"query field 'pushdown' must be a boolean, got {pushdown!r}")
     return select, predicates, pushdown
-
-
-def load_layout(path: str) -> TableLayout:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"layout file {path}: invalid JSON ({exc})") from None
-    return layout_from_dict(spec)
-
-
-def load_query(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"query file {path}: invalid JSON ({exc})") from None
-    return query_from_dict(spec)

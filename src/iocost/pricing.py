@@ -10,8 +10,9 @@ integers are unbounded, which keeps totals exact even at the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+
+from .units import load_json
 
 NANOUSD_PER_USD = 10**9
 
@@ -280,9 +281,4 @@ def get_pricebook(book_id: str) -> PriceBook:
 
 def load_pricebook(path: str) -> PriceBook:
     """Load a price book from a JSON file using the built-in schema."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"price book file {path}: invalid JSON ({exc})") from None
-    return pricebook_from_dict(spec)
+    return pricebook_from_dict(load_json(path, "price book file"))

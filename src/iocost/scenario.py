@@ -19,7 +19,7 @@ from .columnar import TableLayout
 from .joinplan import FleetParams, JoinSpec
 from .pricing import PriceBook, RequestTally, format_usd, get_pricebook, load_pricebook
 from .tracemodel import SynthSpec, Trace, read_trace, synthesize_trace
-from .units import parse_bytes
+from .units import load_json, parse_bytes
 
 SECTION_ORDER = ("scan", "scan_fleet", "join", "cache")
 
@@ -185,11 +185,7 @@ def _parse_workload(raw: dict, base_dir: str) -> WorkloadSpec:
 def _inline_or_file(raw, base_dir: str, key: str) -> dict:
     if isinstance(raw, str):
         path = _check_file(os.path.join(base_dir, raw), key)
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise _fail(key, f"invalid JSON in {path} ({exc})") from None
+        return load_json(path, f"scenario field {key!r}: file")
     if isinstance(raw, dict):
         return raw
     raise _fail(key, "must be an inline object or a file path")
@@ -202,14 +198,14 @@ def _parse_scan(raw: dict, base_dir: str) -> ScanSection:
         raise ValueError("scenario section 'scan' is missing field 'layout'")
     if "query" not in raw:
         raise ValueError("scenario section 'scan' is missing field 'query'")
+    layout_spec = _inline_or_file(raw["layout"], base_dir, "scan.layout")
+    query_spec = _inline_or_file(raw["query"], base_dir, "scan.query")
     try:
-        layout = columnar.layout_from_dict(_inline_or_file(raw["layout"], base_dir, "scan.layout"))
+        layout = columnar.layout_from_dict(layout_spec)
     except ValueError as exc:
         raise _fail("scan.layout", str(exc)) from None
     try:
-        select, predicates, pushdown = columnar.query_from_dict(
-            _inline_or_file(raw["query"], base_dir, "scan.query")
-        )
+        select, predicates, pushdown = columnar.query_from_dict(query_spec)
     except ValueError as exc:
         raise _fail("scan.query", str(exc)) from None
     data = raw.get("data")
@@ -258,13 +254,11 @@ def _parse_join(raw: dict) -> JoinSection:
     strategy = raw.get("strategy", "broadcast")
     if strategy not in joinplan.STRATEGIES:
         raise _fail(f"{ctx}.strategy", f"must be one of {joinplan.STRATEGIES}, got {strategy!r}")
+    queries = _get_int(raw, "queries_per_day", ctx, minimum=0)
+    workers = _get_int(raw, "workers", ctx, minimum=1)
+    build_bytes = _get_bytes(raw, "build_bytes", ctx)
     try:
-        params = FleetParams(
-            queries_per_day=_get_int(raw, "queries_per_day", ctx, minimum=0),
-            broadcast_fraction=fraction,
-            workers=_get_int(raw, "workers", ctx, minimum=1),
-            build_bytes=_get_bytes(raw, "build_bytes", ctx),
-        )
+        params = FleetParams(queries, fraction, workers, build_bytes)
     except ValueError as exc:
         raise _fail(ctx, str(exc)) from None
     return JoinSection(
@@ -282,11 +276,10 @@ def _parse_cache(raw: dict) -> CacheSection:
     if not isinstance(raw, dict):
         raise _fail("cache", "must be an object")
     ctx = "cache"
+    capacity = _get_bytes(raw, "capacity_bytes", ctx)
+    block = _get_bytes(raw, "block_bytes", ctx, default=CacheConfig.block_bytes)
     try:
-        config = CacheConfig(
-            capacity_bytes=_get_bytes(raw, "capacity_bytes", ctx),
-            block_bytes=_get_bytes(raw, "block_bytes", ctx, default=CacheConfig.block_bytes),
-        )
+        config = CacheConfig(capacity, block)
     except ValueError as exc:
         raise _fail(ctx, str(exc)) from None
     return CacheSection(config=config)
@@ -341,11 +334,7 @@ def load_scenario(path: str) -> Scenario:
     """Load and validate a scenario file."""
     if not os.path.isfile(path):
         raise FileNotFoundError(f"scenario file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"scenario file {path}: invalid JSON ({exc})") from None
+    raw = load_json(path, "scenario file")
     return scenario_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)), source=path)
 
 
@@ -425,6 +414,20 @@ def _priced_side(book: PriceBook, requests: int, nbytes: int) -> dict:
     return {"requests": requests, "bytes": nbytes, "nanousd": cost, "usd": format_usd(cost)}
 
 
+def _section(name: str, comparison: dict, chosen: str, details: dict) -> SectionResult:
+    """A section priced as its ``chosen`` side of ``comparison``."""
+    side = comparison[chosen]
+    return SectionResult(
+        name=name,
+        requests=side["requests"],
+        bytes=side["bytes"],
+        nanousd=side["nanousd"],
+        usd=side["usd"],
+        details=details,
+        comparison=comparison,
+    )
+
+
 def _run_scan(section: ScanSection, book: PriceBook, seed: int) -> SectionResult:
     data = (
         section.data
@@ -439,29 +442,19 @@ def _run_scan(section: ScanSection, book: PriceBook, seed: int) -> SectionResult
         if section.coalesce_gap is not None:
             plan = columnar.coalesce_requests(plan, section.coalesce_gap)
         plans[mode_pushdown] = plan
-    chosen = plans[section.pushdown]
     side = {
         "pushdown": _priced_side(book, plans[True].request_count, plans[True].total_bytes),
         "full_scan": _priced_side(book, plans[False].request_count, plans[False].total_bytes),
     }
     mode = "pushdown" if section.pushdown else "full_scan"
-    cost = side[mode]["nanousd"]
-    return SectionResult(
-        name="scan",
-        requests=chosen.request_count,
-        bytes=chosen.total_bytes,
-        nanousd=cost,
-        usd=format_usd(cost),
-        details={
-            "table": section.layout.table,
-            "rows": section.layout.rows,
-            "mode": mode,
-            "survivors": len(chosen.survivors),
-            "coalesce_gap": section.coalesce_gap,
-            "data_source": "supplied" if section.data is not None else "synthesized",
-        },
-        comparison=side,
-    )
+    return _section("scan", side, mode, {
+        "table": section.layout.table,
+        "rows": section.layout.rows,
+        "mode": mode,
+        "survivors": len(plans[section.pushdown].survivors),
+        "coalesce_gap": section.coalesce_gap,
+        "data_source": "supplied" if section.data is not None else "synthesized",
+    })
 
 
 def _run_scan_fleet(section: ScanFleetSection, book: PriceBook) -> SectionResult:
@@ -473,22 +466,13 @@ def _run_scan_fleet(section: ScanFleetSection, book: PriceBook) -> SectionResult
         "full_scan": _priced_side(book, comp.full_scan_requests, comp.full_scan_bytes),
     }
     mode = "pushdown" if section.pushdown else "full_scan"
-    chosen = side[mode]
-    return SectionResult(
-        name="scan_fleet",
-        requests=chosen["requests"],
-        bytes=chosen["bytes"],
-        nanousd=chosen["nanousd"],
-        usd=chosen["usd"],
-        details={
-            "daily_bytes": section.daily_bytes,
-            "avg_request_bytes": section.avg_request_bytes,
-            "inflation": section.inflation,
-            "page_bytes": section.page_bytes,
-            "mode": mode,
-        },
-        comparison=side,
-    )
+    return _section("scan_fleet", side, mode, {
+        "daily_bytes": section.daily_bytes,
+        "avg_request_bytes": section.avg_request_bytes,
+        "inflation": section.inflation,
+        "page_bytes": section.page_bytes,
+        "mode": mode,
+    })
 
 
 def _run_join(section: JoinSection, book: PriceBook) -> SectionResult:
@@ -515,53 +499,38 @@ def _run_join(section: JoinSection, book: PriceBook) -> SectionResult:
             book, joinplan.fleet_api_calls(shuffle_bytes, section.request_bytes), shuffle_bytes
         ),
     }
-    chosen = side[per_query.strategy]
     waste = joinplan.waste_fraction(params.workers)
-    return SectionResult(
-        name="join",
-        requests=chosen["requests"],
-        bytes=chosen["bytes"],
-        nanousd=chosen["nanousd"],
-        usd=chosen["usd"],
-        details={
-            "strategy": per_query.strategy,
-            "queries_per_day": params.queries_per_day,
-            "broadcast_fraction": params.broadcast_fraction,
-            "workers": params.workers,
-            "build_bytes": params.build_bytes,
-            "probe_bytes": section.probe_bytes,
-            "request_bytes": section.request_bytes,
-            "per_query_storage_bytes": per_query.storage_bytes,
-            "per_query_requests": per_query.requests,
-            "per_query_duplicated_bytes": per_query.duplicated_bytes,
-            "per_query_network_bytes": per_query.network_bytes,
-            "waste_fraction": f"{float(waste):.4f}",
-            "waste_fraction_exact": f"{waste.numerator}/{waste.denominator}",
-        },
-        comparison=side,
-    )
+    return _section("join", side, per_query.strategy, {
+        "strategy": per_query.strategy,
+        "queries_per_day": params.queries_per_day,
+        "broadcast_fraction": params.broadcast_fraction,
+        "workers": params.workers,
+        "build_bytes": params.build_bytes,
+        "probe_bytes": section.probe_bytes,
+        "request_bytes": section.request_bytes,
+        "per_query_storage_bytes": per_query.storage_bytes,
+        "per_query_requests": per_query.requests,
+        "per_query_duplicated_bytes": per_query.duplicated_bytes,
+        "per_query_network_bytes": per_query.network_bytes,
+        "waste_fraction": f"{float(waste):.4f}",
+        "waste_fraction_exact": f"{waste.numerator}/{waste.denominator}",
+    })
 
 
 def _run_cache(section: CacheSection, book: PriceBook, trace: Trace, workload_note: dict) -> SectionResult:
     report = cachesim.simulate(trace, section.config)
-    with_cache = _priced_side(book, report.origin_requests, report.origin_bytes)
-    without = _priced_side(book, report.requests_served, report.requested_bytes)
-    return SectionResult(
-        name="cache",
-        requests=report.origin_requests,
-        bytes=report.origin_bytes,
-        nanousd=with_cache["nanousd"],
-        usd=with_cache["usd"],
-        details={
-            **report.to_dict(),
-            "capacity_bytes": section.config.capacity_bytes,
-            "effective_capacity_bytes": section.config.effective_capacity_bytes,
-            "block_bytes": section.config.block_bytes,
-            "distinct_blocks": cachesim.distinct_blocks(trace, section.config.block_bytes),
-            "workload": workload_note,
-        },
-        comparison={"cache": with_cache, "no_cache": without},
-    )
+    side = {
+        "cache": _priced_side(book, report.origin_requests, report.origin_bytes),
+        "no_cache": _priced_side(book, report.requests_served, report.requested_bytes),
+    }
+    return _section("cache", side, "cache", {
+        **report.to_dict(),
+        "capacity_bytes": section.config.capacity_bytes,
+        "effective_capacity_bytes": section.config.effective_capacity_bytes,
+        "block_bytes": section.config.block_bytes,
+        "distinct_blocks": cachesim.distinct_blocks(trace, section.config.block_bytes),
+        "workload": workload_note,
+    })
 
 
 def _materialize_workload(scenario: Scenario) -> tuple[Trace, dict]:

@@ -8,6 +8,7 @@ avoids a whole class of off-by-2.4% bugs.
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -16,6 +17,11 @@ MB = 10**6
 GB = 10**9
 TB = 10**12
 PB = 10**15
+
+# Largest byte count any field accepts (1 ZB): far above every real
+# quantity here, and small enough that a hostile exponent such as
+# "1e400" is refused before it becomes an integer.
+MAX_BYTES = 10**21
 
 _SUFFIXES = {
     "KB": KB,
@@ -31,13 +37,16 @@ def parse_bytes(text: str | int) -> int:
     """Parse a byte count such as ``"64KB"``, ``"1.5MB"`` or ``"1048576"``.
 
     Suffixes are decimal and case-insensitive. Fractional values are
-    allowed as long as the result is a whole number of bytes.
+    allowed as long as the result is a whole number of bytes. Counts
+    above ``MAX_BYTES`` are rejected.
     """
     if isinstance(text, bool):
         raise ValueError(f"not a byte count: {text!r}")
     if isinstance(text, int):
         if text < 0:
             raise ValueError(f"byte count must be >= 0, got {text}")
+        if text > MAX_BYTES:
+            raise ValueError(f"byte count must be <= 10**21, got {text}")
         return text
     raw = str(text).strip()
     s = raw.upper()
@@ -50,15 +59,21 @@ def parse_bytes(text: str | int) -> int:
     if not s:
         raise ValueError(f"not a byte count: {raw!r}")
     try:
-        value = Decimal(s) * multiplier
+        number = Decimal(s)
     except InvalidOperation:
         raise ValueError(f"not a byte count: {raw!r}") from None
+    if not number.is_finite():
+        raise ValueError(f"not a byte count: {raw!r}")
+    # range checks come before the multiplication and int(), so a huge
+    # exponent neither overflows the decimal context nor builds a huge int
+    if number < 0:
+        raise ValueError(f"byte count must be >= 0, got {raw!r}")
+    if number > MAX_BYTES // multiplier:
+        raise ValueError(f"byte count must be <= 10**21, got {raw!r}")
+    value = number * multiplier
     if value != value.to_integral_value():
         raise ValueError(f"byte count is not a whole number of bytes: {raw!r}")
-    result = int(value)
-    if result < 0:
-        raise ValueError(f"byte count must be >= 0, got {raw!r}")
-    return result
+    return int(value)
 
 
 def format_bytes(n: int) -> str:
@@ -96,3 +111,15 @@ def ceil_div(numerator: int, denominator: int) -> int:
     if numerator < 0:
         raise ValueError(f"numerator must be >= 0, got {numerator}")
     return -(-numerator // denominator)
+
+
+def load_json(path: str, what: str):
+    """Read one JSON document from ``path``.
+
+    Malformed JSON raises ``ValueError`` naming ``what`` and the path.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{what} {path}: invalid JSON ({exc})") from None

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from iocost.cachesim import CacheConfig, CacheReport, distinct_blocks, miss_ratio_curve, price_origin, simulate
-from iocost.pricing import get_pricebook
+from iocost.cachesim import CacheConfig, distinct_blocks, miss_ratio_curve, simulate
 from iocost.tracemodel import AccessRecord, Trace
 from iocost.units import KB, MB
 
@@ -35,10 +34,6 @@ def test_config_validation():
         CacheConfig(capacity_bytes=-1, block_bytes=B)
     with pytest.raises(ValueError):
         CacheConfig(capacity_bytes=0, block_bytes=0)
-    with pytest.raises(ValueError):
-        CacheConfig(capacity_bytes=0, block_bytes=B, policy="fifo")
-    with pytest.raises(ValueError):
-        CacheConfig(capacity_bytes=0, block_bytes=B, fetch="per-block")
 
 
 def test_two_identical_reads():
@@ -204,22 +199,6 @@ def test_simulate_is_deterministic():
     trace = _random_trace(random.Random(12))
     config = CacheConfig(5 * B, B)
     assert simulate(trace, config) == simulate(trace, config)
-
-
-def test_price_origin():
-    book = get_pricebook("s3-standard")
-    rep = CacheReport(
-        requests_served=1000, hits=0, misses=1000, origin_requests=1000,
-        origin_bytes=1000 * B, requested_bytes=1000 * B,
-        read_amplification=1.0, hit_ratio=0.0,
-    )
-    assert price_origin(rep, book) == 400_000  # $0.0004
-    empty = CacheReport(0, 0, 0, 0, 0, 0, 0.0, 0.0)
-    assert price_origin(empty, book) == 0
-    two_reads = simulate(
-        _trace([("x", 0, 1000), ("x", 0, 1000)]), CacheConfig(B, B)
-    )
-    assert price_origin(two_reads, get_pricebook("azure-gpv2-hot")) == 500
 
 
 def test_report_to_dict_field_names():

@@ -138,6 +138,115 @@ def test_join_headline(capsys):
     assert out["per_query"]["duplicated_bytes"] == 199 * 100 * 10**6
 
 
+JOIN_ARGS = [
+    "join", "--workers", "200", "--build-bytes", "100MB", "--probe-bytes", "1GB",
+    "--queries", "500000", "--broadcast-frac", "0.2", "--request-bytes", "10KB",
+]
+JOIN_ARGS_BIG_BUILD = [a if a != "100MB" else "200MB" for a in JOIN_ARGS]
+
+# Full stdout of scan, join and cache on small inputs, pinned so that
+# routing the commands through the scenario sections changes no byte.
+PINNED = {
+    "scan_data": (
+        ["--data", "data.json"],
+        {"full_scan": {"bytes": 96, "requests": 12}, "mode": "pushdown",
+         "pushdown": {"bytes": 88, "requests": 11}, "rows": 8, "survivors": 3,
+         "table": "events"},
+    ),
+    "scan_coalesce": (
+        ["--data", "data.json", "--coalesce-gap", "1KB"],
+        {"full_scan": {"bytes": 96, "requests": 1}, "mode": "pushdown",
+         "pushdown": {"bytes": 88, "requests": 1}, "rows": 8, "survivors": 3,
+         "table": "events"},
+    ),
+    "scan_synthesized": (
+        ["--seed", "3"],
+        {"full_scan": {"bytes": 96, "requests": 12}, "mode": "pushdown",
+         "pushdown": {"bytes": 72, "requests": 9}, "rows": 8, "survivors": 1,
+         "table": "events"},
+    ),
+    "join_broadcast": (
+        JOIN_ARGS,
+        {"fleet": {"broadcast_bytes_per_day": 2_000_000_000_000_000,
+                   "broadcast_requests_per_day": 200_000_000_000,
+                   "shuffle_bytes_per_day": 10_000_000_000_000,
+                   "shuffle_requests_per_day": 1_000_000_000},
+         "per_query": {"duplicated_bytes": 19_900_000_000, "network_bytes": 0,
+                       "requests": 2_100_000, "storage_bytes": 21_000_000_000,
+                       "strategy": "broadcast"},
+         "waste_fraction": "0.9950"},
+    ),
+    "join_auto_picks_shuffle": (
+        JOIN_ARGS_BIG_BUILD + ["--strategy", "auto"],
+        {"fleet": {"broadcast_bytes_per_day": 4_000_000_000_000_000,
+                   "broadcast_requests_per_day": 400_000_000_000,
+                   "shuffle_bytes_per_day": 20_000_000_000_000,
+                   "shuffle_requests_per_day": 2_000_000_000},
+         "per_query": {"duplicated_bytes": 0, "network_bytes": 1_200_000_000,
+                       "requests": 120_000, "storage_bytes": 1_200_000_000,
+                       "strategy": "shuffle"},
+         "waste_fraction": "0.9950"},
+    ),
+    "join_shuffle": (
+        JOIN_ARGS + ["--strategy", "shuffle"],
+        {"fleet": {"broadcast_bytes_per_day": 2_000_000_000_000_000,
+                   "broadcast_requests_per_day": 200_000_000_000,
+                   "shuffle_bytes_per_day": 10_000_000_000_000,
+                   "shuffle_requests_per_day": 1_000_000_000},
+         "per_query": {"duplicated_bytes": 0, "network_bytes": 1_100_000_000,
+                       "requests": 110_000, "storage_bytes": 1_100_000_000,
+                       "strategy": "shuffle"},
+         "waste_fraction": "0.9950"},
+    ),
+    "cache": (
+        ["cache", "--trace", "t.jsonl", "--capacity", "5KB", "--block", "1KB"],
+        {"config": {"block_bytes": 1000, "capacity_bytes": 5000,
+                    "effective_capacity_bytes": 5000, "fetch": "per-run", "policy": "lru"},
+         "report": {"hit_ratio": 0.1388888888888889, "hits": 5, "misses": 31,
+                    "origin_bytes": 31000, "origin_requests": 12,
+                    "read_amplification": 1.0333333333333334, "requested_bytes": 30000,
+                    "requests_served": 12}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_stdout(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, payload in (("layout.json", LAYOUT), ("query.json", QUERY), ("data.json", DATA)):
+        _write(tmp_path / name, payload)
+    lines = [
+        json.dumps({"ts_ms": i, "obj": "x" if i % 3 else "y", "off": (i % 4) * 1500,
+                    "len": 2500, "kind": "get"})
+        for i in range(12)
+    ]
+    (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
+    argv, expected = PINNED[case]
+    if case.startswith("scan"):
+        argv = ["scan", "--layout", "layout.json", "--query", "query.json"] + argv
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_scan_data_with_non_integer_value_exits_2(tmp_path, capsys):
+    data = {**DATA, "A": [10, 20, 5, "x", 25, 12, 40, 8]}
+    code = main([
+        "scan",
+        "--layout", _write(tmp_path / "layout.json", LAYOUT),
+        "--query", _write(tmp_path / "query.json", QUERY),
+        "--data", _write(tmp_path / "data.json", data),
+    ])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+def test_unbounded_byte_flag_exits_2(value, capsys):
+    argv = [a if a != "100MB" else value for a in JOIN_ARGS]
+    assert main(argv) == 2
+    assert "--build-bytes" in capsys.readouterr().err
+
+
 def test_cache_over_trace_file(tmp_path, capsys):
     lines = [
         json.dumps({"ts_ms": i, "obj": "x", "off": 0, "len": 1000, "kind": "get"})

@@ -12,15 +12,13 @@ from iocost.columnar import (
     coalesce_requests,
     fleet_scan_projection,
     layout_from_dict,
-    load_layout,
-    load_query,
     pages_for_rows,
     plan_scan,
     query_from_dict,
     synthesize_column_data,
 )
 from iocost.pricing import RequestTally, get_pricebook
-from iocost.units import KB, MB, PB
+from iocost.units import KB, MB, PB, load_json
 
 # Example table: an 8-row scan whose predicate chain narrows all rows
 # to {1,3,4,6} and then to {1,4,6}.
@@ -389,7 +387,7 @@ def test_layout_json_roundtrip(tmp_path):
     assert layout.column("ts").pages[0].rows == 125
     path = tmp_path / "layout.json"
     path.write_text(json.dumps(spec))
-    assert load_layout(str(path)) == layout
+    assert layout_from_dict(load_json(str(path), "layout file")) == layout
 
 
 @pytest.mark.parametrize(
@@ -437,7 +435,7 @@ def test_query_json_errors(spec, needle):
 def test_load_query(tmp_path):
     path = tmp_path / "q.json"
     path.write_text('{"select": ["A"], "where": [], "pushdown": true}')
-    select, predicates, pushdown = load_query(str(path))
+    select, predicates, pushdown = query_from_dict(load_json(str(path), "query file"))
     assert select == ["A"] and predicates == [] and pushdown is True
 
 

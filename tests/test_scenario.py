@@ -163,6 +163,26 @@ def test_cache_scenario_beats_no_cache_on_reused_workload():
     assert cache.details["distinct_blocks"] > 0
 
 
+def test_cache_section_prices_origin_traffic(tmp_path):
+    # the priced side is the origin GETs alone, at the book's read price
+    cache = _run(CACHE_RAW).sections[0]
+    assert cache.nanousd == cache.details["origin_requests"] * 400  # s3-standard
+    assert cache.comparison["no_cache"]["nanousd"] == 2000 * 400
+    lines = [
+        json.dumps({"ts_ms": i, "obj": "x", "off": 0, "len": 1000, "kind": "get"})
+        for i in range(2)
+    ]
+    (tmp_path / "trace.jsonl").write_text("\n".join(lines) + "\n")
+    raw = {
+        "price_book": "azure-gpv2-hot",
+        "workload": {"trace": "trace.jsonl"},
+        "cache": {"capacity_bytes": "1KB", "block_bytes": "1KB"},
+    }
+    cache = run_scenario(scenario_from_dict(raw, base_dir=str(tmp_path))).sections[0]
+    assert cache.details["origin_requests"] == 1
+    assert cache.nanousd == 500
+
+
 def test_cache_scenario_reads_trace_file(tmp_path):
     lines = [
         json.dumps({"ts_ms": i, "obj": "x", "off": 0, "len": 1000, "kind": "get"})
@@ -361,6 +381,26 @@ def test_scenario_validation(raw, needle):
     with pytest.raises(ValueError) as excinfo:
         scenario_from_dict(copy.deepcopy(raw))
     assert needle in str(excinfo.value)
+
+
+FIELD_ERRORS = [
+    ({**JOIN_RAW, "join": {**JOIN_RAW["join"], "workers": 0}}, "join.workers"),
+    ({**JOIN_RAW, "join": {**JOIN_RAW["join"], "queries_per_day": -1}}, "join.queries_per_day"),
+    ({**JOIN_RAW, "join": {**JOIN_RAW["join"], "build_bytes": "inf"}}, "join.build_bytes"),
+    ({**CACHE_RAW, "cache": {"capacity_bytes": "1e400"}}, "cache.capacity_bytes"),
+    ({**CACHE_RAW, "cache": {"capacity_bytes": "1GB", "block_bytes": -1}}, "cache.block_bytes"),
+    ({**SCAN_RAW, "scan": {**SCAN_RAW["scan"], "layout": "bad.json"}}, "scan.layout"),
+]
+
+
+@pytest.mark.parametrize("raw,field", FIELD_ERRORS, ids=[f for _, f in FIELD_ERRORS])
+def test_field_errors_name_the_field_once(raw, field, tmp_path):
+    (tmp_path / "bad.json").write_text("{not json")
+    with pytest.raises(ValueError) as excinfo:
+        scenario_from_dict(copy.deepcopy(raw), base_dir=str(tmp_path))
+    message = str(excinfo.value)
+    assert message.startswith(f"scenario field {field!r}: ")
+    assert message.count("scenario field") == 1
 
 
 def test_workload_trace_file_must_exist(tmp_path):

@@ -19,6 +19,8 @@ from iocost.units import KB, MB, GB, TB, PB, ceil_div, exact_fraction, format_by
         ("1048576", 1_048_576),
         ("100B", 100),
         ("0", 0),
+        ("1e21", 10**21),
+        ("1000000PB", 10**21),
     ],
 )
 def test_parse_bytes(text, expected):
@@ -27,9 +29,14 @@ def test_parse_bytes(text, expected):
 
 def test_parse_bytes_accepts_ints():
     assert parse_bytes(12345) == 12345
+    assert parse_bytes(10**21) == 10**21
 
 
-@pytest.mark.parametrize("bad", ["abc", "", "KB", "-5KB", "1.5B", "1.0001KB", -3])
+@pytest.mark.parametrize(
+    "bad",
+    ["abc", "", "KB", "-5KB", "1.5B", "1.0001KB", -3,
+     "inf", "-inf", "Infinity", "nan", "1e400", "1e22", 10**21 + 1],
+)
 def test_parse_bytes_rejects(bad):
     with pytest.raises(ValueError):
         parse_bytes(bad)
