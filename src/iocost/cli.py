@@ -19,19 +19,21 @@ from dataclasses import replace
 from . import cachesim, joinplan, scenario as scenario_mod, tracemodel
 from .pricing import RequestTally, format_usd, get_pricebook, load_pricebook
 from .tracemodel import DEFAULT_ZIPF_EXPONENT, SynthSpec
-from .units import load_json, parse_bytes
+from .units import REQUIRED, check_fields, check_value, load_json, parse_bytes
 
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+# {"counts": {kind: count}, "bytes": {kind: bytes}}; RequestTally checks the entries.
+_TALLY_FIELDS = (("counts", "object", REQUIRED, None), ("bytes", "object", None, None))
+
+
 def _cmd_price(args) -> int:
     book = load_pricebook(args.book_file) if args.book_file else get_pricebook(args.book)
-    raw = load_json(args.tally, "tally file")
-    if not isinstance(raw, dict) or not isinstance(raw.get("counts"), dict):
-        raise ValueError(f"tally file {args.tally}: expected {{\"counts\": {{kind: count}}}}")
-    tally = RequestTally(counts=raw["counts"], transferred_bytes=raw.get("bytes", {}))
+    raw = check_fields(load_json(args.tally, "tally file"), _TALLY_FIELDS, f"tally file {args.tally}")
+    tally = RequestTally(counts=raw["counts"], transferred_bytes=raw["bytes"] or {})
     cost = book.cost_of(tally)
     _print_json(
         {
@@ -71,11 +73,7 @@ def _cmd_scan(args) -> int:
     section = {"layout": args.layout, "query": args.query, "coalesce_gap": args.coalesce_gap}
     if args.data:
         data = load_json(args.data, "data file")
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"data file {args.data}: expected an object mapping columns to value arrays"
-            )
-        section["data"] = data
+        section["data"] = check_value(data, "object", f"data file {args.data}", "")
     result = _run_section("scan", section, args.seed)
     details, comp = result.details, result.comparison
     out = {key: details[key] for key in ("table", "rows", "mode", "survivors")}
@@ -216,7 +214,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

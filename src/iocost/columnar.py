@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .units import ceil_div, exact_fraction, parse_bytes
+from .units import REQUIRED, ceil_div, check_fields, exact_fraction
 
 _OPS = {
     "<": operator.lt,
@@ -323,6 +323,28 @@ def synthesize_column_data(layout: TableLayout, seed: int, low: int = 0, high: i
     }
 
 
+_COLUMN_FIELDS = (
+    ("name", "str", REQUIRED, None),
+    ("page_bytes", "bytes", REQUIRED, None),
+    ("value_bytes", "bytes", REQUIRED, 1),
+)
+_LAYOUT_FIELDS = (
+    ("table", "str", REQUIRED, None),
+    ("rows", "int", REQUIRED, 1),
+    ("columns", [_COLUMN_FIELDS], REQUIRED, 1),
+)
+_PREDICATE_FIELDS = (
+    ("col", "str", REQUIRED, None),
+    ("op", tuple(_OPS), REQUIRED, None),
+    ("lit", "int", REQUIRED, None),
+)
+_QUERY_FIELDS = (
+    ("select", "strs", (), None),
+    ("where", [_PREDICATE_FIELDS], (), None),
+    ("pushdown", "bool", True, None),
+)
+
+
 def layout_from_dict(spec: dict) -> TableLayout:
     """Build a layout from its JSON form.
 
@@ -330,31 +352,9 @@ def layout_from_dict(spec: dict) -> TableLayout:
     "page_bytes": int, "value_bytes": int}]}. Byte fields also accept
     decimal-suffix strings such as "1MB".
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"layout must be a JSON object, got {type(spec).__name__}")
-    table = spec.get("table")
-    if not isinstance(table, str) or not table:
-        raise ValueError("layout field 'table' must be a non-empty string")
-    rows = spec.get("rows")
-    if not isinstance(rows, int) or isinstance(rows, bool):
-        raise ValueError(f"layout field 'rows' must be an integer, got {rows!r}")
-    raw_columns = spec.get("columns")
-    if not isinstance(raw_columns, list) or not raw_columns:
-        raise ValueError("layout field 'columns' must be a non-empty array")
-    columns = []
-    for i, raw in enumerate(raw_columns):
-        if not isinstance(raw, dict):
-            raise ValueError(f"layout columns[{i}] must be an object")
-        name = raw.get("name")
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"layout columns[{i}].name must be a non-empty string")
-        try:
-            page_bytes = parse_bytes(raw["page_bytes"])
-            value_bytes = parse_bytes(raw["value_bytes"])
-        except KeyError as exc:
-            raise ValueError(f"layout columns[{i}] is missing field {exc.args[0]!r}") from None
-        columns.append((name, page_bytes, value_bytes))
-    return build_layout(rows, columns, table=table)
+    f = check_fields(spec, _LAYOUT_FIELDS, "layout")
+    columns = [(c["name"], c["page_bytes"], c["value_bytes"]) for c in f["columns"]]
+    return build_layout(f["rows"], columns, table=f["table"])
 
 
 def query_from_dict(spec: dict):
@@ -364,29 +364,6 @@ def query_from_dict(spec: dict):
     "lit": int}], "pushdown": bool}. "where" defaults to no predicates
     and "pushdown" to true.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"query must be a JSON object, got {type(spec).__name__}")
-    select = spec.get("select", [])
-    if not isinstance(select, list) or not all(isinstance(s, str) for s in select):
-        raise ValueError("query field 'select' must be an array of column names")
-    raw_where = spec.get("where", [])
-    if not isinstance(raw_where, list):
-        raise ValueError("query field 'where' must be an array")
-    predicates = []
-    for i, raw in enumerate(raw_where):
-        if not isinstance(raw, dict):
-            raise ValueError(f"query where[{i}] must be an object")
-        col = raw.get("col")
-        if not isinstance(col, str) or not col:
-            raise ValueError(f"query where[{i}].col must be a non-empty string")
-        lit = raw.get("lit")
-        if not isinstance(lit, int) or isinstance(lit, bool):
-            raise ValueError(f"query where[{i}].lit must be an integer, got {lit!r}")
-        op = raw.get("op")
-        if op not in _OPS:
-            raise ValueError(f"query where[{i}].op must be one of {sorted(_OPS)}, got {op!r}")
-        predicates.append(Predicate(column=col, op=op, literal=lit))
-    pushdown = spec.get("pushdown", True)
-    if not isinstance(pushdown, bool):
-        raise ValueError(f"query field 'pushdown' must be a boolean, got {pushdown!r}")
-    return select, predicates, pushdown
+    f = check_fields(spec, _QUERY_FIELDS, "query")
+    predicates = [Predicate(column=p["col"], op=p["op"], literal=p["lit"]) for p in f["where"]]
+    return list(f["select"]), predicates, f["pushdown"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .units import load_json
+from .units import REQUIRED, check_fields, load_json
 
 NANOUSD_PER_USD = 10**9
 
@@ -27,32 +27,18 @@ class OperationClass:
     name: str
     label: str
 
-    def __post_init__(self) -> None:
-        if self.name not in ("read", "write"):
-            raise ValueError(f"operation class must be 'read' or 'write', got {self.name!r}")
-
 
 @dataclass(frozen=True)
 class PriceClass:
-    """One priced operation class: the kinds it covers and the per-request price."""
+    """One priced operation class: the kinds it covers and the per-request price.
+
+    Built by ``pricebook_from_dict``, whose field table checks the class
+    name, a non-empty kind list and an integer price >= 0.
+    """
 
     op_class: OperationClass
     kinds: frozenset[str]
     nanousd_per_request: int
-
-    def __post_init__(self) -> None:
-        if not self.kinds:
-            raise ValueError(f"class {self.op_class.name!r} covers no request kinds")
-        if not isinstance(self.nanousd_per_request, int) or isinstance(self.nanousd_per_request, bool):
-            raise ValueError(
-                f"price for class {self.op_class.name!r} must be an integer nanoUSD amount, "
-                f"got {self.nanousd_per_request!r}"
-            )
-        if self.nanousd_per_request < 0:
-            raise ValueError(
-                f"price for class {self.op_class.name!r} must be >= 0, "
-                f"got {self.nanousd_per_request}"
-            )
 
 
 @dataclass(frozen=True)
@@ -228,6 +214,18 @@ for _tier, (_w, _r) in _AZURE_TIERS.items():
     )
 
 
+_CLASS_FIELDS = (
+    ("class", ("read", "write"), REQUIRED, None),
+    ("label", "str", None, None),
+    ("kinds", "strs", REQUIRED, 1),
+    ("nanousd_per_request", "int", REQUIRED, 0),
+)
+_PRICEBOOK_FIELDS = (
+    ("id", "str", REQUIRED, None),
+    ("classes", [_CLASS_FIELDS], REQUIRED, 1),
+)
+
+
 def pricebook_from_dict(spec: dict) -> PriceBook:
     """Build a PriceBook from the JSON schema used by files and built-ins.
 
@@ -235,34 +233,16 @@ def pricebook_from_dict(spec: dict) -> PriceBook:
     "kinds": [str, ...], "nanousd_per_request": int}]}. An optional
     per-class "label" carries the vendor wording.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"price book must be a JSON object, got {type(spec).__name__}")
-    book_id = spec.get("id")
-    if not isinstance(book_id, str) or not book_id:
-        raise ValueError("price book field 'id' must be a non-empty string")
-    raw_classes = spec.get("classes")
-    if not isinstance(raw_classes, list) or not raw_classes:
-        raise ValueError(f"price book {book_id!r}: field 'classes' must be a non-empty array")
-    classes = []
-    for i, raw in enumerate(raw_classes):
-        if not isinstance(raw, dict):
-            raise ValueError(f"price book {book_id!r}: classes[{i}] must be an object")
-        cls_name = raw.get("class")
-        if cls_name not in ("read", "write"):
-            raise ValueError(
-                f"price book {book_id!r}: classes[{i}].class must be 'read' or 'write', got {cls_name!r}"
-            )
-        kinds = raw.get("kinds")
-        if not isinstance(kinds, list) or not kinds or not all(isinstance(k, str) for k in kinds):
-            raise ValueError(f"price book {book_id!r}: classes[{i}].kinds must be a non-empty string array")
-        price = raw.get("nanousd_per_request")
-        if not isinstance(price, int) or isinstance(price, bool):
-            raise ValueError(
-                f"price book {book_id!r}: classes[{i}].nanousd_per_request must be an integer, got {price!r}"
-            )
-        label = raw.get("label", f"{cls_name.capitalize()} operations")
-        classes.append(PriceClass(OperationClass(cls_name, label), frozenset(kinds), price))
-    return PriceBook(book_id, tuple(classes))
+    f = check_fields(spec, _PRICEBOOK_FIELDS, "price book")
+    classes = tuple(
+        PriceClass(
+            OperationClass(c["class"], c["label"] or f"{c['class'].capitalize()} operations"),
+            frozenset(c["kinds"]),
+            c["nanousd_per_request"],
+        )
+        for c in f["classes"]
+    )
+    return PriceBook(f["id"], classes)
 
 
 def builtin_pricebooks() -> tuple[PriceBook, ...]:

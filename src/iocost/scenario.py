@@ -19,7 +19,7 @@ from .columnar import TableLayout
 from .joinplan import FleetParams, JoinSpec
 from .pricing import PriceBook, RequestTally, format_usd, get_pricebook, load_pricebook
 from .tracemodel import SynthSpec, Trace, read_trace, synthesize_trace
-from .units import load_json, parse_bytes
+from .units import REQUIRED, FieldError, check_fields, check_value, load_json
 
 SECTION_ORDER = ("scan", "scan_fleet", "join", "cache")
 
@@ -56,15 +56,8 @@ class ScanFleetSection:
 @dataclass(frozen=True)
 class JoinSection:
     params: FleetParams
-    probe_bytes: int
-    strategy: str
-    broadcast_threshold: int
+    spec: JoinSpec
     request_bytes: int
-
-
-@dataclass(frozen=True)
-class CacheSection:
-    config: CacheConfig
 
 
 @dataclass(frozen=True)
@@ -76,44 +69,73 @@ class Scenario:
     scan: ScanSection | None
     scan_fleet: ScanFleetSection | None
     join: JoinSection | None
-    cache: CacheSection | None
+    cache: CacheConfig | None
     echo: dict
     source: str
 
 
-def _fail(key: str, message: str) -> ValueError:
-    return ValueError(f"scenario field {key!r}: {message}")
+# One field table per object of the scenario schema, checked by
+# units.check_fields: (key, kind, default, minimum).
+_SCENARIO_FIELDS = (
+    ("price_book", "any", REQUIRED, None),
+    ("seed", "int", 0, None),
+    ("annual", "bool", False, None),
+    ("workload", "object", None, None),
+    ("scan", "object", None, None),
+    ("scan_fleet", "object", None, None),
+    ("join", "object", None, None),
+    ("cache", "object", None, None),
+)
+_PRICE_BOOK_FILE_FIELDS = (("file", "str", REQUIRED, None),)
+_WORKLOAD_FIELDS = (
+    ("trace", "str", None, None),
+    ("synthesize", "object", None, None),
+)
+_SYNTHESIZE_FIELDS = (
+    ("records", "int", SynthSpec.records, 1),
+    ("anchors", "any", None, None),
+    ("min_bytes", "bytes", SynthSpec.min_bytes, None),
+    ("objects", "int", SynthSpec.object_universe, 1),
+    ("zipf_exponent", "number", SynthSpec.zipf_exponent, None),
+    ("duration_ms", "int", SynthSpec.duration_ms, 1),
+)
+_SCAN_FIELDS = (
+    ("layout", "any", REQUIRED, None),
+    ("query", "any", REQUIRED, None),
+    ("data", "object", None, None),
+    ("coalesce_gap", "bytes", None, None),
+)
+_SCAN_FLEET_FIELDS = (
+    ("daily_bytes", "bytes", REQUIRED, 1),
+    ("avg_request_bytes", "bytes", REQUIRED, 1),
+    ("inflation", "number", REQUIRED, None),
+    ("page_bytes", "bytes", REQUIRED, 1),
+    ("pushdown", "bool", True, None),
+)
+_JOIN_FIELDS = (
+    ("queries_per_day", "int", REQUIRED, 0),
+    ("broadcast_fraction", "number", REQUIRED, None),
+    ("workers", "int", REQUIRED, 1),
+    ("build_bytes", "bytes", REQUIRED, None),
+    ("probe_bytes", "bytes", 0, None),
+    ("request_bytes", "bytes", REQUIRED, 1),
+    ("strategy", joinplan.STRATEGIES, "broadcast", None),
+    ("broadcast_threshold", "bytes", joinplan.DEFAULT_BROADCAST_THRESHOLD, None),
+)
+_CACHE_FIELDS = (
+    ("capacity_bytes", "bytes", REQUIRED, None),
+    ("block_bytes", "bytes", CacheConfig.block_bytes, 1),
+)
 
 
-def _get_int(obj: dict, key: str, ctx: str, default=None, minimum=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ValueError(f"scenario section {ctx!r} is missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise _fail(f"{ctx}.{key}", f"must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise _fail(f"{ctx}.{key}", f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _get_bytes(obj: dict, key: str, ctx: str, default=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ValueError(f"scenario section {ctx!r} is missing field {key!r}")
+def _nested(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its errors reported as scenario field ``path``."""
     try:
-        return parse_bytes(obj[key])
+        return build(*args, **kwargs)
+    except FieldError as exc:
+        raise FieldError("scenario", f"{path}.{exc.path}" if exc.path else path, exc.problem) from None
     except ValueError as exc:
-        raise _fail(f"{ctx}.{key}", str(exc)) from None
-
-
-def _get_bool(obj: dict, key: str, ctx: str, default: bool) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise _fail(f"{ctx}.{key}", f"must be a boolean, got {value!r}")
-    return value
+        raise FieldError("scenario", path, str(exc)) from None
 
 
 def _check_file(path: str, key: str) -> str:
@@ -125,61 +147,40 @@ def _check_file(path: str, key: str) -> str:
 def _parse_price_book(raw, base_dir: str) -> PriceBook:
     if isinstance(raw, str):
         return get_pricebook(raw)
-    if isinstance(raw, dict) and isinstance(raw.get("file"), str):
-        path = os.path.join(base_dir, raw["file"])
-        return load_pricebook(_check_file(path, "price_book.file"))
-    raise _fail("price_book", "must be a built-in id or {\"file\": path}")
+    if not isinstance(raw, dict):
+        raise FieldError("scenario", "price_book", 'must be a built-in id or {"file": path}')
+    name = check_fields(raw, _PRICE_BOOK_FILE_FIELDS, "scenario", "price_book")["file"]
+    return load_pricebook(_check_file(os.path.join(base_dir, name), "price_book.file"))
+
+
+def _parse_anchors(raw) -> tuple[tuple[int, float], ...]:
+    path = "workload.synthesize.anchors"
+    if not isinstance(raw, list) or not all(isinstance(a, list) and len(a) == 2 for a in raw):
+        raise FieldError("scenario", path, "must be an array of [size, fraction] pairs")
+    return tuple(
+        (check_value(size, "bytes", "scenario", f"{path}[{i}][0]"),
+         float(check_value(frac, "number", "scenario", f"{path}[{i}][1]")))
+        for i, (size, frac) in enumerate(raw)
+    )
 
 
 def _parse_workload(raw: dict, base_dir: str) -> WorkloadSpec:
-    if not isinstance(raw, dict):
-        raise _fail("workload", "must be an object")
-    has_trace = "trace" in raw
-    has_synth = "synthesize" in raw
-    if has_trace == has_synth:
-        raise _fail("workload", "needs exactly one of 'trace' or 'synthesize'")
-    if has_trace:
-        if not isinstance(raw["trace"], str):
-            raise _fail("workload.trace", f"must be a file path, got {raw['trace']!r}")
-        path = os.path.join(base_dir, raw["trace"])
+    f = check_fields(raw, _WORKLOAD_FIELDS, "scenario", "workload")
+    if (f["trace"] is None) == (f["synthesize"] is None):
+        raise FieldError("scenario", "workload", "needs exactly one of 'trace' or 'synthesize'")
+    if f["trace"] is not None:
+        path = os.path.join(base_dir, f["trace"])
         return WorkloadSpec(trace_path=_check_file(path, "workload.trace"))
-    synth = raw["synthesize"]
-    if not isinstance(synth, dict):
-        raise _fail("workload.synthesize", "must be an object")
-    ctx = "workload.synthesize"
-    kwargs = {}
-    if "records" in synth:
-        kwargs["records"] = _get_int(synth, "records", ctx, minimum=1)
-    if "anchors" in synth:
-        anchors = synth["anchors"]
-        if not isinstance(anchors, list) or not all(
-            isinstance(a, list) and len(a) == 2 for a in anchors
-        ):
-            raise _fail(f"{ctx}.anchors", "must be an array of [size, fraction] pairs")
-        try:
-            kwargs["size_anchors"] = tuple(
-                (parse_bytes(size), float(frac)) for size, frac in anchors
-            )
-        except (TypeError, ValueError) as exc:
-            raise _fail(f"{ctx}.anchors", str(exc)) from None
-    if "min_bytes" in synth:
-        kwargs["min_bytes"] = _get_bytes(synth, "min_bytes", ctx)
-    if "objects" in synth:
-        kwargs["object_universe"] = _get_int(synth, "objects", ctx, minimum=1)
-    if "zipf_exponent" in synth:
-        value = synth["zipf_exponent"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _fail(f"{ctx}.zipf_exponent", f"must be a number, got {value!r}")
-        kwargs["zipf_exponent"] = float(value)
-    if "duration_ms" in synth:
-        kwargs["duration_ms"] = _get_int(synth, "duration_ms", ctx, minimum=1)
-    unknown = set(synth) - {"records", "anchors", "min_bytes", "objects", "zipf_exponent", "duration_ms"}
-    if unknown:
-        raise _fail(ctx, f"unknown fields {sorted(unknown)}")
-    try:
-        return WorkloadSpec(synth=SynthSpec(**kwargs))
-    except ValueError as exc:
-        raise _fail(ctx, str(exc)) from None
+    s = check_fields(f["synthesize"], _SYNTHESIZE_FIELDS, "scenario", "workload.synthesize")
+    return WorkloadSpec(synth=_nested(
+        "workload.synthesize", SynthSpec,
+        records=s["records"],
+        size_anchors=SynthSpec.size_anchors if s["anchors"] is None else _parse_anchors(s["anchors"]),
+        min_bytes=s["min_bytes"],
+        object_universe=s["objects"],
+        zipf_exponent=float(s["zipf_exponent"]),
+        duration_ms=s["duration_ms"],
+    ))
 
 
 def _inline_or_file(raw, base_dir: str, key: str) -> dict:
@@ -188,138 +189,74 @@ def _inline_or_file(raw, base_dir: str, key: str) -> dict:
         return load_json(path, f"scenario field {key!r}: file")
     if isinstance(raw, dict):
         return raw
-    raise _fail(key, "must be an inline object or a file path")
+    raise FieldError("scenario", key, "must be an inline object or a file path")
 
 
 def _parse_scan(raw: dict, base_dir: str) -> ScanSection:
-    if not isinstance(raw, dict):
-        raise _fail("scan", "must be an object")
-    if "layout" not in raw:
-        raise ValueError("scenario section 'scan' is missing field 'layout'")
-    if "query" not in raw:
-        raise ValueError("scenario section 'scan' is missing field 'query'")
-    layout_spec = _inline_or_file(raw["layout"], base_dir, "scan.layout")
-    query_spec = _inline_or_file(raw["query"], base_dir, "scan.query")
-    try:
-        layout = columnar.layout_from_dict(layout_spec)
-    except ValueError as exc:
-        raise _fail("scan.layout", str(exc)) from None
-    try:
-        select, predicates, pushdown = columnar.query_from_dict(query_spec)
-    except ValueError as exc:
-        raise _fail("scan.query", str(exc)) from None
-    data = raw.get("data")
-    if data is not None:
-        if not isinstance(data, dict) or not all(
-            isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
-            for v in data.values()
-        ):
-            raise _fail("scan.data", "must map column names to integer arrays")
-    gap = None
-    if raw.get("coalesce_gap") is not None:
-        gap = _get_bytes(raw, "coalesce_gap", "scan")
+    f = check_fields(raw, _SCAN_FIELDS, "scenario", "scan")
+    layout_spec = _inline_or_file(f["layout"], base_dir, "scan.layout")
+    query_spec = _inline_or_file(f["query"], base_dir, "scan.query")
+    layout = _nested("scan.layout", columnar.layout_from_dict, layout_spec)
+    select, predicates, pushdown = _nested("scan.query", columnar.query_from_dict, query_spec)
+    data = f["data"]
+    if data is not None and not all(
+        isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
+        for v in data.values()
+    ):
+        raise FieldError("scenario", "scan.data", "must map column names to integer arrays")
     return ScanSection(
         layout=layout,
         projection=tuple(select),
         predicates=tuple(predicates),
         pushdown=pushdown,
-        coalesce_gap=gap,
+        coalesce_gap=f["coalesce_gap"],
         data=data,
     )
 
 
 def _parse_scan_fleet(raw: dict) -> ScanFleetSection:
-    if not isinstance(raw, dict):
-        raise _fail("scan_fleet", "must be an object")
-    ctx = "scan_fleet"
-    inflation = raw.get("inflation")
-    if not isinstance(inflation, (int, float)) or isinstance(inflation, bool) or inflation <= 0:
-        raise _fail(f"{ctx}.inflation", f"must be a positive number, got {inflation!r}")
-    return ScanFleetSection(
-        daily_bytes=_get_bytes(raw, "daily_bytes", ctx),
-        avg_request_bytes=_get_bytes(raw, "avg_request_bytes", ctx),
-        inflation=inflation,
-        page_bytes=_get_bytes(raw, "page_bytes", ctx),
-        pushdown=_get_bool(raw, "pushdown", ctx, True),
-    )
+    f = check_fields(raw, _SCAN_FLEET_FIELDS, "scenario", "scan_fleet")
+    if f["inflation"] <= 0:
+        raise FieldError("scenario", "scan_fleet.inflation", f"must be > 0, got {f['inflation']}")
+    return ScanFleetSection(**f)
 
 
 def _parse_join(raw: dict) -> JoinSection:
-    if not isinstance(raw, dict):
-        raise _fail("join", "must be an object")
-    ctx = "join"
-    fraction = raw.get("broadcast_fraction")
-    if not isinstance(fraction, (int, float)) or isinstance(fraction, bool):
-        raise _fail(f"{ctx}.broadcast_fraction", f"must be a number, got {fraction!r}")
-    strategy = raw.get("strategy", "broadcast")
-    if strategy not in joinplan.STRATEGIES:
-        raise _fail(f"{ctx}.strategy", f"must be one of {joinplan.STRATEGIES}, got {strategy!r}")
-    queries = _get_int(raw, "queries_per_day", ctx, minimum=0)
-    workers = _get_int(raw, "workers", ctx, minimum=1)
-    build_bytes = _get_bytes(raw, "build_bytes", ctx)
-    try:
-        params = FleetParams(queries, fraction, workers, build_bytes)
-    except ValueError as exc:
-        raise _fail(ctx, str(exc)) from None
-    return JoinSection(
-        params=params,
-        probe_bytes=_get_bytes(raw, "probe_bytes", ctx, default=0),
-        strategy=strategy,
-        broadcast_threshold=_get_bytes(
-            raw, "broadcast_threshold", ctx, default=joinplan.DEFAULT_BROADCAST_THRESHOLD
-        ),
-        request_bytes=_get_bytes(raw, "request_bytes", ctx),
+    f = check_fields(raw, _JOIN_FIELDS, "scenario", "join")
+    params = _nested(
+        "join", FleetParams,
+        f["queries_per_day"], f["broadcast_fraction"], f["workers"], f["build_bytes"],
     )
+    spec = _nested(
+        "join", JoinSpec,
+        f["build_bytes"], f["probe_bytes"], f["workers"], f["strategy"], f["broadcast_threshold"],
+    )
+    return JoinSection(params, spec, f["request_bytes"])
 
 
-def _parse_cache(raw: dict) -> CacheSection:
-    if not isinstance(raw, dict):
-        raise _fail("cache", "must be an object")
-    ctx = "cache"
-    capacity = _get_bytes(raw, "capacity_bytes", ctx)
-    block = _get_bytes(raw, "block_bytes", ctx, default=CacheConfig.block_bytes)
-    try:
-        config = CacheConfig(capacity, block)
-    except ValueError as exc:
-        raise _fail(ctx, str(exc)) from None
-    return CacheSection(config=config)
+def _parse_cache(raw: dict) -> CacheConfig:
+    return _nested("cache", CacheConfig, **check_fields(raw, _CACHE_FIELDS, "scenario", "cache"))
 
 
 def scenario_from_dict(raw: dict, base_dir: str = ".", source: str = "inline") -> Scenario:
     """Validate a scenario's JSON form. Relative paths resolve against base_dir."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"scenario must be a JSON object, got {type(raw).__name__}")
-    if "price_book" not in raw:
-        raise ValueError("scenario is missing field 'price_book'")
-    book = _parse_price_book(raw["price_book"], base_dir)
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise _fail("seed", f"must be an integer, got {seed!r}")
-    annual = raw.get("annual", False)
-    if not isinstance(annual, bool):
-        raise _fail("annual", f"must be a boolean, got {annual!r}")
-
-    workload = _parse_workload(raw["workload"], base_dir) if "workload" in raw else None
-    scan = _parse_scan(raw["scan"], base_dir) if "scan" in raw else None
-    scan_fleet = _parse_scan_fleet(raw["scan_fleet"]) if "scan_fleet" in raw else None
-    join = _parse_join(raw["join"]) if "join" in raw else None
-    cache = _parse_cache(raw["cache"]) if "cache" in raw else None
-
+    f = check_fields(raw, _SCENARIO_FIELDS, "scenario")
+    book = _parse_price_book(f["price_book"], base_dir)
+    workload = None if f["workload"] is None else _parse_workload(f["workload"], base_dir)
+    scan = None if f["scan"] is None else _parse_scan(f["scan"], base_dir)
+    scan_fleet = None if f["scan_fleet"] is None else _parse_scan_fleet(f["scan_fleet"])
+    join = None if f["join"] is None else _parse_join(f["join"])
+    cache = None if f["cache"] is None else _parse_cache(f["cache"])
     if scan is None and scan_fleet is None and join is None and cache is None:
         raise ValueError(
             "scenario needs at least one section (scan, scan_fleet, join, or cache)"
         )
     if cache is not None and workload is None:
         raise ValueError("scenario section 'cache' requires a 'workload' section")
-    unknown = set(raw) - {
-        "price_book", "seed", "annual", "workload", "scan", "scan_fleet", "join", "cache",
-    }
-    if unknown:
-        raise ValueError(f"scenario has unknown fields {sorted(unknown)}")
     return Scenario(
         price_book=book,
-        seed=seed,
-        annual=annual,
+        seed=f["seed"],
+        annual=f["annual"],
         workload=workload,
         scan=scan,
         scan_fleet=scan_fleet,
@@ -477,16 +414,7 @@ def _run_scan_fleet(section: ScanFleetSection, book: PriceBook) -> SectionResult
 
 def _run_join(section: JoinSection, book: PriceBook) -> SectionResult:
     params = section.params
-    per_query = joinplan.plan_join(
-        JoinSpec(
-            build_bytes=params.build_bytes,
-            probe_bytes=section.probe_bytes,
-            workers=params.workers,
-            strategy=section.strategy,
-            broadcast_threshold=section.broadcast_threshold,
-        ),
-        section.request_bytes,
-    )
+    per_query = joinplan.plan_join(section.spec, section.request_bytes)
     broadcast_bytes = joinplan.fleet_aggregate(params)
     shuffle_bytes = joinplan.fleet_aggregate(
         FleetParams(params.queries_per_day, params.broadcast_fraction, 1, params.build_bytes)
@@ -506,7 +434,7 @@ def _run_join(section: JoinSection, book: PriceBook) -> SectionResult:
         "broadcast_fraction": params.broadcast_fraction,
         "workers": params.workers,
         "build_bytes": params.build_bytes,
-        "probe_bytes": section.probe_bytes,
+        "probe_bytes": section.spec.probe_bytes,
         "request_bytes": section.request_bytes,
         "per_query_storage_bytes": per_query.storage_bytes,
         "per_query_requests": per_query.requests,
@@ -517,18 +445,18 @@ def _run_join(section: JoinSection, book: PriceBook) -> SectionResult:
     })
 
 
-def _run_cache(section: CacheSection, book: PriceBook, trace: Trace, workload_note: dict) -> SectionResult:
-    report = cachesim.simulate(trace, section.config)
+def _run_cache(config: CacheConfig, book: PriceBook, trace: Trace, workload_note: dict) -> SectionResult:
+    report = cachesim.simulate(trace, config)
     side = {
         "cache": _priced_side(book, report.origin_requests, report.origin_bytes),
         "no_cache": _priced_side(book, report.requests_served, report.requested_bytes),
     }
     return _section("cache", side, "cache", {
         **report.to_dict(),
-        "capacity_bytes": section.config.capacity_bytes,
-        "effective_capacity_bytes": section.config.effective_capacity_bytes,
-        "block_bytes": section.config.block_bytes,
-        "distinct_blocks": cachesim.distinct_blocks(trace, section.config.block_bytes),
+        "capacity_bytes": config.capacity_bytes,
+        "effective_capacity_bytes": config.effective_capacity_bytes,
+        "block_bytes": config.block_bytes,
+        "distinct_blocks": cachesim.distinct_blocks(trace, config.block_bytes),
         "workload": workload_note,
     })
 

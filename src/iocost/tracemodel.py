@@ -12,6 +12,7 @@ modeling scope of this package, so they are computed over get records.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -41,6 +42,10 @@ DEFAULT_ZIPF_EXPONENT = 1.2
 
 DEFAULT_OBJECT_UNIVERSE = 1_000_000
 DEFAULT_DURATION_MS = 86_400_000  # one day
+
+# Synthesis holds three float64 arrays of the universe's length, so the
+# cap bounds that memory at about 240 MB.
+MAX_OBJECT_UNIVERSE = 10**7
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,16 +302,18 @@ class SynthSpec:
             raise ValueError(f"anchor sizes must be strictly increasing, got {sizes}")
         if any(b <= a for a, b in zip(fracs, fracs[1:])):
             raise ValueError(f"anchor fractions must be strictly increasing, got {fracs}")
+        if not all(math.isfinite(f) for f in fracs):
+            raise ValueError(f"anchor fractions must be finite, got {fracs}")
         if fracs[0] <= 0.0 or fracs[-1] != 1.0:
             raise ValueError(f"anchor fractions must lie in (0, 1] and end at 1.0, got {fracs}")
         if not 1 <= self.min_bytes <= sizes[0]:
             raise ValueError(
                 f"min_bytes must be in [1, first anchor size {sizes[0]}], got {self.min_bytes}"
             )
-        if self.object_universe < 1:
-            raise ValueError(f"object universe must be >= 1, got {self.object_universe}")
-        if self.zipf_exponent <= 0:
-            raise ValueError(f"zipf exponent must be > 0, got {self.zipf_exponent}")
+        if not 1 <= self.object_universe <= MAX_OBJECT_UNIVERSE:
+            raise ValueError(f"object universe must be in [1, 10**7], got {self.object_universe}")
+        if not (math.isfinite(self.zipf_exponent) and self.zipf_exponent > 0):
+            raise ValueError(f"zipf exponent must be finite and > 0, got {self.zipf_exponent}")
         if self.duration_ms < 1:
             raise ValueError(f"duration must be >= 1 ms, got {self.duration_ms}")
 

@@ -9,6 +9,8 @@ avoids a whole class of off-by-2.4% bugs.
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -70,10 +72,17 @@ def parse_bytes(text: str | int) -> int:
         raise ValueError(f"byte count must be >= 0, got {raw!r}")
     if number > MAX_BYTES // multiplier:
         raise ValueError(f"byte count must be <= 10**21, got {raw!r}")
-    value = number * multiplier
-    if value != value.to_integral_value():
+    # The whole-number check is exact: the decimal context would round a
+    # count with more than 28 significant digits first. A nonzero count
+    # under 1e-15 is below one byte even in PB; refusing it here keeps an
+    # exponent such as "1e-999999999" from building a huge denominator.
+    if number and number.adjusted() < -15:
         raise ValueError(f"byte count is not a whole number of bytes: {raw!r}")
-    return int(value)
+    numerator, denominator = number.as_integer_ratio()
+    numerator *= multiplier
+    if numerator % denominator:
+        raise ValueError(f"byte count is not a whole number of bytes: {raw!r}")
+    return numerator // denominator
 
 
 def format_bytes(n: int) -> str:
@@ -123,3 +132,102 @@ def load_json(path: str, what: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{what} {path}: invalid JSON ({exc})") from None
+
+
+# The default of a field table row whose key must be present.
+REQUIRED = object()
+
+_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "number": (
+        lambda v: (isinstance(v, int) and not isinstance(v, bool))
+        or (isinstance(v, float) and math.isfinite(v)),
+        "a finite number",
+    ),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "strs": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+             "an array of strings"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "any": (lambda v: True, "any value"),
+}
+
+
+class FieldError(ValueError):
+    """A field of a JSON input failed its check.
+
+    ``path`` is the field's dotted path inside the ``noun`` being read,
+    such as ``columns[1].page_bytes`` inside a layout; it is empty when
+    the problem is the whole input.
+    """
+
+    def __init__(self, noun: str, path: str, problem: str):
+        super().__init__(f"{noun} field {path!r}: {problem}" if path else f"{noun}: {problem}")
+        self.path = path
+        self.problem = problem
+
+
+def check_fields(obj, table, noun: str, path: str = "") -> dict:
+    """Check the JSON object ``obj`` against a field table; return values by key.
+
+    Each row of ``table`` is ``(key, kind, default, minimum)``. Kinds:
+
+    - ``"int"``, ``"number"`` (a finite int or float), ``"bool"``;
+    - ``"bytes"``: anything ``parse_bytes`` accepts, returned as an int;
+    - ``"str"``: a non-empty string; ``"strs"``: an array of strings;
+    - ``"object"``: a JSON object, and ``"any"``: any value, each returned
+      as is for the caller to check;
+    - a tuple of strings: one of those strings;
+    - ``[table]``: an array of objects, each checked against ``table``.
+
+    A missing key takes ``default``, or fails when that is ``REQUIRED``;
+    null counts as missing where the default is None. ``minimum`` bounds
+    a number from below and an array's length. A key that is not in the
+    table fails. Failures raise ``FieldError`` with the dotted path.
+    """
+    if not isinstance(obj, dict):
+        raise FieldError(noun, path, f"must be an object, got {reprlib.repr(obj)}")
+    known = [row[0] for row in table]
+    for key in obj:
+        if key not in known:
+            raise FieldError(
+                noun, f"{path}.{key}" if path else key,
+                f"unknown fields are rejected (known: {', '.join(known)})",
+            )
+    values = {}
+    for key, kind, default, minimum in table:
+        value = obj.get(key)
+        if value is None and (key not in obj or default is None):
+            if default is REQUIRED:
+                raise FieldError(noun, path, f"missing field {key!r}")
+            values[key] = default
+        else:
+            values[key] = check_value(value, kind, noun, f"{path}.{key}" if path else key, minimum)
+    return values
+
+
+def check_value(value, kind, noun: str, path: str, minimum=None):
+    """Check one JSON value against a kind of ``check_fields``; return it."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise FieldError(noun, path, f"must be an array of objects, got {reprlib.repr(value)}")
+        value = [check_fields(item, kind[0], noun, f"{path}[{i}]") for i, item in enumerate(value)]
+    elif isinstance(kind, tuple):
+        if not isinstance(value, str) or value not in kind:
+            raise FieldError(noun, path, f"must be one of {list(kind)}, got {reprlib.repr(value)}")
+    elif kind == "bytes":
+        try:
+            value = parse_bytes(value)
+        except ValueError as exc:
+            raise FieldError(noun, path, str(exc)) from None
+    else:
+        accepts, expected = _KINDS[kind]
+        if not accepts(value):
+            raise FieldError(noun, path, f"must be {expected}, got {reprlib.repr(value)}")
+    if minimum is not None:
+        if isinstance(value, list):
+            if len(value) < minimum:
+                raise FieldError(noun, path, f"must hold at least {minimum} item(s), got {len(value)}")
+        elif value < minimum:
+            raise FieldError(noun, path, f"must be >= {minimum}, got {value}")
+    return value

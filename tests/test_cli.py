@@ -1,6 +1,8 @@
 """CLI surface: exit codes, JSON output, and file handling."""
 
+import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -307,3 +309,108 @@ def test_no_command_exits_2(capsys):
     code = main([])
     capsys.readouterr()
     assert code == 2
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+# SHA-256 of the stdout of `scenario run` on each bundled scenario, taken
+# before the scenario parser moved onto field tables; a parser change must
+# not move a byte of any report.
+REPORT_DIGESTS = {
+    ("broadcast_fleet.json", "json"):
+        "b18ecf0133a7dd0fd1f2dd6f8aa4e267a9e3a6e96333cb46f022c59c5e11b204",
+    ("broadcast_fleet.json", "table"):
+        "0f435477941f44b6ccab723391b8c506f2ffb5e9a8a465a7ea9a0ec5716f3a38",
+    ("cache_demo.json", "json"):
+        "26612050171def603774981bde11896ecf1bdf0d7e35b50544b99112a3f4c2d1",
+    ("cache_demo.json", "table"):
+        "cff38d9fe6ad05a9b6fde9e2bf45d0b1fd2deaaf481d0b469e3fae806aea8e15",
+    ("scan_demo.json", "json"):
+        "ca37398f9d45e3837682d5565c9d83ea6366f5b444643eb6d8091d1751cb3ef3",
+    ("scan_demo.json", "table"):
+        "be9c6210f1ca80abffe8b506848d10e25d02426d3d98a0f3417ddd801ffcc329",
+    ("scan_fleet.json", "json"):
+        "52828750cea5032fdf341ed281de92530c748c1915285d2ba7887f96ff373d96",
+    ("scan_fleet.json", "table"):
+        "ba8fcf23b0a3d30cf323d39ceb28d4cac7ce0ba75782f60cba2673bfd9bf8f8a",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(REPORT_DIGESTS))
+def test_bundled_reports_are_pinned(name, fmt, capsys):
+    argv = ["scenario", "run", str(SCENARIOS / name), "--format", fmt]
+    assert main(argv + (["--annual"] if fmt == "table" else [])) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == REPORT_DIGESTS[(name, fmt)]
+
+
+def test_bundled_reports_cover_every_scenario():
+    assert {name for name, _ in REPORT_DIGESTS} == {p.name for p in SCENARIOS.glob("*.json")}
+
+
+SCAN_SCENARIO = {"price_book": "s3-standard", "scan": {"layout": LAYOUT, "query": QUERY}}
+
+
+@pytest.mark.parametrize(
+    "raw,path",
+    [
+        ({**SCAN_SCENARIO, "scan": {**SCAN_SCENARIO["scan"], "coalesce-gap": "1KB"}},
+         "'scan.coalesce-gap'"),
+        ({**JOIN_SCENARIO, "join": {**JOIN_SCENARIO["join"], "strateg": "shuffle"}},
+         "'join.strateg'"),
+    ],
+    ids=["scan-coalesce-gap", "join-strateg"],
+)
+def test_misspelled_scenario_field_exits_2(raw, path, tmp_path, capsys):
+    assert main(["scenario", "run", _write(tmp_path / "s.json", raw)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert path in captured.err and "unknown fields" in captured.err
+
+
+def test_misspelled_price_book_class_field_exits_2(tmp_path, capsys):
+    book = {"id": "flat", "classes": [
+        {"class": "read", "kinds": ["get"], "nanousd_per_request": 3, "lable": "Reads"},
+    ]}
+    tally = _write(tmp_path / "tally.json", {"counts": {"get": 1}})
+    assert main(["price", "--book-file", _write(tmp_path / "b.json", book), "--tally", tally]) == 2
+    assert "price book field 'classes[0].lable'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tally,path",
+    [
+        ({"counts": {"get": 1}, "bytes": 5}, "'bytes'"),
+        ({"counts": [1]}, "'counts'"),
+        ({"count": {"get": 1}}, "'count'"),
+        ({"counts": {"get": "x"}}, "kind 'get'"),
+    ],
+)
+def test_malformed_tally_exits_2(tally, path, tmp_path, capsys):
+    code = main(["price", "--book", "s3-standard", "--tally", _write(tmp_path / "t.json", tally)])
+    assert code == 2
+    assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["price", "--book", "s3-standard", "--tally", "DIR"],
+        ["price", "--book-file", "DIR", "--tally", "tally.json"],
+        ["cache", "--trace", "DIR", "--capacity", "1MB"],
+    ],
+    ids=["price-tally", "price-book-file", "cache-trace"],
+)
+def test_directory_path_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "DIR").mkdir()
+    _write(tmp_path / "tally.json", {"counts": {"get": 1}})
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--zipf", "nan"], ["--zipf", "inf"], ["--objects", "10000001"]])
+def test_synth_refuses_bad_parameters(flags, tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    assert main(["synth", "--records", "10", "--out", str(out)] + flags) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

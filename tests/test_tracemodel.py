@@ -248,11 +248,21 @@ def test_synthesis_respects_max_anchor():
         {"object_universe": 0},
         {"zipf_exponent": 0.0},
         {"duration_ms": 0},
+        {"object_universe": 10**7 + 1},
+        {"object_universe": 10**9},
+        {"zipf_exponent": float("nan")},
+        {"zipf_exponent": float("inf")},
+        {"size_anchors": ((KB, float("nan")), (MB, 1.0))},
     ],
 )
 def test_synthesis_spec_validation(kwargs):
     with pytest.raises(ValueError):
         SynthSpec(**kwargs)
+
+
+def test_synthesis_spec_accepts_the_largest_universe():
+    # constructing the spec draws nothing, so the cap is checked cheaply
+    assert SynthSpec(object_universe=10**7).object_universe == 10**7
 
 
 def test_trace_gets_filters_kinds():
