@@ -24,6 +24,10 @@ _OPS = {
     ">": operator.gt,
 }
 
+# Most values (rows x columns) a layout may hold. Every page is built as
+# an object and holds at least one value, so this bounds layout memory.
+MAX_LAYOUT_VALUES = 10**7
+
 
 @dataclass(frozen=True)
 class Page:
@@ -62,13 +66,17 @@ def build_layout(rows: int, columns, table: str = "t") -> TableLayout:
     ``columns`` is a sequence of (name, page_bytes, value_bytes).
     Each page holds floor(page_bytes / value_bytes) rows, the last page
     of a column may be partial. Columns are laid out back to back in
-    one file object.
+    one file object. At most ``MAX_LAYOUT_VALUES`` rows x columns.
     """
     if rows < 1:
         raise ValueError(f"row count must be >= 1, got {rows}")
     specs = list(columns)
     if not specs:
         raise ValueError("layout needs at least one column")
+    if rows * len(specs) > MAX_LAYOUT_VALUES:
+        raise ValueError(
+            f"{rows} rows x {len(specs)} columns exceeds the limit of {MAX_LAYOUT_VALUES} values"
+        )
     names = [name for name, _, _ in specs]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate column names in layout: {names}")
@@ -139,48 +147,46 @@ def pages_for_rows(layout: TableLayout, column: str, rows) -> set[int]:
 
 @dataclass(frozen=True)
 class ReadRequest:
-    """One ranged read against the table object."""
+    """One ranged GET: ``length`` bytes of object ``obj`` from ``offset``."""
 
     obj: str
     offset: int
     length: int
-    labels: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class ScanPlan:
-    """The ranged reads a scan issues, plus the surviving row set."""
+    """The ranged reads a scan issues, in issue order, and the surviving rows.
+
+    The request count and byte total are derived from the reads, so a
+    plan cannot disagree with itself.
+    """
 
     requests: tuple[ReadRequest, ...]
     survivors: frozenset[int]
-    request_count: int
-    total_bytes: int
 
-    def __post_init__(self) -> None:
-        if self.request_count != len(self.requests):
-            raise ValueError("request_count does not match the request list")
-        if self.total_bytes != sum(r.length for r in self.requests):
-            raise ValueError("total_bytes does not match the request list")
+    @property
+    def request_count(self) -> int:
+        return len(self.requests)
 
-    @classmethod
-    def make(cls, requests, survivors) -> "ScanPlan":
-        requests = tuple(requests)
-        return cls(
-            requests=requests,
-            survivors=frozenset(survivors),
-            request_count=len(requests),
-            total_bytes=sum(r.length for r in requests),
-        )
+    @property
+    def total_bytes(self) -> int:
+        return sum(r.length for r in self.requests)
 
 
-def _check_scan_inputs(layout: TableLayout, data, projection, predicates) -> list[str]:
-    referenced = []
-    for name in [p.column for p in predicates] + list(projection):
-        if name not in referenced:
-            referenced.append(name)
-    if not referenced:
+def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool = True) -> ScanPlan:
+    """Plan a scan, either with predicate pushdown or as a full scan.
+
+    The scan steps through the predicate columns in order, then the
+    projection. Each step reads the pages of its column not read yet:
+    every page for the first step or a full scan, otherwise (pushdown)
+    only the pages that intersect the rows surviving the predicates so
+    far. Both modes compute identical survivor sets.
+    """
+    steps = [(p.column, p) for p in predicates] + [(name, None) for name in projection]
+    if not steps:
         raise ValueError("scan references no columns (empty projection with no predicates)")
-    for name in referenced:
+    for name in dict.fromkeys(name for name, _ in steps):
         layout.column(name)
         if name not in data:
             raise ValueError(f"no data supplied for column {name!r}")
@@ -188,84 +194,40 @@ def _check_scan_inputs(layout: TableLayout, data, projection, predicates) -> lis
             raise ValueError(
                 f"column {name!r} has {len(data[name])} values for {layout.rows} rows"
             )
-    return referenced
-
-
-def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool = True) -> ScanPlan:
-    """Plan a scan, either with predicate pushdown or as a full scan.
-
-    Pushdown reads every page of the first predicate column, then for
-    each later predicate and for the projection only the pages that
-    intersect the surviving rows. A full scan reads every page of every
-    referenced column. Both modes compute identical survivor sets.
-    """
-    referenced = _check_scan_inputs(layout, data, projection, predicates)
-
     survivors = set(range(layout.rows))
-    read: dict[str, set[int]] = {name: set() for name in referenced}
+    read: set[int] = set()  # offsets of the pages requested so far
     requests: list[ReadRequest] = []
-
-    def add_pages(name: str, page_ids) -> None:
-        col = layout.column(name)
-        new = sorted(set(page_ids) - read[name])
-        for pid in new:
-            page = col.pages[pid]
-            requests.append(
-                ReadRequest(obj=layout.table, offset=page.offset, length=page.length,
-                            labels=(f"{name}/p{pid}",))
-            )
-        read[name].update(new)
-
-    if pushdown:
-        for i, pred in enumerate(predicates):
-            if i == 0:
-                needed = range(len(layout.column(pred.column).pages))
-            else:
-                needed = pages_for_rows(layout, pred.column, survivors)
-            add_pages(pred.column, needed)
-            survivors = apply_predicate(data[pred.column], pred, survivors)
-        for name in projection:
-            add_pages(name, pages_for_rows(layout, name, survivors))
-    else:
-        for name in referenced:
-            add_pages(name, range(len(layout.column(name).pages)))
-        for pred in predicates:
-            survivors = apply_predicate(data[pred.column], pred, survivors)
-
-    return ScanPlan.make(requests, survivors)
+    for i, (name, pred) in enumerate(steps):
+        pages = layout.column(name).pages
+        ids = pages_for_rows(layout, name, survivors) if pushdown and i > 0 else range(len(pages))
+        for page in (pages[pid] for pid in sorted(ids)):
+            if page.offset not in read:
+                read.add(page.offset)
+                requests.append(ReadRequest(layout.table, page.offset, page.length))
+        if pred is not None:
+            survivors = apply_predicate(data[name], pred, survivors)
+    return ScanPlan(tuple(requests), frozenset(survivors))
 
 
 def coalesce_requests(plan: ScanPlan, max_gap: int) -> ScanPlan:
-    """Merge adjacent requests on the same object when the gap is small.
+    """Merge requests on the same object whose gap is at most ``max_gap``.
 
     Gap bytes are counted as transferred, so merging trades bytes for
     request count. Requests shrink or stay equal in number, bytes grow
-    or stay equal, survivors are untouched.
+    or stay equal, survivors are untouched. The merged requests come out
+    sorted by object and offset.
     """
     if max_gap < 0:
         raise ValueError(f"max gap must be >= 0, got {max_gap}")
-    order: list[str] = []
-    grouped: dict[str, list[ReadRequest]] = {}
-    for req in plan.requests:
-        if req.obj not in grouped:
-            grouped[req.obj] = []
-            order.append(req.obj)
-        grouped[req.obj].append(req)
-    merged: list[ReadRequest] = []
-    for obj in order:
-        run: ReadRequest | None = None
-        for req in sorted(grouped[obj], key=lambda r: (r.offset, r.length)):
-            if run is not None and req.offset - (run.offset + run.length) <= max_gap:
-                end = max(run.offset + run.length, req.offset + req.length)
-                run = ReadRequest(obj=obj, offset=run.offset, length=end - run.offset,
-                                  labels=run.labels + req.labels)
-            else:
-                if run is not None:
-                    merged.append(run)
-                run = req
-        if run is not None:
-            merged.append(run)
-    return ScanPlan.make(merged, plan.survivors)
+    runs: list[list] = []  # [obj, start, end] of each merged request
+    for req in sorted(plan.requests, key=lambda r: (r.obj, r.offset, r.length)):
+        if runs and runs[-1][0] == req.obj and req.offset - runs[-1][2] <= max_gap:
+            runs[-1][2] = max(runs[-1][2], req.offset + req.length)
+        else:
+            runs.append([req.obj, req.offset, req.offset + req.length])
+    return ScanPlan(
+        tuple(ReadRequest(obj, start, end - start) for obj, start, end in runs), plan.survivors
+    )
 
 
 @dataclass(frozen=True)

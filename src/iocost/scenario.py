@@ -150,7 +150,8 @@ def _parse_price_book(raw, base_dir: str) -> PriceBook:
     if not isinstance(raw, dict):
         raise FieldError("scenario", "price_book", 'must be a built-in id or {"file": path}')
     name = check_fields(raw, _PRICE_BOOK_FILE_FIELDS, "scenario", "price_book")["file"]
-    return load_pricebook(_check_file(os.path.join(base_dir, name), "price_book.file"))
+    path = _check_file(os.path.join(base_dir, name), "price_book.file")
+    return _nested("price_book.file", load_pricebook, path)
 
 
 def _parse_anchors(raw) -> tuple[tuple[int, float], ...]:

@@ -89,7 +89,14 @@ class Trace:
         return [r for r in self.records if r.kind == "get"]
 
 
+# The keys of a trace line, as ``trace_lines`` writes them.
+_RECORD_KEYS = frozenset(("ts_ms", "obj", "off", "len", "kind"))
+
+
 def _record_from_json(obj: dict) -> AccessRecord:
+    if not _RECORD_KEYS.issuperset(obj):
+        key = next(k for k in obj if k not in _RECORD_KEYS)
+        raise ValueError(f"unknown field {key!r} (known: {', '.join(sorted(_RECORD_KEYS))})")
     for name in ("ts_ms", "obj", "kind"):
         if name not in obj:
             raise ValueError(f"missing field {name!r}")

@@ -300,6 +300,22 @@ def test_invalid_trace_content_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "record,key",
+    [
+        ({"ts_ms": 1, "obj": "a", "kind": "head", "offset": 5}, "offset"),
+        ({"ts_ms": 1, "obj": "a", "off": 0, "len": 10, "kind": "get", "lenght": 99}, "lenght"),
+    ],
+)
+def test_trace_line_with_unknown_field_exits_2(record, key, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(json.dumps(record) + "\n")
+    assert main(["cache", "--trace", str(trace), "--capacity", "1MB"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 1: unknown field '{key}'" in captured.err
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "iocost" in capsys.readouterr().out
@@ -365,6 +381,15 @@ def test_misspelled_scenario_field_exits_2(raw, path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert path in captured.err and "unknown fields" in captured.err
+
+
+def test_oversized_layout_exits_2(tmp_path, capsys):
+    layout = {**LAYOUT, "rows": 10**9}
+    raw = {**SCAN_SCENARIO, "scan": {**SCAN_SCENARIO["scan"], "layout": layout}}
+    assert main(["scenario", "run", _write(tmp_path / "s.json", raw)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario field 'scan.layout'" in captured.err and "exceeds the limit" in captured.err
 
 
 def test_misspelled_price_book_class_field_exits_2(tmp_path, capsys):

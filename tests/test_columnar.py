@@ -4,9 +4,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iocost.columnar import (
+    MAX_LAYOUT_VALUES,
     Predicate,
+    ReadRequest,
+    ScanPlan,
     apply_predicate,
     build_layout,
     coalesce_requests,
@@ -32,6 +37,14 @@ DEMO_DATA = {
 def demo_layout(page_values=4):
     cols = [(name, 4 * page_values, 4) for name in ("A", "B", "C")]
     return build_layout(8, cols, table="t")
+
+
+def pages_read(layout, plan):
+    """(column, page id) of each request of an uncoalesced plan, in order."""
+    by_offset = {
+        page.offset: (col.name, pid) for col in layout.columns for pid, page in enumerate(col.pages)
+    }
+    return [by_offset[req.offset] for req in plan.requests]
 
 
 def test_build_layout_packing():
@@ -79,11 +92,19 @@ def test_build_layout_geometry_invariants():
         (5, [("A", 2, 4)]),  # page smaller than a value
         (5, [("A", 16, 4), ("A", 16, 4)]),  # duplicate name
         (5, [("A", 16, 0)]),
+        (MAX_LAYOUT_VALUES + 1, [("A", 16, 4)]),  # too many values
+        (MAX_LAYOUT_VALUES // 2 + 1, [("A", 16, 4), ("B", 16, 4)]),
+        (10**9, [(n, 10**9, 4) for n in "ABC"]),
     ],
 )
 def test_build_layout_validation(rows, cols):
     with pytest.raises(ValueError):
         build_layout(rows, cols)
+
+
+def test_build_layout_accepts_the_largest_table():
+    layout = build_layout(MAX_LAYOUT_VALUES // 2, [("A", MB, 4), ("B", MB, 4)])
+    assert sum(len(c.pages) for c in layout.columns) == 2 * 20
 
 
 def test_apply_predicate_chain():
@@ -154,12 +175,10 @@ def test_plan_scan_empty_survivors_skip_later_columns():
     layout = demo_layout()
     plan = plan_scan(layout, DEMO_DATA, ["B", "C"], [Predicate("A", ">", 1000)], pushdown=True)
     assert plan.survivors == frozenset()
-    touched = {label.split("/")[0] for req in plan.requests for label in req.labels}
-    assert touched == {"A"}
+    assert {name for name, _ in pages_read(layout, plan)} == {"A"}
     # full scan still reads everything referenced
     full = plan_scan(layout, DEMO_DATA, ["B", "C"], [Predicate("A", ">", 1000)], pushdown=False)
-    full_touched = {label.split("/")[0] for req in full.requests for label in req.labels}
-    assert full_touched == {"A", "B", "C"}
+    assert {name for name, _ in pages_read(layout, full)} == {"A", "B", "C"}
 
 
 def test_plan_scan_narrow_projection_reads_fewer_pages():
@@ -167,11 +186,11 @@ def test_plan_scan_narrow_projection_reads_fewer_pages():
     layout = build_layout(8, [(n, 4, 4) for n in ("A", "B", "C")])
     on = plan_scan(layout, DEMO_DATA, ["C"], demo_predicates(), pushdown=True)
     off = plan_scan(layout, DEMO_DATA, ["C"], demo_predicates(), pushdown=False)
-    labels_on = [label for req in on.requests for label in req.labels]
+    read_on = pages_read(layout, on)
     # A fully, B only where A survived, C only final survivors
-    assert [l for l in labels_on if l.startswith("A/")] == [f"A/p{i}" for i in range(8)]
-    assert [l for l in labels_on if l.startswith("B/")] == ["B/p1", "B/p3", "B/p4", "B/p6"]
-    assert [l for l in labels_on if l.startswith("C/")] == ["C/p1", "C/p4", "C/p6"]
+    assert [pid for name, pid in read_on if name == "A"] == list(range(8))
+    assert [pid for name, pid in read_on if name == "B"] == [1, 3, 4, 6]
+    assert [pid for name, pid in read_on if name == "C"] == [1, 4, 6]
     assert on.request_count == 8 + 4 + 3
     assert off.request_count == 24
     assert on.total_bytes < off.total_bytes
@@ -243,10 +262,8 @@ def test_pushdown_page_minimality_property():
         layout, data, projection, predicates = _random_case(rng)
         plan = plan_scan(layout, data, projection, predicates, pushdown=True)
         by_column = {}
-        for req in plan.requests:
-            for label in req.labels:
-                name, page = label.split("/p")
-                by_column.setdefault(name, set()).add(int(page))
+        for name, pid in pages_read(layout, plan):
+            by_column.setdefault(name, set()).add(pid)
         # independent replay of the survivor chain
         expected = {}
         survivors = set(range(layout.rows))
@@ -278,27 +295,18 @@ def test_coalesce_examples():
 
 
 def test_coalesce_respects_gap():
-    from iocost.columnar import ReadRequest, ScanPlan
-
-    adjacent = ScanPlan.make(
-        [ReadRequest("o", 0, 100, ("x",)), ReadRequest("o", 100, 100, ("y",))], frozenset()
-    )
+    adjacent = ScanPlan((ReadRequest("o", 0, 100), ReadRequest("o", 100, 100)), frozenset())
     merged = coalesce_requests(adjacent, 0)
     assert merged.request_count == 1
     assert (merged.requests[0].offset, merged.requests[0].length) == (0, 200)
-    assert merged.requests[0].labels == ("x", "y")
 
-    gapped = ScanPlan.make(
-        [ReadRequest("o", 0, 100, ("x",)), ReadRequest("o", 150, 100, ("y",))], frozenset()
-    )
+    gapped = ScanPlan((ReadRequest("o", 0, 100), ReadRequest("o", 150, 100)), frozenset())
     assert coalesce_requests(gapped, 10).requests == gapped.requests  # gap 50 stays
     wide = coalesce_requests(gapped, 50)
     assert wide.request_count == 1
     assert wide.requests[0].length == 250  # the 50 gap bytes count as transferred
     # different objects never merge
-    split = ScanPlan.make(
-        [ReadRequest("a", 0, 10, ("x",)), ReadRequest("b", 10, 10, ("y",))], frozenset()
-    )
+    split = ScanPlan((ReadRequest("a", 0, 10), ReadRequest("b", 10, 10)), frozenset())
     assert coalesce_requests(split, 10**6).request_count == 2
 
 
@@ -325,16 +333,15 @@ def test_coalesce_monotonicity_property():
 def test_coalesce_exhaustive_small_cases():
     # brute-force check on every gap pattern of up to 5 unit requests
     from itertools import product
-    from iocost.columnar import ReadRequest, ScanPlan
 
     for gaps in product((0, 1, 3), repeat=4):
         requests, offset = [], 0
-        for i, gap in enumerate(gaps + (None,)):
-            requests.append(ReadRequest("o", offset, 2, (f"r{i}",)))
+        for gap in gaps + (None,):
+            requests.append(ReadRequest("o", offset, 2))
             if gap is None:
                 break
             offset += 2 + gap
-        plan = ScanPlan.make(requests, frozenset())
+        plan = ScanPlan(tuple(requests), frozenset())
         for max_gap in (0, 1, 2, 3):
             merged = coalesce_requests(plan, max_gap)
             expected = 1
@@ -343,6 +350,32 @@ def test_coalesce_exhaustive_small_cases():
                     expected += 1
             assert merged.request_count == expected
             assert merged.total_bytes == sum(r.length for r in merged.requests)
+
+
+_REQUESTS = st.lists(
+    st.builds(ReadRequest, st.sampled_from("abc"), st.integers(0, 300), st.integers(1, 60)),
+    max_size=40,
+)
+
+
+@given(_REQUESTS, st.integers(0, 80), st.frozensets(st.integers(0, 1000), max_size=5))
+def test_coalesce_laws_property(requests, max_gap, survivors):
+    plan = ScanPlan(tuple(requests), survivors)
+    merged = coalesce_requests(plan, max_gap)
+    assert merged.request_count <= plan.request_count
+    assert merged.survivors == plan.survivors
+    assert {r.obj for r in merged.requests} == {r.obj for r in requests}
+    for obj in {r.obj for r in requests}:
+        spans = [(r.offset, r.offset + r.length) for r in merged.requests if r.obj == obj]
+        # sorted, disjoint, and more than max_gap apart
+        assert all(b0 - a1 > max_gap for (_, a1), (b0, _) in zip(spans, spans[1:]))
+        for r in requests:
+            if r.obj == obj:
+                inside = [s for s in spans if s[0] <= r.offset and r.offset + r.length <= s[1]]
+                assert len(inside) == 1
+    ranges = sorted((r.obj, r.offset, r.offset + r.length) for r in requests)
+    if all(a[0] != b[0] or a[2] <= b[1] for a, b in zip(ranges, ranges[1:])):
+        assert merged.total_bytes >= plan.total_bytes
 
 
 def test_fleet_scan_projection_exact():

@@ -223,6 +223,17 @@ def test_custom_price_book_file(tmp_path):
     assert report.sections[0].nanousd == 2 * 10**11 * 7
 
 
+def test_price_book_file_errors_name_the_scenario_field(tmp_path):
+    book = {"id": "flat", "classes": [
+        {"class": "read", "kinds": ["get"], "nanousd_per_request": 3, "lable": "Reads"},
+    ]}
+    (tmp_path / "book.json").write_text(json.dumps(book))
+    raw = {**JOIN_RAW, "price_book": {"file": "book.json"}}
+    with pytest.raises(ValueError) as excinfo:
+        scenario_from_dict(raw, base_dir=str(tmp_path))
+    assert str(excinfo.value).startswith("scenario field 'price_book.file.classes[0].lable': ")
+
+
 def test_multi_section_order_and_consistency():
     raw = {
         "price_book": "s3-standard",

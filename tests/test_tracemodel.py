@@ -57,6 +57,10 @@ def test_parse_errors_carry_line_numbers():
         parse_trace([_line(1), _line(2), _line(3, length=-4)])
     with pytest.raises(ValueError, match="line 1.*kind"):
         parse_trace([_line(1, kind="mystery")])
+    with pytest.raises(ValueError, match="line 2: unknown field 'offset'"):
+        parse_trace([_line(0), json.dumps({"ts_ms": 1, "obj": "a", "kind": "head", "offset": 5})])
+    with pytest.raises(ValueError, match="line 1: unknown field 'lenght'"):
+        parse_trace([json.dumps({**json.loads(_line(1)), "lenght": 99})])
 
 
 def test_non_ranged_kinds_default_off_len():
