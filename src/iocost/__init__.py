@@ -7,7 +7,7 @@ synthesis), columnar (scan planning with predicate pushdown), joinplan
 (end-to-end runs and reports). The `iocost` CLI fronts all of them.
 """
 
-from .cachesim import CacheConfig, CacheReport, miss_ratio_curve, simulate
+from .cachesim import CacheConfig, CacheReport, miss_ratio_curve, simulate, sweep
 from .columnar import (
     Predicate,
     ScanPlan,

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .tracemodel import Trace
 from .units import MB
 
@@ -130,27 +132,144 @@ def simulate(trace: Trace, config: CacheConfig) -> CacheReport:
     )
 
 
+def _touches(trace: Trace, block_bytes: int):
+    """The block touches of the trace's gets, in ``simulate``'s walk order.
+
+    Records are walked in trace order and each get's blocks in ascending
+    order. Returns ``(order, new, starts, counts, requested)``:
+    ``order`` lists the touch positions grouped by (object, block) pair
+    and ascending within a pair (a stable lexsort, so no pair id is
+    built by multiplication, which could overflow int64); ``new[i]`` is
+    True where ``order[i]`` is its pair's first touch; ``starts`` and
+    ``counts`` give each get's first touch position and block count;
+    ``requested`` is the exact byte total of the gets.
+    """
+    if block_bytes <= 0:
+        raise ValueError(f"block bytes must be > 0, got {block_bytes}")
+    codes: dict[str, int] = {}
+    objs, offs, lens = [], [], []
+    for rec in trace.records:
+        if rec.kind == "get":
+            objs.append(codes.setdefault(rec.obj, len(codes)))
+            offs.append(rec.off)
+            lens.append(rec.length)
+    # AccessRecord keeps off + length within int64, so none of this overflows.
+    off = np.array(offs, dtype=np.int64)
+    first = off // block_bytes
+    counts = (off + np.array(lens, dtype=np.int64) - 1) // block_bytes - first + 1
+    starts = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    block = np.repeat(first - starts, counts)
+    block += np.arange(total, dtype=np.int64)
+    obj = np.repeat(np.array(objs, dtype=np.int32), counts)
+    order = np.lexsort((block, obj))
+    # One sorted key at a time keeps the peak at about three touch arrays.
+    new = np.ones(total, dtype=bool)
+    key = obj[order]
+    del obj
+    new[1:] = key[1:] != key[:-1]
+    key = block[order]
+    del block
+    new[1:] |= key[1:] != key[:-1]
+    return order, new, starts, counts, sum(lens)
+
+
+def _stack_distances(order, new, starts, counts) -> np.ndarray:
+    """Each touch's LRU stack distance as ``simulate`` sees it.
+
+    The distance of a touch is the number of distinct blocks touched
+    after its pair's previous touch and before the start of its own
+    request (eviction waits for the request to end, so the blocks of
+    the request itself never push it out). A pair's first touch gets
+    the touch count ``total``, which ``sweep`` clamps capacities to, so
+    it misses at every capacity.
+
+    With ``prev``/``next`` the pair's previous and next touch positions
+    and ``r`` the request start, the distance is the number of
+    positions ``j`` in ``(prev, r)`` with ``next(j) >= r``, i.e. the
+    distinct blocks seen before ``r`` minus ``#{j <= prev: next(j) >= r}``.
+    The second count is taken offline, one bit of ``prev + 1`` per
+    level: at level ``k`` the positions are cut into aligned chunks of
+    ``2**k``, each sorted by ``next`` under the key ``chunk * m + next``,
+    and one ``searchsorted`` per level answers every query whose prefix
+    ``[0, prev]`` ends with a chunk of that size.
+    """
+    total = len(order)
+    same = ~new[1:]
+    prev = np.full(total, -1, dtype=np.int64)
+    nxt = np.full(total, total, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    nxt[order[:-1][same]] = order[1:][same]
+    request_start = np.repeat(starts, counts)
+    # seen[r]: distinct pairs first touched before position r.
+    seen = np.concatenate(([0], np.cumsum(prev < 0)))
+    query = np.flatnonzero(prev >= 0)
+    prefix = prev[query] + 1
+    r = request_start[query]
+    later = np.zeros(len(query), dtype=np.int64)
+    m = total + 1
+    positions = np.arange(total, dtype=np.int64)
+    for k in range(total.bit_length()):
+        keys = np.sort((positions >> k) * m + nxt)
+        sel = np.flatnonzero((prefix >> k) & 1)
+        chunk = (prefix[sel] >> k) - 1
+        later[sel] += ((chunk + 1) << k) - np.searchsorted(keys, chunk * m + r[sel])
+    dist = np.full(total, total, dtype=np.int64)
+    dist[query] = seen[r] - later
+    return dist
+
+
+def sweep(trace: Trace, template: CacheConfig, capacities) -> list[CacheReport]:
+    """``simulate`` at each capacity, from one pass over the trace.
+
+    Returns exactly ``[simulate(trace, replace(template, capacity_bytes=c))
+    for c in capacities]``. LRU is a stack algorithm (Mattson et al.,
+    1970): a touch hits at a capacity of ``c`` blocks iff its stack
+    distance is below ``c``, so the touches and their distances are
+    computed once and each capacity costs a few array passes. Memory is
+    O(block touches).
+    """
+    configs = [replace(template, capacity_bytes=cap) for cap in capacities]
+    if not configs:
+        return []
+    if not trace.records:
+        raise ValueError("empty trace")
+    block = template.block_bytes
+    order, new, starts, counts, requested = _touches(trace, block)
+    dist = _stack_distances(order, new, starts, counts)
+    total = len(dist)
+    first = np.zeros(total, dtype=bool)
+    first[starts] = True
+    reports = []
+    for config in configs:
+        hit = dist < min(config.capacity_blocks, total)
+        hits = int(np.count_nonzero(hit))
+        misses = total - hits
+        # A miss starts an origin run at its request's first block or after a hit.
+        run_start = ~hit
+        run_start[1:] &= first[1:] | hit[:-1]
+        origin_bytes = misses * block
+        reports.append(CacheReport(
+            requests_served=len(counts),
+            hits=hits,
+            misses=misses,
+            origin_requests=int(np.count_nonzero(run_start)),
+            origin_bytes=origin_bytes,
+            requested_bytes=requested,
+            read_amplification=origin_bytes / requested if requested else 0.0,
+            hit_ratio=hits / total if total else 0.0,
+        ))
+    return reports
+
+
 def miss_ratio_curve(trace: Trace, template: CacheConfig, capacities) -> list[tuple[int, float]]:
-    """Hit ratio at each capacity, one independent simulation per point."""
+    """Hit ratio at each capacity, from one ``sweep``."""
     caps = list(capacities)
     if caps != sorted(caps):
         raise ValueError("capacities must be sorted ascending")
-    return [
-        (cap, simulate(trace, replace(template, capacity_bytes=cap)).hit_ratio)
-        for cap in caps
-    ]
+    return [(cap, report.hit_ratio) for cap, report in zip(caps, sweep(trace, template, caps))]
 
 
 def distinct_blocks(trace: Trace, block_bytes: int) -> int:
     """Number of distinct (object, block) pairs the trace's gets touch."""
-    if block_bytes <= 0:
-        raise ValueError(f"block bytes must be > 0, got {block_bytes}")
-    seen = set()
-    for rec in trace.records:
-        if rec.kind != "get":
-            continue
-        first = rec.off // block_bytes
-        last = (rec.off + rec.length - 1) // block_bytes
-        for idx in range(first, last + 1):
-            seen.add((rec.obj, idx))
-    return len(seen)
+    return int(np.count_nonzero(_touches(trace, block_bytes)[1]))

@@ -24,9 +24,12 @@ _OPS = {
     ">": operator.gt,
 }
 
-# Most values (rows x columns) a layout may hold. Every page is built as
-# an object and holds at least one value, so this bounds layout memory.
+# Most values (rows x columns) a layout may hold, which bounds the
+# column data a scan synthesizes for it.
 MAX_LAYOUT_VALUES = 10**7
+
+# Most pages a layout may hold: every page is built as an object.
+MAX_LAYOUT_PAGES = 10**6
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,8 @@ def build_layout(rows: int, columns, table: str = "t") -> TableLayout:
     ``columns`` is a sequence of (name, page_bytes, value_bytes).
     Each page holds floor(page_bytes / value_bytes) rows, the last page
     of a column may be partial. Columns are laid out back to back in
-    one file object. At most ``MAX_LAYOUT_VALUES`` rows x columns.
+    one file object. At most ``MAX_LAYOUT_VALUES`` rows x columns and
+    ``MAX_LAYOUT_PAGES`` pages, both checked before any page is built.
     """
     if rows < 1:
         raise ValueError(f"row count must be >= 1, got {rows}")
@@ -80,8 +84,6 @@ def build_layout(rows: int, columns, table: str = "t") -> TableLayout:
     names = [name for name, _, _ in specs]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate column names in layout: {names}")
-    built = []
-    offset = 0
     for name, page_bytes, value_bytes in specs:
         if not name:
             raise ValueError("column name must be non-empty")
@@ -91,14 +93,20 @@ def build_layout(rows: int, columns, table: str = "t") -> TableLayout:
             raise ValueError(
                 f"column {name!r}: page_bytes {page_bytes} smaller than value_bytes {value_bytes}"
             )
+    pages_total = sum(ceil_div(rows, page // value) for _, page, value in specs)
+    if pages_total > MAX_LAYOUT_PAGES:
+        raise ValueError(
+            f"layout needs {pages_total} pages, more than the limit of {MAX_LAYOUT_PAGES}"
+        )
+    built = []
+    offset = 0
+    for name, page_bytes, value_bytes in specs:
         rows_per_page = page_bytes // value_bytes
         pages = []
-        start = 0
-        while start < rows:
+        for start in range(0, rows, rows_per_page):
             n = min(rows_per_page, rows - start)
             pages.append(Page(start_row=start, rows=n, offset=offset, length=n * value_bytes))
             offset += n * value_bytes
-            start += n
         built.append(Column(name=name, value_bytes=value_bytes, pages=tuple(pages)))
     return TableLayout(table=table, rows=rows, columns=tuple(built))
 
@@ -119,30 +127,35 @@ class Predicate:
         return _OPS[self.op](value, self.literal)
 
 
+def _row_array(rows, n: int, what: str) -> np.ndarray:
+    """``rows`` (an iterable of row indices) as an int64 array, each in [0, n)."""
+    if isinstance(rows, range):
+        arr = np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
+    elif isinstance(rows, np.ndarray):
+        arr = rows
+    else:
+        arr = np.fromiter(rows, dtype=np.int64)
+    bad = (arr < 0) | (arr >= n)
+    if bad.any():
+        raise ValueError(f"{what} {arr[bad][0]} out of range for {n} rows")
+    return arr
+
+
 def apply_predicate(values, pred: Predicate, candidates) -> set[int]:
     """Rows among ``candidates`` whose value satisfies the predicate."""
-    result = set()
-    n = len(values)
-    for row in candidates:
-        if not 0 <= row < n:
-            raise ValueError(f"candidate row {row} out of range for {n} rows")
-        if pred.matches(values[row]):
-            result.add(row)
-    return result
+    values = np.asarray(values, dtype=np.int64)
+    rows = _row_array(candidates, len(values), "candidate row")
+    return set(rows[_OPS[pred.op](values[rows], pred.literal)].tolist())
 
 
 def pages_for_rows(layout: TableLayout, column: str, rows) -> set[int]:
     """Page ids of ``column`` whose row ranges intersect ``rows``."""
     col = layout.column(column)
-    needed = set()
-    for row in rows:
-        if not 0 <= row < layout.rows:
-            raise ValueError(f"row index {row} out of range for table with {layout.rows} rows")
-        # Pages are packed uniformly except the last, so the page id is
-        # a direct division by the full-page row count.
-        per_page = col.pages[0].rows
-        needed.add(min(row // per_page, len(col.pages) - 1))
-    return needed
+    rows = _row_array(rows, layout.rows, "row index")
+    # Pages are packed uniformly except the last, so the page id is a
+    # direct division by the full-page row count.
+    ids = np.minimum(rows // col.pages[0].rows, len(col.pages) - 1)
+    return set(np.unique(ids).tolist())
 
 
 @dataclass(frozen=True)
@@ -194,7 +207,7 @@ def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool 
             raise ValueError(
                 f"column {name!r} has {len(data[name])} values for {layout.rows} rows"
             )
-    survivors = set(range(layout.rows))
+    survivors = range(layout.rows)
     read: set[int] = set()  # offsets of the pages requested so far
     requests: list[ReadRequest] = []
     for i, (name, pred) in enumerate(steps):
@@ -274,13 +287,13 @@ def fleet_scan_projection(
 def synthesize_column_data(layout: TableLayout, seed: int, low: int = 0, high: int = 100) -> dict:
     """Deterministic integer column data for a layout.
 
-    Values are uniform over [low, high), drawn column by column in
-    layout order, so predicates with literals in that range have
-    predictable selectivity.
+    Each column is an int64 array of values uniform over [low, high),
+    drawn column by column in layout order, so predicates with literals
+    in that range have predictable selectivity.
     """
     rng = np.random.default_rng(seed)
     return {
-        col.name: rng.integers(low, high, size=layout.rows).tolist()
+        col.name: rng.integers(low, high, size=layout.rows, dtype=np.int64)
         for col in layout.columns
     }
 

@@ -13,6 +13,8 @@ import json
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import cachesim, columnar, joinplan
 from .cachesim import CacheConfig
 from .columnar import TableLayout
@@ -201,10 +203,13 @@ def _parse_scan(raw: dict, base_dir: str) -> ScanSection:
     select, predicates, pushdown = _nested("scan.query", columnar.query_from_dict, query_spec)
     data = f["data"]
     if data is not None and not all(
-        isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
+        isinstance(v, list)
+        and all(isinstance(x, int) and not isinstance(x, bool) and -2**63 <= x < 2**63 for x in v)
         for v in data.values()
     ):
-        raise FieldError("scenario", "scan.data", "must map column names to integer arrays")
+        raise FieldError(
+            "scenario", "scan.data", "must map column names to arrays of 64-bit integers"
+        )
     return ScanSection(
         layout=layout,
         projection=tuple(select),
@@ -367,11 +372,10 @@ def _section(name: str, comparison: dict, chosen: str, details: dict) -> Section
 
 
 def _run_scan(section: ScanSection, book: PriceBook, seed: int) -> SectionResult:
-    data = (
-        section.data
-        if section.data is not None
-        else columnar.synthesize_column_data(section.layout, seed)
-    )
+    if section.data is not None:
+        data = {name: np.array(values, dtype=np.int64) for name, values in section.data.items()}
+    else:
+        data = columnar.synthesize_column_data(section.layout, seed)
     plans = {}
     for mode_pushdown in (True, False):
         plan = columnar.plan_scan(

@@ -43,6 +43,10 @@ DEFAULT_ZIPF_EXPONENT = 1.2
 DEFAULT_OBJECT_UNIVERSE = 1_000_000
 DEFAULT_DURATION_MS = 86_400_000  # one day
 
+# Largest timestamp, offset, length and end offset a record may carry:
+# the cache simulation expands byte ranges into int64 block indices.
+MAX_TRACE_INT = 2**63 - 1
+
 # Synthesis holds three float64 arrays of the universe's length, so the
 # cap bounds that memory at about 240 MB.
 MAX_OBJECT_UNIVERSE = 10**7
@@ -72,6 +76,12 @@ class AccessRecord:
                 raise ValueError(f"length must be > 0 for kind {self.kind!r}, got {self.length}")
         elif self.length < 0:
             raise ValueError(f"length must be >= 0, got {self.length}")
+        if self.ts_ms > MAX_TRACE_INT:
+            raise ValueError(f"timestamp must be <= 2**63 - 1, got {self.ts_ms}")
+        if self.off + self.length > MAX_TRACE_INT:
+            raise ValueError(
+                f"offset + length must be <= 2**63 - 1, got {self.off} + {self.length}"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """LRU block-cache simulation against hand oracles and LRU laws."""
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from iocost.cachesim import CacheConfig, distinct_blocks, miss_ratio_curve, simulate
+from iocost.cachesim import CacheConfig, distinct_blocks, miss_ratio_curve, simulate, sweep
 from iocost.tracemodel import AccessRecord, Trace
 from iocost.units import KB, MB
 
@@ -213,3 +216,113 @@ def test_report_to_dict_field_names():
         "requested_bytes",
         "requests_served",
     ]
+
+# Records over a few objects: unaligned, overlapping ranges up to 8
+# blocks long (larger than the small capacities), mixed with puts and
+# heads, which the cache ignores.
+_records = st.lists(
+    st.tuples(
+        st.sampled_from(["get", "get", "get", "put", "head"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.integers(0, 12 * B),
+        st.integers(1, 8 * B),
+    ),
+    min_size=1,
+    max_size=40,
+)
+# Random capacities plus, in every example, 0, one block, non-multiples
+# of the block (one of them twice) and a capacity past any footprint (at
+# most 3 objects x 20 blocks).
+_capacities = st.lists(st.integers(0, 70 * B), max_size=6).map(
+    lambda caps: sorted(caps + [0, B, B + 1, 2 * B - 1, 2 * B - 1, 100 * B])
+)
+
+
+def _mixed_trace(recs):
+    return Trace(tuple(
+        AccessRecord(i, obj, off, length if kind != "head" else 0, kind)
+        for i, (kind, obj, off, length) in enumerate(recs)
+    ))
+
+
+def _simulated(trace, capacities):
+    return [simulate(trace, CacheConfig(cap, B)) for cap in capacities]
+
+
+@given(_records, _capacities)
+def test_sweep_equals_simulate_property(recs, capacities):
+    trace = _mixed_trace(recs)
+    assert sweep(trace, CacheConfig(0, B), capacities) == _simulated(trace, capacities)
+
+
+@given(_records, _capacities)
+def test_sweep_laws_property(recs, capacities):
+    reports = sweep(_mixed_trace(recs), CacheConfig(0, B), capacities)
+    hits = [r.hits for r in reports]
+    assert hits == sorted(hits)  # LRU inclusion
+    for rep in reports:
+        assert rep.origin_requests <= rep.misses
+        assert rep.origin_bytes == rep.misses * B
+
+
+@given(_records)
+def test_distinct_blocks_matches_set_oracle(recs):
+    trace = _mixed_trace(recs)
+    oracle = {
+        (r.obj, idx)
+        for r in trace.records if r.kind == "get"
+        for idx in range(r.off // B, (r.off + r.length - 1) // B + 1)
+    }
+    assert distinct_blocks(trace, B) == len(oracle)
+
+
+def test_sweep_keeps_the_capacity_order_it_is_given():
+    trace = _random_trace(random.Random(13))
+    capacities = [5 * B, 0, 5 * B, 2 * B]
+    assert sweep(trace, CacheConfig(0, B), capacities) == _simulated(trace, capacities)
+
+
+def test_sweep_uses_the_template_block_size():
+    trace = _random_trace(random.Random(14))
+    template = CacheConfig(0, 700)
+    capacities = [0, 700, 3000, 10**6]
+    expected = [simulate(trace, replace(template, capacity_bytes=c)) for c in capacities]
+    assert sweep(trace, template, capacities) == expected
+
+
+def test_sweep_near_the_int64_limit():
+    # offsets near 2**62 with 1-byte blocks: block indices near 2**62
+    base = 2**62
+    trace = _trace([
+        ("x", base, 3), ("y", base + 1, 2), ("x", base + 2, 4), ("x", 2**63 - 9, 8),
+        ("y", base, 5), ("x", base, 1),
+    ])
+    capacities = [0, 1, 2, 3, 5, 8, 100]
+    template = CacheConfig(0, 1)
+    assert sweep(trace, template, capacities) == [
+        simulate(trace, CacheConfig(c, 1)) for c in capacities
+    ]
+    assert distinct_blocks(trace, 1) == 6 + 8 + 5  # x: two runs of blocks, y: one
+
+
+def test_sweep_errors():
+    trace = _trace([("x", 0, 1000)])
+    with pytest.raises(ValueError, match="capacity bytes must be >= 0"):
+        sweep(trace, CacheConfig(0, B), [0, -1])
+    with pytest.raises(ValueError, match="capacity bytes must be >= 0"):
+        miss_ratio_curve(trace, CacheConfig(0, B), [-1, 0])
+    with pytest.raises(ValueError, match="empty trace"):
+        sweep(Trace(()), CacheConfig(0, B), [0])
+    with pytest.raises(ValueError, match="empty trace"):
+        miss_ratio_curve(Trace(()), CacheConfig(0, B), [0])
+    with pytest.raises(ValueError, match="block bytes must be > 0"):
+        distinct_blocks(trace, 0)
+
+
+def test_sweep_without_gets():
+    trace = Trace((AccessRecord(0, "x", 0, 1000, "put"), AccessRecord(1, "y", 0, 0, "head")))
+    reports = sweep(trace, CacheConfig(0, B), [0, B])
+    assert reports == _simulated(trace, [0, B])
+    assert all(r.hit_ratio == 0.0 and r.read_amplification == 0.0 for r in reports)
+    assert miss_ratio_curve(trace, CacheConfig(0, B), [0, B]) == [(0, 0.0), (B, 0.0)]
+    assert distinct_blocks(trace, B) == 0

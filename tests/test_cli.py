@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from iocost import columnar
 from iocost.cli import main
 
 LAYOUT = {
@@ -316,6 +317,19 @@ def test_trace_line_with_unknown_field_exits_2(record, key, tmp_path, capsys):
     assert f"line 1: unknown field '{key}'" in captured.err
 
 
+def test_trace_line_beyond_int64_exits_2(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    lines = [
+        {"ts_ms": 1, "obj": "a", "off": 0, "len": 10, "kind": "get"},
+        {"ts_ms": 2, "obj": "a", "off": 2**63 - 5, "len": 10, "kind": "get"},
+    ]
+    trace.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    assert main(["cache", "--trace", str(trace), "--capacity", "1MB"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2: offset + length must be <= 2**63 - 1" in captured.err
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "iocost" in capsys.readouterr().out
@@ -390,6 +404,21 @@ def test_oversized_layout_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "scenario field 'scan.layout'" in captured.err and "exceeds the limit" in captured.err
+
+
+def test_layout_with_too_many_pages_exits_2(tmp_path, capsys, monkeypatch):
+    # 10**7 one-value pages: within the value limit, over the page limit
+    monkeypatch.setattr(columnar, "Page", None)  # building any page would fail
+    layout = {"table": "t", "rows": 10**7, "columns": [
+        {"name": "A", "page_bytes": 8, "value_bytes": 8},
+    ]}
+    raw = {**SCAN_SCENARIO, "scan": {**SCAN_SCENARIO["scan"], "layout": layout,
+                                     "query": {"select": ["A"]}}}
+    assert main(["scenario", "run", _write(tmp_path / "s.json", raw)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario field 'scan.layout'" in captured.err
+    assert "10000000 pages, more than the limit of 1000000" in captured.err
 
 
 def test_misspelled_price_book_class_field_exits_2(tmp_path, capsys):

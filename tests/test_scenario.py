@@ -125,6 +125,14 @@ def test_scan_section_with_inline_data():
     assert scan.requests < 12
 
 
+def test_scan_section_data_at_the_int64_limits():
+    raw = copy.deepcopy(SCAN_RAW)
+    raw["scan"]["data"]["A"] = [2**63 - 1, 20, -2**63, 30, 25, 12, 40, 8]
+    raw["scan"]["query"]["where"][0]["lit"] = 2**63 - 1  # A >= lit keeps row 0 only
+    report = _run(raw)
+    assert report.sections[0].details["survivors"] == 1
+
+
 def test_scan_section_synthesizes_data_deterministically():
     raw = copy.deepcopy(SCAN_RAW)
     del raw["scan"]["data"]
@@ -384,6 +392,12 @@ BAD_SCENARIOS = [
     ({"price_book": "s3-standard",
       "scan": {**SCAN_RAW["scan"], "data": {"A": [1, "x"]}}},
      "'scan.data'"),
+    ({"price_book": "s3-standard",
+      "scan": {**SCAN_RAW["scan"], "data": {"A": [1, 2**63]}}},
+     "'scan.data': must map column names to arrays of 64-bit integers"),
+    ({"price_book": "s3-standard",
+      "scan": {**SCAN_RAW["scan"], "data": {"A": [-2**63 - 1]}}},
+     "'scan.data': must map column names to arrays of 64-bit integers"),
 ]
 
 

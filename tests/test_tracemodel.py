@@ -77,6 +77,27 @@ def test_ranged_kinds_need_positive_length():
     AccessRecord(0, "x", 0, 0, "head")  # fine for non-ranged kinds
 
 
+@pytest.mark.parametrize(
+    "ts,off,length,field",
+    [
+        (2**63, 0, 1, "timestamp"),
+        (0, 2**63, 1, "offset"),
+        (0, 0, 2**63, "offset"),
+        (0, 2**62, 2**62, "offset"),
+        (0, 2**63 - 1, 1, "offset"),
+    ],
+)
+def test_record_integers_fit_int64(ts, off, length, field):
+    with pytest.raises(ValueError, match=f"{field}.*2\\*\\*63 - 1"):
+        AccessRecord(ts, "x", off, length, "get")
+
+
+def test_record_accepts_the_int64_limit():
+    AccessRecord(2**63 - 1, "x", 2**63 - 2, 1, "get")
+    AccessRecord(0, "x", 0, 2**63 - 1, "get")
+    AccessRecord(0, "x", 2**63 - 1, 0, "head")
+
+
 def test_write_read_roundtrip(tmp_path):
     trace = parse_trace([_line(2, "a"), _line(1, "b", off=512, length=77)])
     path = tmp_path / "t.jsonl"
