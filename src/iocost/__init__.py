@@ -37,7 +37,6 @@ from .pricing import (
 from .scenario import (
     CostReport,
     Scenario,
-    compare,
     load_scenario,
     render_report,
     run_scenario,

@@ -9,13 +9,18 @@ top of saving bytes.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .tracemodel import Trace
 from .units import MB
+
+# Most block touches (blocks covered by the gets, counted per get) one
+# simulation expands. The sweep peaks at about 45 bytes per touch, so
+# the limit costs about 4.5 GB; being below 2**31, it also keeps every
+# touch position exact in the int32 arrays of the sweep.
+MAX_TRACE_TOUCHES = 10**8
 
 
 @dataclass(frozen=True)
@@ -85,51 +90,9 @@ def simulate(trace: Trace, config: CacheConfig) -> CacheReport:
     contiguous run of missing blocks costs one origin request and a
     full block of origin bytes per miss. Eviction happens after the
     request completes, so a request larger than the cache still counts
-    its own blocks as single misses.
+    its own blocks as single misses. This is ``sweep`` at one capacity.
     """
-    if not trace.records:
-        raise ValueError("empty trace")
-    cap = config.capacity_blocks
-    block = config.block_bytes
-    lru: OrderedDict[tuple[str, int], None] = OrderedDict()
-    served = hits = misses = origin_requests = origin_bytes = requested = 0
-    for rec in trace.records:
-        if rec.kind != "get":
-            continue
-        served += 1
-        requested += rec.length
-        first = rec.off // block
-        last = (rec.off + rec.length - 1) // block
-        run_len = 0
-        for idx in range(first, last + 1):
-            key = (rec.obj, idx)
-            if key in lru:
-                hits += 1
-                lru.move_to_end(key)
-                if run_len:
-                    origin_requests += 1
-                    origin_bytes += run_len * block
-                    run_len = 0
-            else:
-                misses += 1
-                run_len += 1
-                lru[key] = None
-        if run_len:
-            origin_requests += 1
-            origin_bytes += run_len * block
-        while len(lru) > cap:
-            lru.popitem(last=False)
-    touches = hits + misses
-    return CacheReport(
-        requests_served=served,
-        hits=hits,
-        misses=misses,
-        origin_requests=origin_requests,
-        origin_bytes=origin_bytes,
-        requested_bytes=requested,
-        read_amplification=origin_bytes / requested if requested else 0.0,
-        hit_ratio=hits / touches if touches else 0.0,
-    )
+    return sweep(trace, config, [config.capacity_bytes])[0]
 
 
 def _touches(trace: Trace, block_bytes: int):
@@ -142,7 +105,9 @@ def _touches(trace: Trace, block_bytes: int):
     built by multiplication, which could overflow int64); ``new[i]`` is
     True where ``order[i]`` is its pair's first touch; ``starts`` and
     ``counts`` give each get's first touch position and block count;
-    ``requested`` is the exact byte total of the gets.
+    ``requested`` is the exact byte total of the gets. Positions are
+    int32. More than ``MAX_TRACE_TOUCHES`` touches raise ValueError
+    before any touch is expanded.
     """
     if block_bytes <= 0:
         raise ValueError(f"block bytes must be > 0, got {block_bytes}")
@@ -157,12 +122,20 @@ def _touches(trace: Trace, block_bytes: int):
     off = np.array(offs, dtype=np.int64)
     first = off // block_bytes
     counts = (off + np.array(lens, dtype=np.int64) - 1) // block_bytes - first + 1
-    starts = np.cumsum(counts) - counts
+    # Clipped, the sum stays exact in int64 for any trace under 2**32 gets.
+    if np.minimum(counts, MAX_TRACE_TOUCHES + 1).sum() > MAX_TRACE_TOUCHES:
+        raise ValueError(
+            f"the trace's gets touch more than {MAX_TRACE_TOUCHES:,} blocks of "
+            f"{block_bytes} bytes; use a larger block size"
+        )
+    counts = counts.astype(np.int32)
+    starts = np.cumsum(counts, dtype=np.int32) - counts
     total = int(counts.sum())
     block = np.repeat(first - starts, counts)
+    del first
     block += np.arange(total, dtype=np.int64)
     obj = np.repeat(np.array(objs, dtype=np.int32), counts)
-    order = np.lexsort((block, obj))
+    order = np.lexsort((block, obj)).astype(np.int32)
     # One sorted key at a time keeps the peak at about three touch arrays.
     new = np.ones(total, dtype=bool)
     key = obj[order]
@@ -174,8 +147,8 @@ def _touches(trace: Trace, block_bytes: int):
     return order, new, starts, counts, sum(lens)
 
 
-def _stack_distances(order, new, starts, counts) -> np.ndarray:
-    """Each touch's LRU stack distance as ``simulate`` sees it.
+def _stack_distances(order, new, starts, counts, low: int, high: int) -> np.ndarray:
+    """Each touch's LRU stack distance, exact where capacities ``low..high`` need it.
 
     The distance of a touch is the number of distinct blocks touched
     after its pair's previous touch and before the start of its own
@@ -185,37 +158,65 @@ def _stack_distances(order, new, starts, counts) -> np.ndarray:
     it misses at every capacity.
 
     With ``prev``/``next`` the pair's previous and next touch positions
-    and ``r`` the request start, the distance is the number of
-    positions ``j`` in ``(prev, r)`` with ``next(j) >= r``, i.e. the
-    distinct blocks seen before ``r`` minus ``#{j <= prev: next(j) >= r}``.
-    The second count is taken offline, one bit of ``prev + 1`` per
-    level: at level ``k`` the positions are cut into aligned chunks of
-    ``2**k``, each sorted by ``next`` under the key ``chunk * m + next``,
-    and one ``searchsorted`` per level answers every query whose prefix
+    and ``r`` the request start, the distance is at most the window
+    length ``r - prev - 1`` and the distinct blocks other than its own
+    seen before ``r``, and at least the first touches inside the
+    window. A touch whose upper bound is below ``low`` (the smallest
+    nonzero capacity) hits at every capacity, and one whose lower bound
+    reaches ``high`` (the largest) misses at every capacity; each keeps
+    that bound. Only the rest are counted exactly: the distance is the
+    number of positions ``j`` in ``(prev, r)`` with ``next(j) >= r``,
+    i.e. the distinct blocks seen before ``r`` minus
+    ``#{j <= prev: next(j) >= r}``. The second count is taken offline,
+    one bit of ``prev + 1`` per level: at level ``k`` the ``next``
+    array is sorted in place within aligned chunks of ``2**k``, and a
+    binary search of one chunk answers each query whose prefix
     ``[0, prev]`` ends with a chunk of that size.
     """
     total = len(order)
     same = ~new[1:]
-    prev = np.full(total, -1, dtype=np.int64)
-    nxt = np.full(total, total, dtype=np.int64)
-    prev[order[1:][same]] = order[:-1][same]
-    nxt[order[:-1][same]] = order[1:][same]
-    request_start = np.repeat(starts, counts)
-    # seen[r]: distinct pairs first touched before position r.
-    seen = np.concatenate(([0], np.cumsum(prev < 0)))
-    query = np.flatnonzero(prev >= 0)
-    prefix = prev[query] + 1
-    r = request_start[query]
-    later = np.zeros(len(query), dtype=np.int64)
-    m = total + 1
-    positions = np.arange(total, dtype=np.int64)
-    for k in range(total.bit_length()):
-        keys = np.sort((positions >> k) * m + nxt)
-        sel = np.flatnonzero((prefix >> k) & 1)
-        chunk = (prefix[sel] >> k) - 1
-        later[sel] += ((chunk + 1) << k) - np.searchsorted(keys, chunk * m + r[sel])
-    dist = np.full(total, total, dtype=np.int64)
-    dist[query] = seen[r] - later
+    earlier = order[:-1][same]
+    later = order[1:][same]
+    del same
+    prev = np.full(total, -1, dtype=np.int32)
+    prev[later] = earlier
+    nxt = np.full(total, total, dtype=np.int32)
+    nxt[earlier] = later
+    del earlier, later
+    # seen[x]: distinct pairs first touched before position x.
+    seen = np.zeros(total + 1, dtype=np.int32)
+    np.cumsum(prev < 0, dtype=np.int32, out=seen[1:])
+    query = np.flatnonzero(prev >= 0).astype(np.int32)
+    before = prev[query]
+    del prev
+    r = np.repeat(starts, counts)[query]
+    upper = np.minimum(r - before, seen[r]) - 1
+    lower = seen[r] - seen[before + 1]
+    dist = np.full(total, total, dtype=np.int32)
+    dist[query] = np.where(upper < low, upper, lower)
+    exact = (upper >= low) & (lower < high)
+    del upper, lower
+    query, prefix, r = query[exact], before[exact] + 1, r[exact]
+    del before, exact
+    found = np.zeros(len(query), dtype=np.int32)
+    end = int(prefix.max(initial=0))
+    for k in range(end.bit_length()):
+        size = 1 << k
+        # Each chunk is two chunks sorted at the level below; a query's
+        # chunk always lies inside the whole chunks sorted here.
+        nxt[:end >> k << k].reshape(-1, size).sort(axis=1)
+        sel = np.flatnonzero(prefix & size)
+        bound = r[sel]
+        chunk_end = prefix[sel] >> k << k
+        # The first entry >= r in each query's chunk.
+        at = chunk_end - size
+        step = size
+        while step > 1:
+            step >>= 1
+            at += np.where(nxt[at + step - 1] < bound, step, 0)
+        at += nxt[at] < bound
+        found[sel] += chunk_end - at
+    dist[query] = seen[r] - found
     return dist
 
 
@@ -227,7 +228,7 @@ def sweep(trace: Trace, template: CacheConfig, capacities) -> list[CacheReport]:
     1970): a touch hits at a capacity of ``c`` blocks iff its stack
     distance is below ``c``, so the touches and their distances are
     computed once and each capacity costs a few array passes. Memory is
-    O(block touches).
+    O(block touches), about 45 bytes per touch at peak.
     """
     configs = [replace(template, capacity_bytes=cap) for cap in capacities]
     if not configs:
@@ -236,13 +237,16 @@ def sweep(trace: Trace, template: CacheConfig, capacities) -> list[CacheReport]:
         raise ValueError("empty trace")
     block = template.block_bytes
     order, new, starts, counts, requested = _touches(trace, block)
-    dist = _stack_distances(order, new, starts, counts)
-    total = len(dist)
+    total = len(order)
+    caps = [min(config.capacity_blocks, total) for config in configs]
+    low = min((cap for cap in caps if cap), default=0)
+    dist = _stack_distances(order, new, starts, counts, low, max(caps))
+    del order, new
     first = np.zeros(total, dtype=bool)
     first[starts] = True
     reports = []
-    for config in configs:
-        hit = dist < min(config.capacity_blocks, total)
+    for cap in caps:
+        hit = dist < cap
         hits = int(np.count_nonzero(hit))
         misses = total - hits
         # A miss starts an origin run at its request's first block or after a hit.

@@ -111,16 +111,6 @@ class RequestTally:
             if nbytes > 0 and self.counts.get(kind, 0) == 0:
                 raise ValueError(f"kind {kind!r} transfers {nbytes} bytes but has zero requests")
 
-    def merge(self, other: "RequestTally") -> "RequestTally":
-        """Elementwise sum of two tallies."""
-        counts = dict(self.counts)
-        for kind, count in other.counts.items():
-            counts[kind] = counts.get(kind, 0) + count
-        nbytes = dict(self.transferred_bytes)
-        for kind, b in other.transferred_bytes.items():
-            nbytes[kind] = nbytes.get(kind, 0) + b
-        return RequestTally(counts, nbytes)
-
     @property
     def total_requests(self) -> int:
         return sum(self.counts.values())

@@ -541,42 +541,3 @@ def render_report(report: CostReport, fmt: str = "json") -> str:
         lines.append("")
         lines.append(f"annual total ({DAYS_PER_YEAR} days): {usd_display(annual)}")
     return "\n".join(lines) + "\n"
-
-
-def _delta_pct(a: int, b: int) -> str:
-    if a == 0:
-        return "n/a"
-    return f"{(b - a) / a * 100:+.1f}%"
-
-
-def compare(a: CostReport, b: CostReport) -> str:
-    """Side-by-side totals of two reports priced with the same book."""
-    if a.price_book_id != b.price_book_id:
-        raise ValueError(
-            f"cannot compare reports priced with different books: "
-            f"{a.price_book_id!r} vs {b.price_book_id!r}"
-        )
-    rows = [("metric", "baseline", "candidate", "delta")]
-    rows.append(("requests", f"{a.total_requests:,}", f"{b.total_requests:,}",
-                 _delta_pct(a.total_requests, b.total_requests)))
-    rows.append(("bytes", f"{a.total_bytes:,}", f"{b.total_bytes:,}",
-                 _delta_pct(a.total_bytes, b.total_bytes)))
-    rows.append(("cost", usd_display(a.total_nanousd), usd_display(b.total_nanousd),
-                 _delta_pct(a.total_nanousd, b.total_nanousd)))
-    shared = [s.name for s in a.sections if any(t.name == s.name for t in b.sections)]
-    for name in shared:
-        sa = next(s for s in a.sections if s.name == name)
-        sb = next(s for s in b.sections if s.name == name)
-        rows.append((f"{name}.requests", f"{sa.requests:,}", f"{sb.requests:,}",
-                     _delta_pct(sa.requests, sb.requests)))
-        rows.append((f"{name}.cost", usd_display(sa.nanousd), usd_display(sb.nanousd),
-                     _delta_pct(sa.nanousd, sb.nanousd)))
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append(
-            "  ".join(cell.rjust(w) if j else cell.ljust(w) for j, (cell, w) in enumerate(zip(row, widths)))
-        )
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"

@@ -85,20 +85,6 @@ def parse_bytes(text: str | int) -> int:
     return numerator // denominator
 
 
-def format_bytes(n: int) -> str:
-    """Render a byte count with the largest decimal suffix that fits cleanly."""
-    if n < 0:
-        return "-" + format_bytes(-n)
-    for suffix in ("PB", "TB", "GB", "MB", "KB"):
-        unit = _SUFFIXES[suffix]
-        if n >= unit:
-            scaled = n / unit
-            if n % unit == 0:
-                return f"{n // unit}{suffix}"
-            return f"{scaled:.2f}{suffix}"
-    return f"{n}B"
-
-
 def exact_fraction(value: int | float | str | Fraction) -> Fraction:
     """Convert ``value`` to an exact rational.
 

@@ -1,13 +1,22 @@
-"""LRU block-cache simulation against hand oracles and LRU laws."""
+"""LRU block-cache simulation against hand oracles, an LRU walk and LRU laws."""
 
 import random
+from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iocost.cachesim import CacheConfig, distinct_blocks, miss_ratio_curve, simulate, sweep
+from iocost import cachesim
+from iocost.cachesim import (
+    CacheConfig,
+    CacheReport,
+    distinct_blocks,
+    miss_ratio_curve,
+    simulate,
+    sweep,
+)
 from iocost.tracemodel import AccessRecord, Trace
 from iocost.units import KB, MB
 
@@ -24,6 +33,54 @@ def _trace(reqs):
 
 def _block_read(block_idx, obj="o"):
     return (obj, block_idx * B, B)
+
+
+def _lru_oracle(trace, config):
+    """The cache walked one block touch at a time through an ``OrderedDict``.
+
+    Blocks of a get are walked in ascending order; each contiguous run of
+    misses is one origin request, and eviction waits until the request
+    ends. The engine must report exactly what this walk reports.
+    """
+    cap = config.capacity_blocks
+    block = config.block_bytes
+    lru = OrderedDict()
+    served = hits = misses = origin_requests = origin_bytes = requested = 0
+    for rec in trace.records:
+        if rec.kind != "get":
+            continue
+        served += 1
+        requested += rec.length
+        run_len = 0
+        for idx in range(rec.off // block, (rec.off + rec.length - 1) // block + 1):
+            key = (rec.obj, idx)
+            if key in lru:
+                hits += 1
+                lru.move_to_end(key)
+                if run_len:
+                    origin_requests += 1
+                    origin_bytes += run_len * block
+                    run_len = 0
+            else:
+                misses += 1
+                run_len += 1
+                lru[key] = None
+        if run_len:
+            origin_requests += 1
+            origin_bytes += run_len * block
+        while len(lru) > cap:
+            lru.popitem(last=False)
+    touches = hits + misses
+    return CacheReport(
+        requests_served=served,
+        hits=hits,
+        misses=misses,
+        origin_requests=origin_requests,
+        origin_bytes=origin_bytes,
+        requested_bytes=requested,
+        read_amplification=origin_bytes / requested if requested else 0.0,
+        hit_ratio=hits / touches if touches else 0.0,
+    )
 
 
 def test_config_rounds_capacity_down():
@@ -245,14 +302,52 @@ def _mixed_trace(recs):
     ))
 
 
-def _simulated(trace, capacities):
-    return [simulate(trace, CacheConfig(cap, B)) for cap in capacities]
+def _walked(trace, capacities, block=B):
+    return [_lru_oracle(trace, CacheConfig(cap, block)) for cap in capacities]
 
 
 @given(_records, _capacities)
 def test_sweep_equals_simulate_property(recs, capacities):
     trace = _mixed_trace(recs)
-    assert sweep(trace, CacheConfig(0, B), capacities) == _simulated(trace, capacities)
+    assert sweep(trace, CacheConfig(0, B), capacities) == _walked(trace, capacities)
+
+
+# One capacity is both the smallest and the largest, so the hit cut and
+# the miss cut of the distance bounds apply to the same touches.
+@given(_records, st.integers(0, 70 * B))
+def test_simulate_equals_oracle_property(recs, capacity):
+    trace = _mixed_trace(recs)
+    config = CacheConfig(capacity, B)
+    assert simulate(trace, config) == _lru_oracle(trace, config)
+
+
+def _retouch_distances(trace, capacity_blocks):
+    """(position, distance) of every re-touch as the engine keeps it."""
+    order, new, starts, counts, _ = cachesim._touches(trace, B)
+    dist = cachesim._stack_distances(order, new, starts, counts, capacity_blocks, capacity_blocks)
+    return [(int(pos), int(dist[pos])) for pos in sorted(order[~new])]
+
+
+def test_upper_bound_decides_every_retouch_at_the_footprint():
+    # X A B B A: A's window holds B twice, and only X and B were seen
+    # before it besides A itself, so its upper bound is 2 (its exact
+    # distance is 1); B's window is empty
+    trace = _trace([_block_read(i) for i in (9, 0, 1, 1, 0)])
+    assert _retouch_distances(trace, 3) == [(3, 0), (4, 2)]
+    config = CacheConfig(3 * B, B)
+    assert simulate(trace, config) == _lru_oracle(trace, config)
+    assert simulate(trace, config).hits == 2
+
+
+def test_lower_bound_decides_every_retouch_at_one_block():
+    # A B C D then A B C again: each re-read's window holds the first
+    # touch of every later block, at least one, so each keeps its lower
+    # bound 3, 2, 1 (the exact distance is 3 for all three)
+    trace = _trace([_block_read(i) for i in (0, 1, 2, 3, 0, 1, 2)])
+    assert _retouch_distances(trace, 1) == [(4, 3), (5, 2), (6, 1)]
+    config = CacheConfig(B, B)
+    assert simulate(trace, config) == _lru_oracle(trace, config)
+    assert simulate(trace, config).hits == 0
 
 
 @given(_records, _capacities)
@@ -279,14 +374,14 @@ def test_distinct_blocks_matches_set_oracle(recs):
 def test_sweep_keeps_the_capacity_order_it_is_given():
     trace = _random_trace(random.Random(13))
     capacities = [5 * B, 0, 5 * B, 2 * B]
-    assert sweep(trace, CacheConfig(0, B), capacities) == _simulated(trace, capacities)
+    assert sweep(trace, CacheConfig(0, B), capacities) == _walked(trace, capacities)
 
 
 def test_sweep_uses_the_template_block_size():
     trace = _random_trace(random.Random(14))
     template = CacheConfig(0, 700)
     capacities = [0, 700, 3000, 10**6]
-    expected = [simulate(trace, replace(template, capacity_bytes=c)) for c in capacities]
+    expected = [_lru_oracle(trace, replace(template, capacity_bytes=c)) for c in capacities]
     assert sweep(trace, template, capacities) == expected
 
 
@@ -299,9 +394,7 @@ def test_sweep_near_the_int64_limit():
     ])
     capacities = [0, 1, 2, 3, 5, 8, 100]
     template = CacheConfig(0, 1)
-    assert sweep(trace, template, capacities) == [
-        simulate(trace, CacheConfig(c, 1)) for c in capacities
-    ]
+    assert sweep(trace, template, capacities) == _walked(trace, capacities, block=1)
     assert distinct_blocks(trace, 1) == 6 + 8 + 5  # x: two runs of blocks, y: one
 
 
@@ -322,7 +415,33 @@ def test_sweep_errors():
 def test_sweep_without_gets():
     trace = Trace((AccessRecord(0, "x", 0, 1000, "put"), AccessRecord(1, "y", 0, 0, "head")))
     reports = sweep(trace, CacheConfig(0, B), [0, B])
-    assert reports == _simulated(trace, [0, B])
+    assert reports == _walked(trace, [0, B])
     assert all(r.hit_ratio == 0.0 and r.read_amplification == 0.0 for r in reports)
     assert miss_ratio_curve(trace, CacheConfig(0, B), [0, B]) == [(0, 0.0), (B, 0.0)]
     assert distinct_blocks(trace, B) == 0
+
+
+def test_touch_bound_refuses_before_expanding(monkeypatch):
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("touches were expanded")
+
+    monkeypatch.setattr(cachesim.np, "repeat", no_expansion)
+    trace = _trace([("x", 0, 10**12), ("y", 0, 1)])
+    for run in (
+        lambda: simulate(trace, CacheConfig(0, 1)),
+        lambda: sweep(trace, CacheConfig(0, 1), [0, 1]),
+        lambda: distinct_blocks(trace, 1),
+    ):
+        with pytest.raises(ValueError, match="more than 100,000,000 blocks of 1 bytes"):
+            run()
+
+
+def test_touch_bound_counts_every_get(monkeypatch):
+    monkeypatch.setattr(cachesim, "MAX_TRACE_TOUCHES", 12)
+    at_bound = _trace([("x", 0, 5 * B), ("y", 500, 7 * B - 500)])  # 5 + 7 blocks
+    config = CacheConfig(4 * B, B)
+    assert simulate(at_bound, config) == _lru_oracle(at_bound, config)
+    assert distinct_blocks(at_bound, B) == 12
+    over = _trace([("x", 0, 5 * B), ("y", 500, 7 * B - 499)])  # 5 + 8 blocks
+    with pytest.raises(ValueError, match="more than 12 blocks"):
+        simulate(over, config)

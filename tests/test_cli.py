@@ -330,6 +330,29 @@ def test_trace_line_beyond_int64_exits_2(tmp_path, capsys):
     assert "line 2: offset + length must be <= 2**63 - 1" in captured.err
 
 
+@pytest.mark.parametrize("command", ["cache", "scenario"])
+def test_trace_past_the_touch_bound_exits_2(command, tmp_path, monkeypatch, capsys):
+    # 10**12 one-byte blocks in one get: refused before any is expanded
+    (tmp_path / "t.jsonl").write_text(
+        json.dumps({"ts_ms": 1, "obj": "a", "off": 0, "len": 10**12, "kind": "get"}) + "\n"
+    )
+    _write(tmp_path / "s.json", {
+        "price_book": "s3-standard",
+        "workload": {"trace": "t.jsonl"},
+        "cache": {"capacity_bytes": 0, "block_bytes": 1},
+    })
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "cache": ["cache", "--trace", "t.jsonl", "--capacity", "0", "--block", "1"],
+        "scenario": ["scenario", "run", "s.json"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than 100,000,000 blocks of 1 bytes" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "iocost" in capsys.readouterr().out

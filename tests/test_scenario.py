@@ -1,4 +1,4 @@
-"""Scenario files end to end: validation, execution, rendering, comparison."""
+"""Scenario files end to end: validation, execution, rendering."""
 
 import copy
 import json
@@ -10,7 +10,6 @@ from iocost import columnar
 from iocost.pricing import RequestTally, get_pricebook
 from iocost.scenario import (
     DAYS_PER_YEAR,
-    compare,
     load_scenario,
     render_report,
     run_scenario,
@@ -319,39 +318,6 @@ def test_render_table():
 )
 def test_usd_display(nanousd, expected):
     assert usd_display(nanousd) == expected
-
-
-def test_compare_identical_reports():
-    a, b = _run(JOIN_RAW), _run(JOIN_RAW)
-    text = compare(a, b)
-    assert "+0.0%" in text
-    assert "join.requests" in text
-
-
-def test_compare_pushdown_request_inflation():
-    pushdown = _run(FLEET_RAW)
-    raw = copy.deepcopy(FLEET_RAW)
-    raw["scan_fleet"]["pushdown"] = False
-    full = _run(raw)
-    # 5x10^10 page reads vs 10^12 pushdown reads: 20x the requests
-    text = compare(full, pushdown)
-    assert "+1900.0%" in text
-    reverse = compare(pushdown, full)
-    assert "-95.0%" in reverse
-
-
-def test_compare_across_workloads():
-    fleet = _run(FLEET_RAW)  # 10^12 requests/day
-    join = _run(JOIN_RAW)  # 2x10^11 requests/day
-    text = compare(fleet, join)
-    assert "-80.0%" in text
-
-
-def test_compare_rejects_mismatched_books():
-    raw = copy.deepcopy(JOIN_RAW)
-    raw["price_book"] = "gcs-standard-xml"
-    with pytest.raises(ValueError, match="different books"):
-        compare(_run(JOIN_RAW), _run(raw))
 
 
 BAD_SCENARIOS = [

@@ -4,8 +4,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iocost.tracemodel import (
+    TRACE_KINDS,
     AccessRecord,
     SizeCdf,
     SynthSpec,
@@ -106,6 +109,49 @@ def test_write_read_roundtrip(tmp_path):
     assert again.records == trace.records
     # canonical serialization is stable
     assert list(trace_lines(again)) == list(trace_lines(trace))
+
+
+def _written_twice(lines):
+    once = list(trace_lines(parse_trace(lines)))
+    assert list(trace_lines(parse_trace(once))) == once
+    return once
+
+
+@given(
+    st.integers(1, 300), st.integers(1, 100), st.integers(1, 10**6), st.integers(0, 2**32 - 1)
+)
+def test_synthesized_trace_round_trip_property(records, universe, duration_ms, seed):
+    # a short duration ties timestamps; a synthesized trace is already canonical
+    spec = SynthSpec(records=records, object_universe=universe, duration_ms=duration_ms)
+    lines = list(trace_lines(synthesize_trace(spec, seed)))
+    assert _written_twice(lines) == lines
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.text(min_size=1, max_size=4),
+            st.integers(0, 10**12),
+            st.integers(1, 10**12),
+            st.sampled_from(TRACE_KINDS),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_ingested_trace_round_trip_property(rows):
+    # few timestamps, so lines arrive unsorted and tied; keys in any order
+    lines = [
+        json.dumps({"ts_ms": ts, "obj": obj, "off": off, "len": length, "kind": kind}, sort_keys=by_key)
+        for ts, obj, off, length, kind, by_key in rows
+    ]
+    ordered = sorted(rows, key=lambda row: row[0])  # stable: ties keep their input order
+    assert _written_twice(lines) == [
+        json.dumps({"ts_ms": ts, "obj": obj, "off": off, "len": length, "kind": kind}, separators=(",", ":"))
+        for ts, obj, off, length, kind, _ in ordered
+    ]
 
 
 def test_size_cdf_direct_counting():

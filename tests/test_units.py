@@ -6,7 +6,7 @@ import pytest
 
 from iocost.units import (
     GB, KB, MB, PB, REQUIRED, TB, FieldError, ceil_div, check_fields, exact_fraction,
-    format_bytes, parse_bytes,
+    parse_bytes,
 )
 
 
@@ -51,20 +51,6 @@ def test_parse_bytes_rejects(bad):
 def test_units_are_decimal():
     assert KB == 10**3 and MB == 10**6 and GB == 10**9
     assert TB == 10**12 and PB == 10**15
-
-
-@pytest.mark.parametrize(
-    "n,expected",
-    [
-        (2 * PB, "2PB"),
-        (1_500, "1.50KB"),
-        (999, "999B"),
-        (10**6, "1MB"),
-        (0, "0B"),
-    ],
-)
-def test_format_bytes(n, expected):
-    assert format_bytes(n) == expected
 
 
 def test_ceil_div():
