@@ -9,11 +9,11 @@ top of saving bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .tracemodel import Trace
+from .tracemodel import GET, Trace, group_pairs
 from .units import MB
 
 # Most block touches (blocks covered by the gets, counted per get) one
@@ -71,16 +71,7 @@ class CacheReport:
     hit_ratio: float
 
     def to_dict(self) -> dict:
-        return {
-            "requests_served": self.requests_served,
-            "hits": self.hits,
-            "misses": self.misses,
-            "origin_requests": self.origin_requests,
-            "origin_bytes": self.origin_bytes,
-            "requested_bytes": self.requested_bytes,
-            "read_amplification": self.read_amplification,
-            "hit_ratio": self.hit_ratio,
-        }
+        return asdict(self)
 
 
 def simulate(trace: Trace, config: CacheConfig) -> CacheReport:
@@ -100,51 +91,35 @@ def _touches(trace: Trace, block_bytes: int):
 
     Records are walked in trace order and each get's blocks in ascending
     order. Returns ``(order, new, starts, counts, requested)``:
-    ``order`` lists the touch positions grouped by (object, block) pair
-    and ascending within a pair (a stable lexsort, so no pair id is
-    built by multiplication, which could overflow int64); ``new[i]`` is
-    True where ``order[i]`` is its pair's first touch; ``starts`` and
-    ``counts`` give each get's first touch position and block count;
-    ``requested`` is the exact byte total of the gets. Positions are
-    int32. More than ``MAX_TRACE_TOUCHES`` touches raise ValueError
-    before any touch is expanded.
+    ``order`` and ``new`` are ``group_pairs`` of the touches' (object,
+    block) pairs; ``starts`` and ``counts`` give each get's first touch
+    position and block count; ``requested`` is the exact byte total of
+    the gets. Positions are int32. More than ``MAX_TRACE_TOUCHES``
+    touches raise ValueError before any touch is expanded.
     """
     if block_bytes <= 0:
         raise ValueError(f"block bytes must be > 0, got {block_bytes}")
-    codes: dict[str, int] = {}
-    objs, offs, lens = [], [], []
-    for rec in trace.records:
-        if rec.kind == "get":
-            objs.append(codes.setdefault(rec.obj, len(codes)))
-            offs.append(rec.off)
-            lens.append(rec.length)
-    # AccessRecord keeps off + length within int64, so none of this overflows.
-    off = np.array(offs, dtype=np.int64)
+    get = trace.kind == GET
+    # Ingest keeps off + length within int64, so none of this overflows.
+    off, length = trace.off[get], trace.length[get]
     first = off // block_bytes
-    counts = (off + np.array(lens, dtype=np.int64) - 1) // block_bytes - first + 1
+    counts = (off + length - 1) // block_bytes - first + 1
     # Clipped, the sum stays exact in int64 for any trace under 2**32 gets.
     if np.minimum(counts, MAX_TRACE_TOUCHES + 1).sum() > MAX_TRACE_TOUCHES:
         raise ValueError(
             f"the trace's gets touch more than {MAX_TRACE_TOUCHES:,} blocks of "
             f"{block_bytes} bytes; use a larger block size"
         )
+    # Summed in 32-bit halves: exact in int64 below 2**31 gets, as the limit ensures.
+    requested = (int((length >> 32).sum()) << 32) + int((length & 0xFFFFFFFF).sum())
     counts = counts.astype(np.int32)
     starts = np.cumsum(counts, dtype=np.int32) - counts
     total = int(counts.sum())
     block = np.repeat(first - starts, counts)
     del first
     block += np.arange(total, dtype=np.int64)
-    obj = np.repeat(np.array(objs, dtype=np.int32), counts)
-    order = np.lexsort((block, obj)).astype(np.int32)
-    # One sorted key at a time keeps the peak at about three touch arrays.
-    new = np.ones(total, dtype=bool)
-    key = obj[order]
-    del obj
-    new[1:] = key[1:] != key[:-1]
-    key = block[order]
-    del block
-    new[1:] |= key[1:] != key[:-1]
-    return order, new, starts, counts, sum(lens)
+    order, new = group_pairs(np.repeat(trace.obj[get], counts), block)
+    return order.astype(np.int32), new, starts, counts, requested
 
 
 def _stack_distances(order, new, starts, counts, low: int, high: int) -> np.ndarray:
@@ -233,7 +208,7 @@ def sweep(trace: Trace, template: CacheConfig, capacities) -> list[CacheReport]:
     configs = [replace(template, capacity_bytes=cap) for cap in capacities]
     if not configs:
         return []
-    if not trace.records:
+    if not len(trace):
         raise ValueError("empty trace")
     block = template.block_bytes
     order, new, starts, counts, requested = _touches(trace, block)

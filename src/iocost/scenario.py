@@ -73,7 +73,6 @@ class Scenario:
     join: JoinSection | None
     cache: CacheConfig | None
     echo: dict
-    source: str
 
 
 # One field table per object of the scenario schema, checked by
@@ -244,7 +243,7 @@ def _parse_cache(raw: dict) -> CacheConfig:
     return _nested("cache", CacheConfig, **check_fields(raw, _CACHE_FIELDS, "scenario", "cache"))
 
 
-def scenario_from_dict(raw: dict, base_dir: str = ".", source: str = "inline") -> Scenario:
+def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
     """Validate a scenario's JSON form. Relative paths resolve against base_dir."""
     f = check_fields(raw, _SCENARIO_FIELDS, "scenario")
     book = _parse_price_book(f["price_book"], base_dir)
@@ -269,7 +268,6 @@ def scenario_from_dict(raw: dict, base_dir: str = ".", source: str = "inline") -
         join=join,
         cache=cache,
         echo=raw,
-        source=source,
     )
 
 
@@ -278,7 +276,7 @@ def load_scenario(path: str) -> Scenario:
     if not os.path.isfile(path):
         raise FileNotFoundError(f"scenario file not found: {path}")
     raw = load_json(path, "scenario file")
-    return scenario_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)), source=path)
+    return scenario_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 @dataclass(frozen=True)

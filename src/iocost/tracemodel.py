@@ -5,19 +5,21 @@ Traces are JSON-lines, one request per line:
     {"ts_ms": 12, "obj": "o0000042", "off": 0, "len": 8192, "kind": "get"}
 
 Timestamps are milliseconds from the trace epoch. ``off`` and ``len``
-default to 0 for non-ranged kinds. Statistics follow the read-focused
-modeling scope of this package, so they are computed over get records.
+default to 0 for non-ranged kinds. Lines are checked as they are read
+into a ``Trace``, which holds typed columns. Statistics follow the
+read-focused modeling scope of this package, so they are computed over
+get records.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import statistics
+from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from heapq import nlargest
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,10 +53,14 @@ MAX_TRACE_INT = 2**63 - 1
 # cap bounds that memory at about 240 MB.
 MAX_OBJECT_UNIVERSE = 10**7
 
+# Every synthesized record is a get touching at least one block, so a
+# longer trace could not be simulated (cachesim.MAX_TRACE_TOUCHES).
+# Synthesis peaks at about 190 bytes per record (measured at 10**6).
+MAX_SYNTH_RECORDS = 10**8
 
-@dataclass(frozen=True, slots=True)
-class AccessRecord:
-    """One storage request."""
+
+class AccessRecord(NamedTuple):
+    """One storage request: a row of a ``Trace``, unchecked."""
 
     ts_ms: int
     obj: str
@@ -62,94 +68,127 @@ class AccessRecord:
     length: int
     kind: str
 
-    def __post_init__(self) -> None:
-        if self.ts_ms < 0:
-            raise ValueError(f"timestamp must be >= 0, got {self.ts_ms}")
-        if not self.obj:
-            raise ValueError("object id must be non-empty")
-        if self.kind not in TRACE_KINDS:
-            raise ValueError(f"unknown request kind {self.kind!r}")
-        if self.off < 0:
-            raise ValueError(f"offset must be >= 0, got {self.off}")
-        if self.kind in RANGED_KINDS:
-            if self.length <= 0:
-                raise ValueError(f"length must be > 0 for kind {self.kind!r}, got {self.length}")
-        elif self.length < 0:
-            raise ValueError(f"length must be >= 0, got {self.length}")
-        if self.ts_ms > MAX_TRACE_INT:
-            raise ValueError(f"timestamp must be <= 2**63 - 1, got {self.ts_ms}")
-        if self.off + self.length > MAX_TRACE_INT:
-            raise ValueError(
-                f"offset + length must be <= 2**63 - 1, got {self.off} + {self.length}"
-            )
+
+# Kind codes of the ``kind`` column index TRACE_KINDS.
+_KIND_CODES = {kind: code for code, kind in enumerate(TRACE_KINDS)}
+GET = _KIND_CODES["get"]
 
 
-@dataclass(frozen=True)
 class Trace:
-    """A timestamp-sorted sequence of access records."""
+    """Access records as typed columns, stably sorted by timestamp.
 
-    records: tuple[AccessRecord, ...]
-    provenance: str = "ingested"
-    seed: int | None = None
+    ``ts_ms``, ``off`` and ``length`` are int64, ``obj`` int32 codes into
+    ``objects`` and ``kind`` uint8 codes into ``TRACE_KINDS``. Rows are
+    taken unchecked: trace files are checked line by line at ingest.
+    """
+
+    def __init__(self, rows=()) -> None:
+        codes: dict[str, int] = {}
+        columns = ts, obj, off, length, kind = [array(t) for t in ("q", "i", "q", "q", "B")]
+        for t, o, a, n, k in rows:
+            ts.append(t)
+            obj.append(codes.setdefault(o, len(codes)))
+            off.append(a)
+            length.append(n)
+            kind.append(_KIND_CODES[k])
+        order = np.argsort(np.asarray(ts), kind="stable")
+        self.ts_ms, self.obj, self.off, self.length, self.kind = (np.asarray(c)[order] for c in columns)
+        self.objects = tuple(codes)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ts_ms)
 
     def gets(self) -> list[AccessRecord]:
-        return [r for r in self.records if r.kind == "get"]
+        """The get rows, in trace order."""
+        get = self.kind == GET
+        cols = [c[get].tolist() for c in (self.ts_ms, self.obj, self.off, self.length)]
+        return [AccessRecord(t, self.objects[o], a, n, "get") for t, o, a, n in zip(*cols)]
+
+
+def group_pairs(obj, block):
+    """Positions grouped by (object, block) pair: ``(order, new)``.
+
+    ``order`` is a stable lexsort, ascending within a pair (no pair id
+    is built by a multiplication that could overflow int64); ``new[i]``
+    is True where ``order[i]`` is its pair's first position.
+    """
+    order = np.lexsort((block, obj))
+    new = np.ones(len(order), dtype=bool)
+    # One sorted key at a time keeps the peak at one extra key array.
+    key = obj[order]
+    new[1:] = key[1:] != key[:-1]
+    key = block[order]
+    new[1:] |= key[1:] != key[:-1]
+    return order, new
 
 
 # The keys of a trace line, as ``trace_lines`` writes them.
 _RECORD_KEYS = frozenset(("ts_ms", "obj", "off", "len", "kind"))
 
 
-def _record_from_json(obj: dict) -> AccessRecord:
+def _checked_row(obj) -> tuple:
+    """The row of one trace line's JSON value; ValueError names its fault."""
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
     if not _RECORD_KEYS.issuperset(obj):
         key = next(k for k in obj if k not in _RECORD_KEYS)
         raise ValueError(f"unknown field {key!r} (known: {', '.join(sorted(_RECORD_KEYS))})")
     for name in ("ts_ms", "obj", "kind"):
         if name not in obj:
             raise ValueError(f"missing field {name!r}")
-    for name in ("ts_ms", "off", "len"):
-        if name in obj and (not isinstance(obj[name], int) or isinstance(obj[name], bool)):
-            raise ValueError(f"field {name!r} must be an integer, got {obj[name]!r}")
-    if not isinstance(obj["obj"], str):
-        raise ValueError(f"field 'obj' must be a string, got {obj['obj']!r}")
-    return AccessRecord(
-        ts_ms=obj["ts_ms"],
-        obj=obj["obj"],
-        off=obj.get("off", 0),
-        length=obj.get("len", 0),
-        kind=obj["kind"],
-    )
+    ts, name, kind = obj["ts_ms"], obj["obj"], obj["kind"]
+    off, length = obj.get("off", 0), obj.get("len", 0)
+    for field, value in (("ts_ms", ts), ("off", off), ("len", length)):
+        if type(value) is not int:
+            raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    if not isinstance(name, str):
+        raise ValueError(f"field 'obj' must be a string, got {name!r}")
+    if ts < 0:
+        raise ValueError(f"timestamp must be >= 0, got {ts}")
+    if not name:
+        raise ValueError("object id must be non-empty")
+    # A tuple, not a dict: a list or object kind is unhashable.
+    if kind not in TRACE_KINDS:
+        raise ValueError(f"unknown request kind {kind!r}")
+    if off < 0:
+        raise ValueError(f"offset must be >= 0, got {off}")
+    if kind in RANGED_KINDS:
+        if length <= 0:
+            raise ValueError(f"length must be > 0 for kind {kind!r}, got {length}")
+    elif length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
+    if ts > MAX_TRACE_INT:
+        raise ValueError(f"timestamp must be <= 2**63 - 1, got {ts}")
+    if off + length > MAX_TRACE_INT:
+        raise ValueError(f"offset + length must be <= 2**63 - 1, got {off} + {length}")
+    return ts, name, off, length, kind
 
 
-def parse_trace(lines) -> Trace:
-    """Parse JSONL records from an iterable of lines.
-
-    Blank lines are skipped. Records are sorted by timestamp if the
-    input is unsorted. Raises ValueError with the offending line number
-    on malformed input and on an empty trace.
-    """
-    records = []
+def _checked_rows(lines):
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            obj = json.loads(stripped)
+            row = _checked_row(json.loads(stripped))
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        if not isinstance(obj, dict):
-            raise ValueError(f"line {lineno}: record must be a JSON object")
-        try:
-            records.append(_record_from_json(obj))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    if not records:
+        yield row
+
+
+def parse_trace(lines) -> Trace:
+    """Parse JSONL records from an iterable of lines.
+
+    Blank lines are skipped. Records are sorted by timestamp, ties
+    keeping their input order. Raises ValueError with the offending
+    line number on malformed input and on an empty trace.
+    """
+    trace = Trace(_checked_rows(lines))
+    if not len(trace):
         raise ValueError("empty trace")
-    records.sort(key=lambda r: r.ts_ms)
-    return Trace(tuple(records), provenance="ingested")
+    return trace
 
 
 def read_trace(path: str) -> Trace:
@@ -159,18 +198,15 @@ def read_trace(path: str) -> Trace:
 
 def trace_lines(trace: Trace):
     """Yield the canonical JSONL line for each record (fixed key order)."""
-    for r in trace.records:
-        yield json.dumps(
-            {"ts_ms": r.ts_ms, "obj": r.obj, "off": r.off, "len": r.length, "kind": r.kind},
-            separators=(",", ":"),
-        )
+    names = [json.dumps(name) for name in trace.objects]
+    columns = (trace.ts_ms, trace.obj, trace.off, trace.length, trace.kind)
+    for t, o, a, n, k in zip(*(c.tolist() for c in columns)):
+        yield f'{{"ts_ms":{t},"obj":{names[o]},"off":{a},"len":{n},"kind":"{TRACE_KINDS[k]}"}}'
 
 
 def write_trace(trace: Trace, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in trace_lines(trace):
-            fh.write(line)
-            fh.write("\n")
+        fh.writelines(line + "\n" for line in trace_lines(trace))
 
 
 @dataclass(frozen=True)
@@ -193,16 +229,11 @@ class SizeCdf:
 
     @classmethod
     def from_sizes(cls, sizes) -> "SizeCdf":
-        counts = Counter(sizes)
-        if not counts:
+        values, counts = np.unique(np.asarray(sizes, dtype=np.int64), return_counts=True)
+        if not len(values):
             raise ValueError("no sizes to build a CDF from")
-        total = sum(counts.values())
-        points = []
-        running = 0
-        for size in sorted(counts):
-            running += counts[size]
-            points.append((size, running / total))
-        return cls(tuple(points))
+        running = np.cumsum(counts)
+        return cls(tuple(zip(values.tolist(), (running / running[-1]).tolist())))
 
     def fraction_at(self, size: int) -> float:
         """Fraction of requests with size <= the given size."""
@@ -223,8 +254,8 @@ class SizeCdf:
 
 def size_cdf(trace: Trace) -> SizeCdf:
     """Empirical CDF of get-request lengths."""
-    sizes = [r.length for r in trace.records if r.kind == "get"]
-    if not sizes:
+    sizes = trace.length[trace.kind == GET]
+    if not len(sizes):
         raise ValueError("trace has no get records")
     return SizeCdf.from_sizes(sizes)
 
@@ -243,6 +274,15 @@ class ReuseStats:
     under_threshold_fraction: float | None
 
 
+def _get_pairs(trace: Trace, granularity: int):
+    """``group_pairs`` over the gets' (object, offset // granularity) pairs."""
+    if granularity <= 0:
+        raise ValueError(f"granularity must be > 0, got {granularity}")
+    get = trace.kind == GET
+    # A get ends inside int64, so a larger granularity puts it in block 0.
+    return group_pairs(trace.obj[get], trace.off[get] // min(granularity, MAX_TRACE_INT))
+
+
 def reuse_intervals(
     trace: Trace,
     granularity: int = DEFAULT_BLOCK_BYTES,
@@ -251,44 +291,35 @@ def reuse_intervals(
     """Intervals between consecutive get accesses to the same block.
 
     A record's block is (object id, offset // granularity). Intervals
-    are collected in trace order.
+    are listed in the trace order of their second access.
     """
-    if granularity <= 0:
-        raise ValueError(f"granularity must be > 0, got {granularity}")
+    order, new = _get_pairs(trace, granularity)
     if threshold_ms <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold_ms}")
-    last_seen: dict[tuple[str, int], int] = {}
-    intervals: list[int] = []
-    for r in trace.records:
-        if r.kind != "get":
-            continue
-        key = (r.obj, r.off // granularity)
-        prev = last_seen.get(key)
-        if prev is not None:
-            intervals.append(r.ts_ms - prev)
-        last_seen[key] = r.ts_ms
-    if not intervals:
+    ts = trace.ts_ms[trace.kind == GET]
+    again = ~new[1:]
+    later = order[1:][again]
+    intervals = (ts[later] - ts[order[:-1][again]])[np.argsort(later)]
+    n = len(intervals)
+    if not n:
         return ReuseStats((), threshold_ms, None, None)
-    under = sum(1 for i in intervals if i < threshold_ms)
-    return ReuseStats(
-        tuple(intervals),
-        threshold_ms,
-        float(statistics.median(intervals)),
-        under / len(intervals),
-    )
+    mid = np.partition(intervals, [(n - 1) // 2, n // 2])
+    # The middle two are added as exact ints, as statistics.median does.
+    median = (int(mid[(n - 1) // 2]) + int(mid[n // 2])) / 2
+    under = int(np.count_nonzero(intervals < threshold_ms)) / n
+    return ReuseStats(tuple(intervals.tolist()), threshold_ms, median, under)
 
 
 def popularity_share(trace: Trace, granularity: int = DEFAULT_BLOCK_BYTES, k: int = 10_000) -> float:
     """Fraction of get requests landing on the k most-accessed blocks."""
-    if granularity <= 0:
-        raise ValueError(f"granularity must be > 0, got {granularity}")
+    _, new = _get_pairs(trace, granularity)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    counts = Counter((r.obj, r.off // granularity) for r in trace.records if r.kind == "get")
-    total = sum(counts.values())
+    total = len(new)
     if total == 0:
         return 0.0
-    return sum(nlargest(k, counts.values())) / total
+    counts = np.diff(np.flatnonzero(new), append=total)
+    return int(np.sort(counts)[-k:].sum()) / total
 
 
 @dataclass(frozen=True)
@@ -309,14 +340,16 @@ class SynthSpec:
     duration_ms: int = DEFAULT_DURATION_MS
 
     def __post_init__(self) -> None:
-        if self.records < 1:
-            raise ValueError(f"record count must be >= 1, got {self.records}")
+        if not 1 <= self.records <= MAX_SYNTH_RECORDS:
+            raise ValueError(f"record count must be in [1, 10**8], got {self.records}")
         if not self.size_anchors:
             raise ValueError("size anchors must be non-empty")
         sizes = [s for s, _ in self.size_anchors]
         fracs = [f for _, f in self.size_anchors]
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"anchor sizes must be strictly increasing, got {sizes}")
+        if sizes[-1] > MAX_TRACE_INT:
+            raise ValueError(f"anchor sizes must be <= 2**63 - 1, got {sizes[-1]}")
         if any(b <= a for a, b in zip(fracs, fracs[1:])):
             raise ValueError(f"anchor fractions must be strictly increasing, got {fracs}")
         if not all(math.isfinite(f) for f in fracs):
@@ -335,35 +368,30 @@ class SynthSpec:
             raise ValueError(f"duration must be >= 1 ms, got {self.duration_ms}")
 
 
-def _draw_sizes(spec: SynthSpec, rng: np.random.Generator) -> list[int]:
+def _draw_sizes(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     n = spec.records
-    lows, highs, masses = [], [], []
-    prev_size, prev_frac = spec.min_bytes - 1, 0.0
-    for size, frac in spec.size_anchors:
-        lows.append(prev_size + 1)
-        highs.append(size)
-        masses.append(frac - prev_frac)
-        prev_size, prev_frac = size, frac
-    seg_cum = np.cumsum(masses)
+    highs = np.array([size for size, _ in spec.size_anchors], dtype=np.int64)
+    lows = np.concatenate(([spec.min_bytes], highs[:-1] + 1))
+    seg_cum = np.cumsum(np.diff([0.0] + [frac for _, frac in spec.size_anchors]))
     seg_cum[-1] = 1.0  # guard against float cumsum drift
     seg = np.searchsorted(seg_cum, rng.random(n), side="right")
-    ln_lo = np.log(np.array(lows, dtype=np.float64))
-    ln_hi = np.log(np.array(highs, dtype=np.float64))
+    ln_lo = np.log(lows.astype(np.float64))
+    ln_hi = np.log(highs.astype(np.float64))
     raw = np.exp(ln_lo[seg] + rng.random(n) * (ln_hi[seg] - ln_lo[seg]))
-    sizes = np.rint(raw).astype(np.int64)
-    sizes = np.clip(sizes, np.array(lows)[seg], np.array(highs)[seg])
-    return sizes.tolist()
+    # exp can round a draw at a top anchor near 2**63 up to 2**63, past int64.
+    sizes = np.minimum(np.rint(raw), np.nextafter(2.0**63, 0)).astype(np.int64)
+    return np.clip(sizes, lows[seg], highs[seg])
 
 
-def _draw_objects(spec: SynthSpec, rng: np.random.Generator) -> list[str]:
+def _draw_objects(spec: SynthSpec, rng: np.random.Generator):
     ranks = np.arange(1, spec.object_universe + 1, dtype=np.float64)
     weights = ranks ** -spec.zipf_exponent
     cum = np.cumsum(weights)
     cum /= cum[-1]
     drawn = np.searchsorted(cum, rng.random(spec.records), side="right")
     width = len(str(spec.object_universe))
-    names = {int(r): f"o{int(r) + 1:0{width}d}" for r in np.unique(drawn)}
-    return [names[int(r)] for r in drawn]
+    names = {r: f"o{r + 1:0{width}d}" for r in np.unique(drawn).tolist()}
+    return map(names.__getitem__, drawn.tolist())
 
 
 def synthesize_trace(spec: SynthSpec, seed: int) -> Trace:
@@ -376,9 +404,5 @@ def synthesize_trace(spec: SynthSpec, seed: int) -> Trace:
     rng = np.random.default_rng(seed)
     sizes = _draw_sizes(spec, rng)
     objects = _draw_objects(spec, rng)
-    timestamps = np.sort(rng.integers(0, spec.duration_ms, size=spec.records)).tolist()
-    records = tuple(
-        AccessRecord(ts_ms=ts, obj=obj, off=0, length=size, kind="get")
-        for ts, obj, size in zip(timestamps, objects, sizes)
-    )
-    return Trace(records, provenance="synthesized", seed=seed)
+    timestamps = np.sort(rng.integers(0, spec.duration_ms, size=spec.records))
+    return Trace(zip(timestamps.tolist(), objects, repeat(0), sizes.tolist(), repeat("get")))

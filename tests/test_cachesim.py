@@ -28,7 +28,7 @@ def _trace(reqs):
         AccessRecord(ts_ms=i, obj=obj, off=off, length=length, kind="get")
         for i, (obj, off, length) in enumerate(reqs)
     )
-    return Trace(records, provenance="ingested")
+    return Trace(records)
 
 
 def _block_read(block_idx, obj="o"):
@@ -46,9 +46,7 @@ def _lru_oracle(trace, config):
     block = config.block_bytes
     lru = OrderedDict()
     served = hits = misses = origin_requests = origin_bytes = requested = 0
-    for rec in trace.records:
-        if rec.kind != "get":
-            continue
+    for rec in trace.gets():
         served += 1
         requested += rec.length
         run_len = 0
@@ -365,7 +363,7 @@ def test_distinct_blocks_matches_set_oracle(recs):
     trace = _mixed_trace(recs)
     oracle = {
         (r.obj, idx)
-        for r in trace.records if r.kind == "get"
+        for r in trace.gets()
         for idx in range(r.off // B, (r.off + r.length - 1) // B + 1)
     }
     assert distinct_blocks(trace, B) == len(oracle)
@@ -396,6 +394,14 @@ def test_sweep_near_the_int64_limit():
     template = CacheConfig(0, 1)
     assert sweep(trace, template, capacities) == _walked(trace, capacities, block=1)
     assert distinct_blocks(trace, 1) == 6 + 8 + 5  # x: two runs of blocks, y: one
+
+
+def test_requested_bytes_past_int64_are_exact():
+    # three gets of 2**62 bytes: their total overflows an int64 sum
+    trace = _trace([("x", 0, 2**62), ("y", 0, 2**62), ("x", 2**62 - 1, 2**62)])
+    config = CacheConfig(2**62, 2**61)
+    assert simulate(trace, config).requested_bytes == 3 * 2**62
+    assert simulate(trace, config) == _lru_oracle(trace, config)
 
 
 def test_sweep_errors():

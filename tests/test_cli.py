@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from iocost import columnar
+from iocost import columnar, scenario, tracemodel
 from iocost.cli import main
 
 LAYOUT = {
@@ -491,3 +491,70 @@ def test_synth_refuses_bad_parameters(flags, tmp_path, capsys):
     assert main(["synth", "--records", "10", "--out", str(out)] + flags) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field,value,problem",
+    [
+        ("kind", ["get"], "unknown request kind ['get']"),
+        ("kind", {"get": 1}, "unknown request kind {'get': 1}"),
+        ("obj", ["a"], "field 'obj' must be a string, got ['a']"),
+        ("obj", {"a": 1}, "field 'obj' must be a string, got {'a': 1}"),
+    ],
+    ids=["kind-array", "kind-object", "obj-array", "obj-object"],
+)
+def test_trace_line_with_array_or_object_value_exits_2(field, value, problem, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    record = {"ts_ms": 1, "obj": "a", "off": 0, "len": 10, "kind": "get"}
+    trace.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n")
+    assert main(["cache", "--trace", str(trace), "--capacity", "1MB"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 2: {problem}\n"
+
+
+def _no_synthesis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesis started")
+
+    monkeypatch.setattr(tracemodel, "synthesize_trace", refuse)
+    monkeypatch.setattr(scenario, "synthesize_trace", refuse)
+
+
+@pytest.mark.parametrize(
+    "flags,problem",
+    [
+        (["--records", "5", "--max", "1e19"], "anchor sizes must be <= 2**63 - 1"),
+        (["--records", str(10**8 + 1)], "record count must be in [1, 10**8]"),
+    ],
+    ids=["anchor", "records"],
+)
+def test_synth_past_the_trace_limits_exits_2(flags, problem, tmp_path, monkeypatch, capsys):
+    _no_synthesis(monkeypatch)
+    out = tmp_path / "t.jsonl"
+    assert main(["synth", "--out", str(out)] + flags) == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "synthesize,problem",
+    [
+        ({"anchors": [["10KB", 0.5], ["1e19", 1.0]]}, "anchor sizes must be <= 2**63 - 1"),
+        ({"records": 10**8 + 1}, "record count must be in [1, 10**8]"),
+    ],
+    ids=["anchor", "records"],
+)
+def test_scenario_synthesis_past_the_trace_limits_exits_2(
+    synthesize, problem, tmp_path, monkeypatch, capsys
+):
+    _no_synthesis(monkeypatch)
+    raw = {
+        "price_book": "s3-standard",
+        "workload": {"synthesize": synthesize},
+        "cache": {"capacity_bytes": "1GB"},
+    }
+    assert main(["scenario", "run", _write(tmp_path / "s.json", raw)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"scenario field 'workload.synthesize': {problem}" in captured.err

@@ -2,14 +2,20 @@
 
 import json
 import random
+import statistics
+from collections import Counter
+from heapq import nlargest
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from iocost import tracemodel
 from iocost.tracemodel import (
     TRACE_KINDS,
     AccessRecord,
+    ReuseStats,
     SizeCdf,
     SynthSpec,
     Trace,
@@ -32,15 +38,14 @@ def _line(ts, obj="o1", off=0, length=1000, kind="get"):
 def test_parse_single_get():
     trace = parse_trace([_line(5)])
     assert len(trace) == 1
-    rec = trace.records[0]
+    rec = trace.gets()[0]
     assert (rec.ts_ms, rec.obj, rec.off, rec.length, rec.kind) == (5, "o1", 0, 1000, "get")
-    assert trace.provenance == "ingested"
 
 
 def test_parse_sorts_by_timestamp():
     lines = [_line(30), _line(10), _line(20)]
     trace = parse_trace(lines)
-    got = [r.ts_ms for r in trace.records]
+    got = trace.ts_ms.tolist()
     assert got == sorted(got) == [10, 20, 30]
 
 
@@ -68,16 +73,15 @@ def test_parse_errors_carry_line_numbers():
 
 def test_non_ranged_kinds_default_off_len():
     trace = parse_trace([json.dumps({"ts_ms": 0, "obj": "b", "kind": "list"})])
-    rec = trace.records[0]
-    assert rec.off == 0 and rec.length == 0
+    assert trace.off.tolist() == trace.length.tolist() == [0]
 
 
 def test_ranged_kinds_need_positive_length():
-    with pytest.raises(ValueError, match="length"):
-        AccessRecord(0, "x", 0, 0, "get")
-    with pytest.raises(ValueError, match="length"):
-        AccessRecord(0, "x", 0, -1, "put")
-    AccessRecord(0, "x", 0, 0, "head")  # fine for non-ranged kinds
+    with pytest.raises(ValueError, match="line 1: length"):
+        parse_trace([_line(0, "x", 0, 0, "get")])
+    with pytest.raises(ValueError, match="line 1: length"):
+        parse_trace([_line(0, "x", 0, -1, "put")])
+    parse_trace([_line(0, "x", 0, 0, "head")])  # fine for non-ranged kinds
 
 
 @pytest.mark.parametrize(
@@ -91,14 +95,19 @@ def test_ranged_kinds_need_positive_length():
     ],
 )
 def test_record_integers_fit_int64(ts, off, length, field):
-    with pytest.raises(ValueError, match=f"{field}.*2\\*\\*63 - 1"):
-        AccessRecord(ts, "x", off, length, "get")
+    with pytest.raises(ValueError, match=f"line 1: {field}.*2\\*\\*63 - 1"):
+        parse_trace([_line(ts, "x", off, length, "get")])
 
 
 def test_record_accepts_the_int64_limit():
-    AccessRecord(2**63 - 1, "x", 2**63 - 2, 1, "get")
-    AccessRecord(0, "x", 0, 2**63 - 1, "get")
-    AccessRecord(0, "x", 2**63 - 1, 0, "head")
+    trace = parse_trace([
+        _line(2**63 - 1, "x", 2**63 - 2, 1, "get"),
+        _line(0, "x", 0, 2**63 - 1, "get"),
+        _line(0, "x", 2**63 - 1, 0, "head"),
+    ])
+    assert trace.ts_ms.tolist() == [0, 0, 2**63 - 1]
+    assert trace.off.tolist() == [0, 2**63 - 1, 2**63 - 2]
+    assert trace.length.tolist() == [2**63 - 1, 0, 1]
 
 
 def test_write_read_roundtrip(tmp_path):
@@ -106,7 +115,7 @@ def test_write_read_roundtrip(tmp_path):
     path = tmp_path / "t.jsonl"
     write_trace(trace, str(path))
     again = read_trace(str(path))
-    assert again.records == trace.records
+    assert again.gets() == trace.gets()
     # canonical serialization is stable
     assert list(trace_lines(again)) == list(trace_lines(trace))
 
@@ -246,6 +255,14 @@ def test_reuse_hand_oracle():
     assert stats.under_threshold_fraction == pytest.approx(2 / 3)
 
 
+def test_reuse_median_adds_the_middle_two_exactly():
+    # in float64 the sum would round to 2**62 first, and the median to 2**61
+    trace = parse_trace([_line(0), _line(2**61), _line(2**62 + 513)])
+    stats = reuse_intervals(trace, MB)
+    assert stats.intervals_ms == (2**61, 2**61 + 513)
+    assert stats.median_ms == (2**62 + 513) / 2 == 2**61 + 512
+
+
 def test_reuse_granularity_splits_blocks():
     lines = [_line(0, "a", off=0), _line(10, "a", off=2 * MB)]
     assert reuse_intervals(parse_trace(lines), MB).intervals_ms == ()
@@ -283,11 +300,11 @@ def test_synthesis_shape():
     spec = SynthSpec(records=2000)
     trace = synthesize_trace(spec, seed=9)
     assert len(trace) == 2000
-    assert trace.provenance == "synthesized" and trace.seed == 9
-    ts = [r.ts_ms for r in trace.records]
+    ts = trace.ts_ms.tolist()
     assert ts == sorted(ts)
     assert all(0 <= t < spec.duration_ms for t in ts)
-    for rec in trace.records:
+    assert len(trace.gets()) == len(trace)
+    for rec in trace.gets():
         assert rec.kind == "get" and rec.off == 0
         assert spec.min_bytes <= rec.length <= spec.size_anchors[-1][0]
 
@@ -302,8 +319,8 @@ def test_synthesis_hits_anchors():
 def test_synthesis_respects_max_anchor():
     spec = SynthSpec(records=20_000, size_anchors=((KB, 0.6), (64 * KB, 1.0)), min_bytes=10)
     trace = synthesize_trace(spec, seed=3)
-    assert max(r.length for r in trace.records) <= 64 * KB
-    assert min(r.length for r in trace.records) >= 10
+    assert trace.length.max() <= 64 * KB
+    assert trace.length.min() >= 10
 
 
 @pytest.mark.parametrize(
@@ -324,6 +341,8 @@ def test_synthesis_respects_max_anchor():
         {"zipf_exponent": float("nan")},
         {"zipf_exponent": float("inf")},
         {"size_anchors": ((KB, float("nan")), (MB, 1.0))},
+        {"records": 10**8 + 1},
+        {"size_anchors": ((10 * KB, 0.5), (10**19, 1.0))},
     ],
 )
 def test_synthesis_spec_validation(kwargs):
@@ -336,6 +355,114 @@ def test_synthesis_spec_accepts_the_largest_universe():
     assert SynthSpec(object_universe=10**7).object_universe == 10**7
 
 
+def test_synthesis_spec_accepts_the_trace_limits():
+    assert SynthSpec(records=10**8).records == 10**8
+    assert SynthSpec(size_anchors=((2**63 - 1, 1.0),)).size_anchors[-1][0] == 2**63 - 1
+
+
 def test_trace_gets_filters_kinds():
     trace = parse_trace([_line(0), json.dumps({"ts_ms": 1, "obj": "x", "kind": "head"})])
     assert [r.kind for r in trace.gets()] == ["get"]
+
+
+def test_trace_holds_typed_columns():
+    trace = parse_trace([
+        _line(3, "b", kind="put"),
+        _line(1, "a", off=5, length=7),
+        json.dumps({"ts_ms": 3, "obj": "a", "kind": "list"}),
+    ])
+    assert trace.objects == ("b", "a")
+    assert trace.ts_ms.tolist() == [1, 3, 3]
+    assert trace.obj.tolist() == [1, 0, 1]
+    assert trace.off.tolist() == [5, 0, 0]
+    assert trace.length.tolist() == [7, 1000, 0]
+    assert [TRACE_KINDS[k] for k in trace.kind.tolist()] == ["get", "put", "list"]
+    dtypes = [c.dtype for c in (trace.ts_ms, trace.obj, trace.off, trace.length, trace.kind)]
+    assert dtypes == [np.int64, np.int32, np.int64, np.int64, np.uint8]
+    assert trace.gets() == [AccessRecord(1, "a", 5, 7, "get")]
+
+
+def test_a_draw_rounded_up_to_2_63_stays_in_the_top_segment(monkeypatch):
+    # float64 exp may round a draw at a top anchor near 2**63 up to 2**63
+    monkeypatch.setattr(tracemodel.np, "exp", lambda x: np.full_like(x, 2.0**63))
+    spec = SynthSpec(records=3, size_anchors=((2**63 - 1, 1.0),), min_bytes=2**62)
+    trace = synthesize_trace(spec, seed=0)
+    assert trace.length.tolist() == [2**63 - 1024] * 3
+    assert list(trace_lines(parse_trace(trace_lines(trace)))) == list(trace_lines(trace))
+
+
+# The per-record statistics that the column passes replaced, kept as oracles.
+
+
+def _size_cdf_oracle(trace):
+    counts = Counter(r.length for r in trace.gets())
+    total = sum(counts.values())
+    points = []
+    running = 0
+    for size in sorted(counts):
+        running += counts[size]
+        points.append((size, running / total))
+    return SizeCdf(tuple(points))
+
+
+def _reuse_intervals_oracle(trace, granularity, threshold_ms):
+    last_seen = {}
+    intervals = []
+    for r in trace.gets():
+        key = (r.obj, r.off // granularity)
+        prev = last_seen.get(key)
+        if prev is not None:
+            intervals.append(r.ts_ms - prev)
+        last_seen[key] = r.ts_ms
+    if not intervals:
+        return ReuseStats((), threshold_ms, None, None)
+    under = sum(1 for i in intervals if i < threshold_ms)
+    return ReuseStats(
+        tuple(intervals), threshold_ms, float(statistics.median(intervals)), under / len(intervals)
+    )
+
+
+def _popularity_share_oracle(trace, granularity, k):
+    counts = Counter((r.obj, r.off // granularity) for r in trace.gets())
+    total = sum(counts.values())
+    if total == 0:
+        return 0.0
+    return sum(nlargest(k, counts.values())) / total
+
+
+# Mixed kinds; timestamps few (tied and unsorted) or huge (the median
+# of two intervals near 2**63 must round as exact ints do); offsets
+# near each other or spread over several 10**6-byte blocks.
+_stat_rows = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 5), st.integers(2**62, 2**63 - 1)),
+        st.sampled_from(["a", "b", "c"]),
+        st.one_of(st.integers(0, 10), st.integers(0, 4 * 10**6)),
+        st.integers(1, 10**7),
+        st.sampled_from(TRACE_KINDS),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(_stat_rows, st.sampled_from([1, 3, 10**6]), st.sampled_from([1, 2, 41]), st.integers(1, 10))
+def test_statistics_equal_their_per_record_oracles(rows, granularity, k, threshold_ms):
+    trace = Trace(AccessRecord(*row) for row in rows)
+    if trace.gets():
+        got, want = size_cdf(trace), _size_cdf_oracle(trace)
+        assert got.points == want.points
+        assert repr(got) == repr(want)  # Python ints and floats, not numpy scalars
+    else:
+        with pytest.raises(ValueError, match="no get records"):
+            size_cdf(trace)
+    got, want = reuse_intervals(trace, granularity, threshold_ms), _reuse_intervals_oracle(
+        trace, granularity, threshold_ms
+    )
+    assert got.intervals_ms == want.intervals_ms
+    assert got.threshold_ms == want.threshold_ms
+    assert got.median_ms == want.median_ms
+    assert got.under_threshold_fraction == want.under_threshold_fraction
+    assert repr(got) == repr(want)
+    got, want = popularity_share(trace, granularity, k), _popularity_share_oracle(trace, granularity, k)
+    assert got == want and type(got) is float
