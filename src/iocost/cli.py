@@ -48,6 +48,7 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    check_value(args.seed, "int", "iocost synth", "--seed", 0)
     spec = SynthSpec(
         records=args.records,
         size_anchors=((args.p50, 0.5), (args.p90, 0.9), (args.max, 1.0)),

@@ -79,7 +79,7 @@ class Scenario:
 # units.check_fields: (key, kind, default, minimum).
 _SCENARIO_FIELDS = (
     ("price_book", "any", REQUIRED, None),
-    ("seed", "int", 0, None),
+    ("seed", "int", 0, 0),
     ("annual", "bool", False, None),
     ("workload", "object", None, None),
     ("scan", "object", None, None),

@@ -16,9 +16,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -49,13 +47,12 @@ DEFAULT_DURATION_MS = 86_400_000  # one day
 # the cache simulation expands byte ranges into int64 block indices.
 MAX_TRACE_INT = 2**63 - 1
 
-# Synthesis holds three float64 arrays of the universe's length, so the
-# cap bounds that memory at about 240 MB.
+# Synthesis holds one float64 array of the universe's length: 80 MB at the cap.
 MAX_OBJECT_UNIVERSE = 10**7
 
 # Every synthesized record is a get touching at least one block, so a
 # longer trace could not be simulated (cachesim.MAX_TRACE_TOUCHES).
-# Synthesis peaks at about 190 bytes per record (measured at 10**6).
+# Synthesis peaks at about 72 bytes per record (measured from 10**6 to 3*10**6).
 MAX_SYNTH_RECORDS = 10**8
 
 
@@ -91,9 +88,19 @@ class Trace:
             off.append(a)
             length.append(n)
             kind.append(_KIND_CODES[k])
-        order = np.argsort(np.asarray(ts), kind="stable")
+        self._set_columns(tuple(codes), *columns)
+
+    @classmethod
+    def _from_columns(cls, objects, ts_ms, obj, off, length, kind) -> "Trace":
+        """A trace of equal-length typed columns, unchecked, as ``Trace(rows)`` builds them."""
+        trace = cls.__new__(cls)
+        trace._set_columns(objects, ts_ms, obj, off, length, kind)
+        return trace
+
+    def _set_columns(self, objects, *columns) -> None:
+        order = np.argsort(np.asarray(columns[0]), kind="stable")
         self.ts_ms, self.obj, self.off, self.length, self.kind = (np.asarray(c)[order] for c in columns)
-        self.objects = tuple(codes)
+        self.objects = objects
 
     def __len__(self) -> int:
         return len(self.ts_ms)
@@ -209,23 +216,16 @@ def write_trace(trace: Trace, path: str) -> None:
         fh.writelines(line + "\n" for line in trace_lines(trace))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays compare elementwise, not to one bool
 class SizeCdf:
-    """Empirical CDF over request sizes, as (size, cumulative fraction) steps."""
+    """Empirical CDF over request sizes; build it with ``from_sizes``.
 
-    points: tuple[tuple[int, float], ...]
+    ``fractions[i]`` (float64, ending at 1.0) of the samples are at or
+    under ``sizes[i]`` (int64, strictly increasing).
+    """
 
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("CDF needs at least one point")
-        sizes = [s for s, _ in self.points]
-        fracs = [f for _, f in self.points]
-        if sizes != sorted(set(sizes)):
-            raise ValueError("CDF sizes must be strictly increasing")
-        if any(b < a for a, b in zip(fracs, fracs[1:])):
-            raise ValueError("CDF fractions must be non-decreasing")
-        if fracs[-1] != 1.0:
-            raise ValueError(f"final CDF fraction must be 1.0, got {fracs[-1]}")
+    sizes: np.ndarray
+    fractions: np.ndarray
 
     @classmethod
     def from_sizes(cls, sizes) -> "SizeCdf":
@@ -233,23 +233,18 @@ class SizeCdf:
         if not len(values):
             raise ValueError("no sizes to build a CDF from")
         running = np.cumsum(counts)
-        return cls(tuple(zip(values.tolist(), (running / running[-1]).tolist())))
+        return cls(values, running / running[-1])
 
     def fraction_at(self, size: int) -> float:
         """Fraction of requests with size <= the given size."""
-        sizes = [s for s, _ in self.points]
-        idx = bisect_right(sizes, size)
-        if idx == 0:
-            return 0.0
-        return self.points[idx - 1][1]
+        idx = np.searchsorted(self.sizes, size, side="right")
+        return float(self.fractions[idx - 1]) if idx else 0.0
 
     def quantile(self, p: float) -> int:
         """Smallest sampled size whose cumulative fraction reaches p."""
         if not 0.0 < p <= 1.0:
             raise ValueError(f"quantile fraction must be in (0, 1], got {p}")
-        fracs = [f for _, f in self.points]
-        idx = bisect_left(fracs, p)
-        return self.points[idx][0]
+        return int(self.sizes[np.searchsorted(self.fractions, p, side="left")])
 
 
 def size_cdf(trace: Trace) -> SizeCdf:
@@ -384,14 +379,16 @@ def _draw_sizes(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _draw_objects(spec: SynthSpec, rng: np.random.Generator):
-    ranks = np.arange(1, spec.object_universe + 1, dtype=np.float64)
-    weights = ranks ** -spec.zipf_exponent
-    cum = np.cumsum(weights)
-    cum /= cum[-1]
-    drawn = np.searchsorted(cum, rng.random(spec.records), side="right")
+    """Object picks as ``(object ids, int32 codes)``, codes in popularity-rank order."""
+    # One universe array, in place: rank, then Zipf weight, then cumulative share.
+    share = np.arange(1, spec.object_universe + 1, dtype=np.float64)
+    np.power(share, -spec.zipf_exponent, out=share)
+    np.cumsum(share, out=share)
+    share /= share[-1]
+    drawn = np.searchsorted(share, rng.random(spec.records), side="right")
+    ranks, codes = np.unique(drawn, return_inverse=True)
     width = len(str(spec.object_universe))
-    names = {r: f"o{r + 1:0{width}d}" for r in np.unique(drawn).tolist()}
-    return map(names.__getitem__, drawn.tolist())
+    return tuple(f"o{r + 1:0{width}d}" for r in ranks.tolist()), codes.astype(np.int32)
 
 
 def synthesize_trace(spec: SynthSpec, seed: int) -> Trace:
@@ -401,8 +398,10 @@ def synthesize_trace(spec: SynthSpec, seed: int) -> Trace:
     size segment picks, size positions, object picks, timestamps.
     Every record is a get at offset 0.
     """
+    n = spec.records
     rng = np.random.default_rng(seed)
     sizes = _draw_sizes(spec, rng)
-    objects = _draw_objects(spec, rng)
-    timestamps = np.sort(rng.integers(0, spec.duration_ms, size=spec.records))
-    return Trace(zip(timestamps.tolist(), objects, repeat(0), sizes.tolist(), repeat("get")))
+    objects, codes = _draw_objects(spec, rng)
+    timestamps = np.sort(rng.integers(0, spec.duration_ms, size=n))
+    offsets, kinds = np.zeros(n, np.int64), np.full(n, GET, np.uint8)
+    return Trace._from_columns(objects, timestamps, codes, offsets, sizes, kinds)

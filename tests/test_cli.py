@@ -243,6 +243,19 @@ def test_scan_data_with_non_integer_value_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_scan_negative_seed_exits_2(tmp_path, capsys):
+    code = main([
+        "scan",
+        "--layout", _write(tmp_path / "layout.json", LAYOUT),
+        "--query", _write(tmp_path / "query.json", QUERY),
+        "--seed", "-1",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scenario field 'seed': must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("value", ["inf", "1e400"])
 def test_unbounded_byte_flag_exits_2(value, capsys):
     argv = [a if a != "100MB" else value for a in JOIN_ARGS]
@@ -526,8 +539,9 @@ def _no_synthesis(monkeypatch):
     [
         (["--records", "5", "--max", "1e19"], "anchor sizes must be <= 2**63 - 1"),
         (["--records", str(10**8 + 1)], "record count must be in [1, 10**8]"),
+        (["--seed", "-1"], "'--seed': must be >= 0, got -1"),
     ],
-    ids=["anchor", "records"],
+    ids=["anchor", "records", "negative-seed"],
 )
 def test_synth_past_the_trace_limits_exits_2(flags, problem, tmp_path, monkeypatch, capsys):
     _no_synthesis(monkeypatch)
