@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .tracemodel import GET, Trace, group_pairs
+from .tracemodel import GET, MAX_TRACE_INT, Trace, group_pairs
 from .units import MB
 
 # Most block touches (blocks covered by the gets, counted per get) one
@@ -100,10 +100,12 @@ def _touches(trace: Trace, block_bytes: int):
     if block_bytes <= 0:
         raise ValueError(f"block bytes must be > 0, got {block_bytes}")
     get = trace.kind == GET
-    # Ingest keeps off + length within int64, so none of this overflows.
+    # Ingest keeps off + length within int64, so none of this overflows,
+    # and a larger block puts every get in block 0.
     off, length = trace.off[get], trace.length[get]
-    first = off // block_bytes
-    counts = (off + length - 1) // block_bytes - first + 1
+    divisor = min(block_bytes, MAX_TRACE_INT)
+    first = off // divisor
+    counts = (off + length - 1) // divisor - first + 1
     # Clipped, the sum stays exact in int64 for any trace under 2**32 gets.
     if np.minimum(counts, MAX_TRACE_TOUCHES + 1).sum() > MAX_TRACE_TOUCHES:
         raise ValueError(
@@ -129,8 +131,9 @@ def _stack_distances(order, new, starts, counts, low: int, high: int) -> np.ndar
     after its pair's previous touch and before the start of its own
     request (eviction waits for the request to end, so the blocks of
     the request itself never push it out). A pair's first touch gets
-    the touch count ``total``, which ``sweep`` clamps capacities to, so
-    it misses at every capacity.
+    the touch count ``total``, at least the footprint (the distinct
+    blocks) that ``sweep`` clamps capacities to, so it misses at every
+    capacity; every other distance is below the footprint.
 
     With ``prev``/``next`` the pair's previous and next touch positions
     and ``r`` the request start, the distance is at most the window
@@ -138,10 +141,11 @@ def _stack_distances(order, new, starts, counts, low: int, high: int) -> np.ndar
     seen before ``r``, and at least the first touches inside the
     window. A touch whose upper bound is below ``low`` (the smallest
     nonzero capacity) hits at every capacity, and one whose lower bound
-    reaches ``high`` (the largest) misses at every capacity; each keeps
-    that bound. Only the rest are counted exactly: the distance is the
-    number of positions ``j`` in ``(prev, r)`` with ``next(j) >= r``,
-    i.e. the distinct blocks seen before ``r`` minus
+    reaches ``high`` (the largest capacity below the footprint) misses
+    at every capacity below the footprint; each keeps that bound. Only
+    the rest are counted exactly: the distance is the number of
+    positions ``j`` in ``(prev, r)`` with ``next(j) >= r``, i.e. the
+    distinct blocks seen before ``r`` minus
     ``#{j <= prev: next(j) >= r}``. The second count is taken offline,
     one bit of ``prev + 1`` per level: at level ``k`` the ``next``
     array is sorted in place within aligned chunks of ``2**k``, and a
@@ -202,7 +206,9 @@ def sweep(trace: Trace, template: CacheConfig, capacities) -> list[CacheReport]:
     for c in capacities]``. LRU is a stack algorithm (Mattson et al.,
     1970): a touch hits at a capacity of ``c`` blocks iff its stack
     distance is below ``c``, so the touches and their distances are
-    computed once and each capacity costs a few array passes. Memory is
+    computed once and each capacity costs a few array passes. A
+    capacity at or past the footprint hits every re-touch, so only the
+    largest capacity below it bounds the exact counting. Memory is
     O(block touches), about 45 bytes per touch at peak.
     """
     configs = [replace(template, capacity_bytes=cap) for cap in capacities]
@@ -213,9 +219,11 @@ def sweep(trace: Trace, template: CacheConfig, capacities) -> list[CacheReport]:
     block = template.block_bytes
     order, new, starts, counts, requested = _touches(trace, block)
     total = len(order)
-    caps = [min(config.capacity_blocks, total) for config in configs]
+    footprint = int(np.count_nonzero(new))
+    caps = [min(config.capacity_blocks, footprint) for config in configs]
     low = min((cap for cap in caps if cap), default=0)
-    dist = _stack_distances(order, new, starts, counts, low, max(caps))
+    high = max((cap for cap in caps if cap < footprint), default=0)
+    dist = _stack_distances(order, new, starts, counts, low, high)
     del order, new
     first = np.zeros(total, dtype=bool)
     first[starts] = True

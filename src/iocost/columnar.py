@@ -284,16 +284,16 @@ def fleet_scan_projection(
     )
 
 
-def synthesize_column_data(layout: TableLayout, seed: int, low: int = 0, high: int = 100) -> dict:
+def synthesize_column_data(layout: TableLayout, seed: int) -> dict:
     """Deterministic integer column data for a layout.
 
-    Each column is an int64 array of values uniform over [low, high),
+    Each column is an int64 array of values uniform over [0, 100),
     drawn column by column in layout order, so predicates with literals
     in that range have predictable selectivity.
     """
     rng = np.random.default_rng(seed)
     return {
-        col.name: rng.integers(low, high, size=layout.rows, dtype=np.int64)
+        col.name: rng.integers(0, 100, size=layout.rows, dtype=np.int64)
         for col in layout.columns
     }
 

@@ -11,67 +11,34 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cachesim, columnar, joinplan
 from .cachesim import CacheConfig
-from .columnar import TableLayout
 from .joinplan import FleetParams, JoinSpec
 from .pricing import PriceBook, RequestTally, format_usd, get_pricebook, load_pricebook
 from .tracemodel import SynthSpec, Trace, read_trace, synthesize_trace
 from .units import REQUIRED, FieldError, check_fields, check_value, load_json
 
-SECTION_ORDER = ("scan", "scan_fleet", "join", "cache")
-
 DAYS_PER_YEAR = 365
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
-    """Where the trace for trace-driven sections comes from."""
-
-    trace_path: str | None = None
-    synth: SynthSpec | None = None
-
-
-@dataclass(frozen=True)
-class ScanSection:
-    layout: TableLayout
-    projection: tuple[str, ...]
-    predicates: tuple[columnar.Predicate, ...]
-    pushdown: bool
-    coalesce_gap: int | None
-    data: dict | None
-
-
-@dataclass(frozen=True)
-class ScanFleetSection:
-    daily_bytes: int
-    avg_request_bytes: int
-    inflation: float | int
-    page_bytes: int
-    pushdown: bool
-
-
-@dataclass(frozen=True)
-class JoinSection:
-    params: FleetParams
-    spec: JoinSpec
-    request_bytes: int
-
-
-@dataclass(frozen=True)
 class Scenario:
+    """A checked scenario.
+
+    ``workload`` is a trace path or a ``SynthSpec``. ``sections`` maps
+    each section present, in report order, to what its parser in
+    ``_SECTIONS`` returned.
+    """
+
     price_book: PriceBook
     seed: int
     annual: bool
-    workload: WorkloadSpec | None
-    scan: ScanSection | None
-    scan_fleet: ScanFleetSection | None
-    join: JoinSection | None
-    cache: CacheConfig | None
+    workload: str | SynthSpec | None
+    sections: dict
     echo: dict
 
 
@@ -166,15 +133,14 @@ def _parse_anchors(raw) -> tuple[tuple[int, float], ...]:
     )
 
 
-def _parse_workload(raw: dict, base_dir: str) -> WorkloadSpec:
+def _parse_workload(raw: dict, base_dir: str) -> str | SynthSpec:
     f = check_fields(raw, _WORKLOAD_FIELDS, "scenario", "workload")
     if (f["trace"] is None) == (f["synthesize"] is None):
         raise FieldError("scenario", "workload", "needs exactly one of 'trace' or 'synthesize'")
     if f["trace"] is not None:
-        path = os.path.join(base_dir, f["trace"])
-        return WorkloadSpec(trace_path=_check_file(path, "workload.trace"))
+        return _check_file(os.path.join(base_dir, f["trace"]), "workload.trace")
     s = check_fields(f["synthesize"], _SYNTHESIZE_FIELDS, "scenario", "workload.synthesize")
-    return WorkloadSpec(synth=_nested(
+    return _nested(
         "workload.synthesize", SynthSpec,
         records=s["records"],
         size_anchors=SynthSpec.size_anchors if s["anchors"] is None else _parse_anchors(s["anchors"]),
@@ -182,7 +148,7 @@ def _parse_workload(raw: dict, base_dir: str) -> WorkloadSpec:
         object_universe=s["objects"],
         zipf_exponent=float(s["zipf_exponent"]),
         duration_ms=s["duration_ms"],
-    ))
+    )
 
 
 def _inline_or_file(raw, base_dir: str, key: str) -> dict:
@@ -194,12 +160,14 @@ def _inline_or_file(raw, base_dir: str, key: str) -> dict:
     raise FieldError("scenario", key, "must be an inline object or a file path")
 
 
-def _parse_scan(raw: dict, base_dir: str) -> ScanSection:
+def _parse_scan(raw: dict, base_dir: str) -> dict:
+    """The checked fields, with ``layout`` a ``TableLayout`` and ``query``
+    the ``(select, predicates, pushdown)`` of ``query_from_dict``."""
     f = check_fields(raw, _SCAN_FIELDS, "scenario", "scan")
     layout_spec = _inline_or_file(f["layout"], base_dir, "scan.layout")
     query_spec = _inline_or_file(f["query"], base_dir, "scan.query")
-    layout = _nested("scan.layout", columnar.layout_from_dict, layout_spec)
-    select, predicates, pushdown = _nested("scan.query", columnar.query_from_dict, query_spec)
+    f["layout"] = _nested("scan.layout", columnar.layout_from_dict, layout_spec)
+    f["query"] = _nested("scan.query", columnar.query_from_dict, query_spec)
     data = f["data"]
     if data is not None and not all(
         isinstance(v, list)
@@ -209,24 +177,17 @@ def _parse_scan(raw: dict, base_dir: str) -> ScanSection:
         raise FieldError(
             "scenario", "scan.data", "must map column names to arrays of 64-bit integers"
         )
-    return ScanSection(
-        layout=layout,
-        projection=tuple(select),
-        predicates=tuple(predicates),
-        pushdown=pushdown,
-        coalesce_gap=f["coalesce_gap"],
-        data=data,
-    )
+    return f
 
 
-def _parse_scan_fleet(raw: dict) -> ScanFleetSection:
+def _parse_scan_fleet(raw: dict, base_dir: str) -> dict:
     f = check_fields(raw, _SCAN_FLEET_FIELDS, "scenario", "scan_fleet")
     if f["inflation"] <= 0:
         raise FieldError("scenario", "scan_fleet.inflation", f"must be > 0, got {f['inflation']}")
-    return ScanFleetSection(**f)
+    return f
 
 
-def _parse_join(raw: dict) -> JoinSection:
+def _parse_join(raw: dict, base_dir: str) -> tuple[FleetParams, JoinSpec, int]:
     f = check_fields(raw, _JOIN_FIELDS, "scenario", "join")
     params = _nested(
         "join", FleetParams,
@@ -236,10 +197,10 @@ def _parse_join(raw: dict) -> JoinSection:
         "join", JoinSpec,
         f["build_bytes"], f["probe_bytes"], f["workers"], f["strategy"], f["broadcast_threshold"],
     )
-    return JoinSection(params, spec, f["request_bytes"])
+    return params, spec, f["request_bytes"]
 
 
-def _parse_cache(raw: dict) -> CacheConfig:
+def _parse_cache(raw: dict, base_dir: str) -> CacheConfig:
     return _nested("cache", CacheConfig, **check_fields(raw, _CACHE_FIELDS, "scenario", "cache"))
 
 
@@ -248,25 +209,22 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
     f = check_fields(raw, _SCENARIO_FIELDS, "scenario")
     book = _parse_price_book(f["price_book"], base_dir)
     workload = None if f["workload"] is None else _parse_workload(f["workload"], base_dir)
-    scan = None if f["scan"] is None else _parse_scan(f["scan"], base_dir)
-    scan_fleet = None if f["scan_fleet"] is None else _parse_scan_fleet(f["scan_fleet"])
-    join = None if f["join"] is None else _parse_join(f["join"])
-    cache = None if f["cache"] is None else _parse_cache(f["cache"])
-    if scan is None and scan_fleet is None and join is None and cache is None:
+    sections = {
+        name: parse(f[name], base_dir)
+        for name, (parse, _) in _SECTIONS.items() if f[name] is not None
+    }
+    if not sections:
         raise ValueError(
             "scenario needs at least one section (scan, scan_fleet, join, or cache)"
         )
-    if cache is not None and workload is None:
+    if "cache" in sections and workload is None:
         raise ValueError("scenario section 'cache' requires a 'workload' section")
     return Scenario(
         price_book=book,
         seed=f["seed"],
         annual=f["annual"],
         workload=workload,
-        scan=scan,
-        scan_fleet=scan_fleet,
-        join=join,
-        cache=cache,
+        sections=sections,
         echo=raw,
     )
 
@@ -350,13 +308,13 @@ class CostReport:
         return out
 
 
-def _priced_side(book: PriceBook, requests: int, nbytes: int) -> dict:
-    cost = book.cost_of(RequestTally({"get": requests}, {"get": nbytes} if nbytes else {}))
-    return {"requests": requests, "bytes": nbytes, "nanousd": cost, "usd": format_usd(cost)}
-
-
-def _section(name: str, comparison: dict, chosen: str, details: dict) -> SectionResult:
-    """A section priced as its ``chosen`` side of ``comparison``."""
+def _section(name: str, scenario: Scenario, sides: dict, chosen: str, details: dict) -> SectionResult:
+    """A section priced as its ``chosen`` side; ``sides`` maps each to (requests, bytes)."""
+    comparison = {}
+    for key, (requests, nbytes) in sides.items():
+        tally = RequestTally({"get": requests}, {"get": nbytes} if nbytes else {})
+        cost = scenario.price_book.cost_of(tally)
+        comparison[key] = {"requests": requests, "bytes": nbytes, "nanousd": cost, "usd": format_usd(cost)}
     side = comparison[chosen]
     return SectionResult(
         name=name,
@@ -369,76 +327,58 @@ def _section(name: str, comparison: dict, chosen: str, details: dict) -> Section
     )
 
 
-def _run_scan(section: ScanSection, book: PriceBook, seed: int) -> SectionResult:
-    if section.data is not None:
-        data = {name: np.array(values, dtype=np.int64) for name, values in section.data.items()}
+def _run_scan(section: dict, scenario: Scenario, workload) -> SectionResult:
+    layout, data, gap = section["layout"], section["data"], section["coalesce_gap"]
+    select, predicates, pushdown = section["query"]
+    if data is not None:
+        columns = {name: np.array(values, dtype=np.int64) for name, values in data.items()}
     else:
-        data = columnar.synthesize_column_data(section.layout, seed)
+        columns = columnar.synthesize_column_data(layout, scenario.seed)
     plans = {}
-    for mode_pushdown in (True, False):
-        plan = columnar.plan_scan(
-            section.layout, data, section.projection, section.predicates, pushdown=mode_pushdown
-        )
-        if section.coalesce_gap is not None:
-            plan = columnar.coalesce_requests(plan, section.coalesce_gap)
-        plans[mode_pushdown] = plan
-    side = {
-        "pushdown": _priced_side(book, plans[True].request_count, plans[True].total_bytes),
-        "full_scan": _priced_side(book, plans[False].request_count, plans[False].total_bytes),
-    }
-    mode = "pushdown" if section.pushdown else "full_scan"
-    return _section("scan", side, mode, {
-        "table": section.layout.table,
-        "rows": section.layout.rows,
+    for name, mode_pushdown in (("pushdown", True), ("full_scan", False)):
+        plan = columnar.plan_scan(layout, columns, select, predicates, pushdown=mode_pushdown)
+        if gap is not None:
+            plan = columnar.coalesce_requests(plan, gap)
+        plans[name] = plan
+    sides = {name: (plan.request_count, plan.total_bytes) for name, plan in plans.items()}
+    mode = "pushdown" if pushdown else "full_scan"
+    return _section("scan", scenario, sides, mode, {
+        "table": layout.table,
+        "rows": layout.rows,
         "mode": mode,
-        "survivors": len(plans[section.pushdown].survivors),
-        "coalesce_gap": section.coalesce_gap,
-        "data_source": "supplied" if section.data is not None else "synthesized",
+        "survivors": len(plans[mode].survivors),
+        "coalesce_gap": gap,
+        "data_source": "supplied" if data is not None else "synthesized",
     })
 
 
-def _run_scan_fleet(section: ScanFleetSection, book: PriceBook) -> SectionResult:
-    comp = columnar.fleet_scan_projection(
-        section.daily_bytes, section.avg_request_bytes, section.inflation, section.page_bytes
-    )
-    side = {
-        "pushdown": _priced_side(book, comp.pushdown_requests, comp.pushdown_bytes),
-        "full_scan": _priced_side(book, comp.full_scan_requests, comp.full_scan_bytes),
+def _run_scan_fleet(section: dict, scenario: Scenario, workload) -> SectionResult:
+    details = {key: value for key, value in section.items() if key != "pushdown"}
+    comp = columnar.fleet_scan_projection(**details)
+    sides = {
+        "pushdown": (comp.pushdown_requests, comp.pushdown_bytes),
+        "full_scan": (comp.full_scan_requests, comp.full_scan_bytes),
     }
-    mode = "pushdown" if section.pushdown else "full_scan"
-    return _section("scan_fleet", side, mode, {
-        "daily_bytes": section.daily_bytes,
-        "avg_request_bytes": section.avg_request_bytes,
-        "inflation": section.inflation,
-        "page_bytes": section.page_bytes,
-        "mode": mode,
-    })
+    mode = "pushdown" if section["pushdown"] else "full_scan"
+    return _section("scan_fleet", scenario, sides, mode, {**details, "mode": mode})
 
 
-def _run_join(section: JoinSection, book: PriceBook) -> SectionResult:
-    params = section.params
-    per_query = joinplan.plan_join(section.spec, section.request_bytes)
-    broadcast_bytes = joinplan.fleet_aggregate(params)
-    shuffle_bytes = joinplan.fleet_aggregate(
-        FleetParams(params.queries_per_day, params.broadcast_fraction, 1, params.build_bytes)
-    )
-    side = {
-        "broadcast": _priced_side(
-            book, joinplan.fleet_api_calls(broadcast_bytes, section.request_bytes), broadcast_bytes
-        ),
-        "shuffle": _priced_side(
-            book, joinplan.fleet_api_calls(shuffle_bytes, section.request_bytes), shuffle_bytes
-        ),
-    }
+def _run_join(section: tuple, scenario: Scenario, workload) -> SectionResult:
+    params, spec, request_bytes = section
+    per_query = joinplan.plan_join(spec, request_bytes)
+    sides = {}
+    for strategy, fleet in (("broadcast", params), ("shuffle", replace(params, workers=1))):
+        nbytes = joinplan.fleet_aggregate(fleet)
+        sides[strategy] = (joinplan.fleet_api_calls(nbytes, request_bytes), nbytes)
     waste = joinplan.waste_fraction(params.workers)
-    return _section("join", side, per_query.strategy, {
+    return _section("join", scenario, sides, per_query.strategy, {
         "strategy": per_query.strategy,
         "queries_per_day": params.queries_per_day,
         "broadcast_fraction": params.broadcast_fraction,
         "workers": params.workers,
         "build_bytes": params.build_bytes,
-        "probe_bytes": section.spec.probe_bytes,
-        "request_bytes": section.request_bytes,
+        "probe_bytes": spec.probe_bytes,
+        "request_bytes": request_bytes,
         "per_query_storage_bytes": per_query.storage_bytes,
         "per_query_requests": per_query.requests,
         "per_query_duplicated_bytes": per_query.duplicated_bytes,
@@ -448,56 +388,62 @@ def _run_join(section: JoinSection, book: PriceBook) -> SectionResult:
     })
 
 
-def _run_cache(config: CacheConfig, book: PriceBook, trace: Trace, workload_note: dict) -> SectionResult:
-    report = cachesim.simulate(trace, config)
-    side = {
-        "cache": _priced_side(book, report.origin_requests, report.origin_bytes),
-        "no_cache": _priced_side(book, report.requests_served, report.requested_bytes),
+def _run_cache(config: CacheConfig, scenario: Scenario, workload: tuple[Trace, dict]) -> SectionResult:
+    trace, note = workload
+    # Past the touch bound every block fits, so that report's misses are the distinct blocks.
+    report, everything = cachesim.sweep(
+        trace, config, [config.capacity_bytes, cachesim.MAX_TRACE_TOUCHES * config.block_bytes]
+    )
+    sides = {
+        "cache": (report.origin_requests, report.origin_bytes),
+        "no_cache": (report.requests_served, report.requested_bytes),
     }
-    return _section("cache", side, "cache", {
+    return _section("cache", scenario, sides, "cache", {
         **report.to_dict(),
         "capacity_bytes": config.capacity_bytes,
         "effective_capacity_bytes": config.effective_capacity_bytes,
         "block_bytes": config.block_bytes,
-        "distinct_blocks": cachesim.distinct_blocks(trace, config.block_bytes),
-        "workload": workload_note,
+        "distinct_blocks": everything.misses,
+        "workload": note,
     })
 
 
+# Each section in report order: its parser, called with the section's
+# JSON and the scenario's directory, and its runner, called with what
+# the parser returned, the scenario and the workload's (trace, note).
+_SECTIONS = {
+    "scan": (_parse_scan, _run_scan),
+    "scan_fleet": (_parse_scan_fleet, _run_scan_fleet),
+    "join": (_parse_join, _run_join),
+    "cache": (_parse_cache, _run_cache),
+}
+
+
 def _materialize_workload(scenario: Scenario) -> tuple[Trace, dict]:
-    spec = scenario.workload
-    if spec.trace_path is not None:
-        trace = read_trace(spec.trace_path)
+    if isinstance(scenario.workload, str):
+        trace = read_trace(scenario.workload)
         note = {"source": "trace", "path": scenario.echo["workload"]["trace"], "records": len(trace)}
     else:
-        trace = synthesize_trace(spec.synth, scenario.seed)
+        trace = synthesize_trace(scenario.workload, scenario.seed)
         note = {"source": "synthesized", "records": len(trace), "seed": scenario.seed}
     return trace, note
 
 
 def run_scenario(scenario: Scenario) -> CostReport:
     """Execute every present section and price it with the scenario's book."""
-    sections: list[SectionResult] = []
-    runners = {
-        "scan": lambda: _run_scan(scenario.scan, scenario.price_book, scenario.seed),
-        "scan_fleet": lambda: _run_scan_fleet(scenario.scan_fleet, scenario.price_book),
-        "join": lambda: _run_join(scenario.join, scenario.price_book),
-    }
-    if scenario.cache is not None:
-        trace, note = _materialize_workload(scenario)
-        runners["cache"] = lambda: _run_cache(scenario.cache, scenario.price_book, trace, note)
-    for name in SECTION_ORDER:
-        if getattr(scenario, name) is None:
-            continue
+    # Only the cache section reads the workload; it is built before any section runs.
+    workload = _materialize_workload(scenario) if "cache" in scenario.sections else None
+    results: list[SectionResult] = []
+    for name, section in scenario.sections.items():
         try:
-            sections.append(runners[name]())
+            results.append(_SECTIONS[name][1](section, scenario, workload))
         except ValueError as exc:
             raise ValueError(f"section {name!r}: {exc}") from None
     return CostReport(
         price_book_id=scenario.price_book.book_id,
         seed=scenario.seed,
         annual=scenario.annual,
-        sections=tuple(sections),
+        sections=tuple(results),
         echo=scenario.echo,
     )
 

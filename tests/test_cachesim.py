@@ -307,7 +307,9 @@ def _walked(trace, capacities, block=B):
 @given(_records, _capacities)
 def test_sweep_equals_simulate_property(recs, capacities):
     trace = _mixed_trace(recs)
-    assert sweep(trace, CacheConfig(0, B), capacities) == _walked(trace, capacities)
+    reports = sweep(trace, CacheConfig(0, B), capacities)
+    assert reports == _walked(trace, capacities)
+    assert reports[-1].misses == distinct_blocks(trace, B)  # 100 * B is past the footprint
 
 
 # One capacity is both the smallest and the largest, so the hit cut and

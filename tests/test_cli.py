@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from iocost import columnar, scenario, tracemodel
+from iocost import columnar, scenario, tracemodel, units
 from iocost.cli import main
 
 LAYOUT = {
@@ -364,6 +364,72 @@ def test_trace_past_the_touch_bound_exits_2(command, tmp_path, monkeypatch, caps
     assert captured.out == ""
     assert "more than 100,000,000 blocks of 1 bytes" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("block", ["1e21", str(2**63)])
+@pytest.mark.parametrize("command", ["cache", "scenario"])
+def test_block_past_int64_holds_each_object(command, block, tmp_path, monkeypatch, capsys):
+    # every byte a trace can address lies in block 0 of its object
+    gets = [("a", 0, 10), ("b", 5, 2**40), ("a", 2**62, 100)]
+    (tmp_path / "t.jsonl").write_text("".join(
+        json.dumps({"ts_ms": i, "obj": obj, "off": off, "len": length, "kind": "get"}) + "\n"
+        for i, (obj, off, length) in enumerate(gets)
+    ))
+    _write(tmp_path / "s.json", {
+        "price_book": "s3-standard",
+        "workload": {"trace": "t.jsonl"},
+        "cache": {"capacity_bytes": "1GB", "block_bytes": block},
+    })
+    monkeypatch.chdir(tmp_path)
+    if command == "cache":
+        argv = ["cache", "--trace", "t.jsonl", "--capacity", "1GB", "--block", block]
+        report = _run_json(capsys, argv)["report"]
+    else:
+        report = _run_json(capsys, ["scenario", "run", "s.json"])["sections"][0]["details"]
+        assert report["distinct_blocks"] == 2
+    assert report["misses"] == report["requests_served"] == len(gets)
+    assert report["origin_bytes"] == len(gets) * units.parse_bytes(block)
+
+
+# Every numeric or byte flag of synth, scan, join and cache, each given
+# malformed, boundary and huge values; a repeated flag takes its last
+# value, so each case appends one flag to a valid command line.
+FUZZ_FLAGS = (
+    [("synth", flag) for flag in (
+        "--records", "--seed", "--p50", "--p90", "--max", "--min-bytes", "--objects", "--zipf",
+        "--duration-ms",
+    )]
+    + [("scan", "--coalesce-gap"), ("scan", "--seed")]
+    + [("join", flag) for flag in (
+        "--workers", "--build-bytes", "--probe-bytes", "--queries", "--broadcast-frac",
+        "--request-bytes",
+    )]
+    + [("cache", "--capacity"), ("cache", "--block")]
+)
+FUZZ_VALUES = ["-1", "0", "x", "1.5", "nan", "inf", "1e400", "1e21", str(2**63), str(10**30)]
+
+
+@pytest.mark.parametrize("value", FUZZ_VALUES)
+@pytest.mark.parametrize("command,flag", FUZZ_FLAGS)
+def test_numeric_flags_exit_0_or_2(command, flag, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "layout.json", LAYOUT)
+    _write(tmp_path / "query.json", QUERY)
+    (tmp_path / "t.jsonl").write_text(
+        json.dumps({"ts_ms": 1, "obj": "a", "off": 0, "len": 1000, "kind": "get"}) + "\n"
+    )
+    argv = {
+        "synth": ["synth", "--records", "5", "--out", "out.jsonl"],
+        "scan": ["scan", "--layout", "layout.json", "--query", "query.json"],
+        "join": JOIN_ARGS,
+        "cache": ["cache", "--trace", "t.jsonl", "--capacity", "1GB"],
+    }[command]
+    code = main(argv + [flag, value])
+    captured = capsys.readouterr()
+    assert code in (0, 2), captured.err
+    assert "Traceback" not in captured.out + captured.err
+    if code == 2:
+        assert captured.out == ""
 
 
 def test_help_exits_0(capsys):
