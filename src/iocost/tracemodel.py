@@ -6,7 +6,8 @@ Traces are JSON-lines, one request per line:
 
 Timestamps are milliseconds from the trace epoch. ``off`` and ``len``
 default to 0 for non-ranged kinds. Lines are checked as they are read
-into a ``Trace``, which holds typed columns. Statistics follow the
+into a ``Trace``, which holds typed columns; ``read_trace`` parses runs
+of lines in the exact shape ``trace_lines`` writes in bulk. Statistics follow the
 read-focused modeling scope of this package, so they are computed over
 get records.
 """
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from array import array
+from itertools import count, filterfalse
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,13 +84,8 @@ class Trace:
 
     def __init__(self, rows=()) -> None:
         codes: dict[str, int] = {}
-        columns = ts, obj, off, length, kind = [array(t) for t in ("q", "i", "q", "q", "B")]
-        for t, o, a, n, k in rows:
-            ts.append(t)
-            obj.append(codes.setdefault(o, len(codes)))
-            off.append(a)
-            length.append(n)
-            kind.append(_KIND_CODES[k])
+        columns = _row_buffers()
+        _append_rows(rows, codes, columns)
         self._set_columns(tuple(codes), *columns)
 
     @classmethod
@@ -110,6 +108,22 @@ class Trace:
         get = self.kind == GET
         cols = [c[get].tolist() for c in (self.ts_ms, self.obj, self.off, self.length)]
         return [AccessRecord(t, self.objects[o], a, n, "get") for t, o, a, n in zip(*cols)]
+
+
+def _row_buffers() -> list[array]:
+    """Empty ``array`` buffers for the five columns, in ``Trace`` order and dtypes."""
+    return [array(t) for t in ("q", "i", "q", "q", "B")]
+
+
+def _append_rows(rows, codes: dict[str, int], columns) -> None:
+    """Append rows to ``_row_buffers`` columns, coding new object ids in ``codes`` by first appearance."""
+    ts, obj, off, length, kind = columns
+    for t, o, a, n, k in rows:
+        ts.append(t)
+        obj.append(codes.setdefault(o, len(codes)))
+        off.append(a)
+        length.append(n)
+        kind.append(_KIND_CODES[k])
 
 
 def group_pairs(obj, block):
@@ -180,6 +194,8 @@ def _checked_rows(lines):
             row = _checked_row(json.loads(stripped))
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ValueError(f"line {lineno}: invalid JSON (nesting too deep)") from None
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         yield row
@@ -198,7 +214,111 @@ def parse_trace(lines) -> Trace:
     return trace
 
 
+# Bytes ``read_trace`` reads at a time, before it completes the last line.
+# Small, so each chunk's scratch arrays reuse the memory the last one
+# freed: at 1 MiB, reading a 10**5-line trace left twice the resident
+# memory behind, and reading 10**6 lines took only ~25% less time.
+_CHUNK_BYTES = 1 << 15
+
+# One whole line in the exact shape ``trace_lines`` writes, its object
+# id captured: keys in that order, no spaces, an id of ASCII without
+# control characters below 0x20, quotes or backslashes (so no escapes),
+# integers without sign, fraction or exponent, of at most 19 digits (so
+# below 2**64). It matches only from a line start to its newline.
+_DIGITS = r"(?:0|[1-9][0-9]{0,18})"
+_CANONICAL_LINE = re.compile(
+    r'(?m)^\{"ts_ms":' + _DIGITS + r',"obj":"([\x20\x21\x23-\x5b\x5d-\x7f]+)","off":' + _DIGITS
+    + r',"len":' + _DIGITS + r',"kind":"(?:' + "|".join(TRACE_KINDS) + r')"\}\n'
+)
+
+# Kind codes by the first two bytes of a kind, which tell the kinds apart.
+_KIND_BY_PREFIX = np.zeros((256, 256), np.uint8)
+_KIND_BY_PREFIX[[ord(k[0]) for k in TRACE_KINDS], [ord(k[1]) for k in TRACE_KINDS]] = range(len(TRACE_KINDS))
+_RANGED_CODES = np.array([kind in RANGED_KINDS for kind in TRACE_KINDS])
+# 10**18 down to 1: a number of at most 19 digits is below 2**64.
+_POWERS_OF_TEN = 10 ** np.arange(18, -1, -1, dtype=np.uint64)
+
+
+def _chunks(fh):
+    """The bytes of a binary file in pieces of whole lines, each ending in a newline."""
+    while chunk := fh.read(_CHUNK_BYTES):
+        if not chunk.endswith(b"\n"):
+            chunk += fh.readline()
+        # A last line without a newline parses the same with one.
+        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
+
+
+def _integers(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The unsigned decimals ``buf[start:end]``, 1 to 19 digits each, as uint64."""
+    width = int((end - start).max())
+    # One row of digits a number, right-aligned; places before its start read 0.
+    at = end[:, None] - np.arange(width, 0, -1, dtype=end.dtype)
+    digits = np.where(at >= start[:, None], buf[at] - ord("0"), 0)
+    return digits @ _POWERS_OF_TEN[-width:]
+
+
+def _canonical_columns(chunk: bytes, codes: dict[str, int]):
+    """The typed columns of a chunk of ``trace_lines``-shaped lines, or None.
+
+    None if any line has another shape or fails a row check, so the
+    chunk needs the line path; ``codes`` then stays untouched.
+    """
+    # Positions are int32, so a chunk holding a line of 2 GiB or more takes the line path.
+    if len(chunk) >= 2**31:
+        return None
+    # One match a line means every line has the shape; latin-1 maps each byte to one character.
+    names = _CANONICAL_LINE.findall(chunk.decode("latin-1"))
+    if len(names) != chunk.count(b"\n"):
+        return None
+    buf = np.frombuffer(chunk, np.uint8)
+    # 14 quotes a line: around the five keys, the id and the kind.
+    quotes = np.flatnonzero(buf == ord('"')).astype(np.int32).reshape(-1, 14)
+    # The digits of ts_ms, off and len: from two past a key's closing quote to before the next quote.
+    ts, off, length = (_integers(buf, quotes[:, k] + 2, quotes[:, k + 1] - 1) for k in (1, 7, 9))
+    kind = _KIND_BY_PREFIX[buf[quotes[:, 12] + 1], buf[quotes[:, 12] + 2]]
+    limit = np.uint64(MAX_TRACE_INT)
+    fits = (ts <= limit) & (off <= limit) & (length <= limit) & (off + length <= limit)
+    if not (fits & ((length > 0) | ~_RANGED_CODES[kind])).all():
+        return None
+    # Ids not seen before take the next codes, in order of first appearance.
+    fresh = list(filterfalse(codes.__contains__, dict.fromkeys(names)))
+    codes.update(zip(fresh, count(len(codes))))
+    obj = np.fromiter(map(codes.__getitem__, names), np.int32, len(names))
+    return ts.astype(np.int64), obj, off.astype(np.int64), length.astype(np.int64), kind
+
+
+def _read_chunks(fh) -> Trace:
+    """The trace of a binary trace file, chunk by chunk; ValueError on any fault."""
+    codes: dict[str, int] = {}
+    columns = _row_buffers()
+    for chunk in _chunks(fh):
+        parsed = _canonical_columns(chunk, codes)
+        if parsed is None:
+            # Universal newlines, as a text-mode file splits its lines.
+            text = chunk.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            _append_rows(_checked_rows(text.split("\n")), codes, columns)
+        else:
+            for buffer, column in zip(columns, parsed):
+                buffer.frombytes(memoryview(column).cast("B"))
+    return Trace._from_columns(tuple(codes), *columns)
+
+
 def read_trace(path: str) -> Trace:
+    """Read a trace file: ``parse_trace`` over its lines, read as UTF-8 text.
+
+    Chunks of lines in the exact ``trace_lines`` shape are parsed in
+    bulk with numpy; every other chunk goes through the line path. A
+    faulty or empty file is read again by ``parse_trace``, so its error
+    text and line number are the line path's (a UTF-8 error names a
+    position within the text reader's own buffer).
+    """
+    try:
+        with open(path, "rb") as fh:
+            trace = _read_chunks(fh)
+        if len(trace):
+            return trace
+    except ValueError:
+        pass
     with open(path, "r", encoding="utf-8") as fh:
         return parse_trace(fh)
 

@@ -111,13 +111,16 @@ def ceil_div(numerator: int, denominator: int) -> int:
 def load_json(path: str, what: str):
     """Read one JSON document from ``path``.
 
-    Malformed JSON raises ``ValueError`` naming ``what`` and the path.
+    Malformed or too deeply nested JSON raises ``ValueError`` naming
+    ``what`` and the path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{what} {path}: invalid JSON ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{what} {path}: invalid JSON (nesting too deep)") from None
 
 
 # The default of a field table row whose key must be present.

@@ -592,6 +592,29 @@ def test_trace_line_with_array_or_object_value_exits_2(field, value, problem, tm
     assert captured.err == f"error: line 2: {problem}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["cache", "--trace", "deep.jsonl", "--capacity", "1MB"], "line 2: invalid JSON"),
+        (["scenario", "run", "deep.json"], "scenario file deep.json: invalid JSON"),
+        (["price", "--book-file", "deep.json", "--tally", "tally.json"], "price book file deep.json: invalid JSON"),
+        (["price", "--book", "s3-standard", "--tally", "deep.json"], "tally file deep.json: invalid JSON"),
+    ],
+    ids=["cache-trace", "scenario", "price-book-file", "price-tally"],
+)
+def test_deeply_nested_json_exits_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    deep = "[" * 100_000 + "\n"
+    record = {"ts_ms": 1, "obj": "a", "off": 0, "len": 10, "kind": "get"}
+    (tmp_path / "deep.jsonl").write_text(json.dumps(record) + "\n" + deep)
+    (tmp_path / "deep.json").write_text(deep)
+    _write(tmp_path / "tally.json", {"counts": {"get": 1}})
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} (nesting too deep)\n"
+
+
 def _no_synthesis(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("synthesis started")

@@ -258,6 +258,36 @@ def test_pushdown_equivalence_property():
         assert on.request_count <= off.request_count
 
 
+# Values and predicate constants at and near both ends of int64, so
+# values tie with constants; the constants also step just past int64.
+_NEAR_INT64_ENDS = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])
+_NEAR_CONSTANTS = _NEAR_INT64_ENDS | st.sampled_from([-(2**63) - 1, 2**63])
+
+
+@given(
+    st.lists(st.tuples(_NEAR_INT64_ENDS, _NEAR_INT64_ENDS), min_size=1, max_size=40),
+    st.lists(
+        st.builds(Predicate, st.sampled_from("AB"), st.sampled_from(["<", "<=", "=", ">=", ">"]), _NEAR_CONSTANTS),
+        max_size=3,
+    ),
+    st.sampled_from([[], ["A"], ["B"], ["A", "B"]]),
+    st.integers(1, 4),
+)
+def test_pushdown_survivors_on_int64_columns_property(rows, predicates, projection, values_per_page):
+    if not predicates and not projection:
+        projection = ["A"]
+    layout = build_layout(len(rows), [(name, 8 * values_per_page, 8) for name in "AB"])
+    values = dict(zip("AB", (list(column) for column in zip(*rows))))
+    data = {name: np.array(column, dtype=np.int64) for name, column in values.items()}
+    on = plan_scan(layout, data, projection, predicates, pushdown=True)
+    off = plan_scan(layout, data, projection, predicates, pushdown=False)
+    # The oracle compares Python ints, so no value or constant is converted.
+    oracle = {i for i in range(len(rows)) if all(p.matches(values[p.column][i]) for p in predicates)}
+    assert set(on.survivors) == set(off.survivors) == oracle
+    assert all(type(row) is int for row in on.survivors)
+    assert on.total_bytes <= off.total_bytes
+
+
 def test_pushdown_page_minimality_property():
     # every page of a non-first predicate or projection column must
     # intersect the survivor set that was current when it was planned

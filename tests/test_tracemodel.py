@@ -6,14 +6,17 @@ import random
 import statistics
 from collections import Counter
 from heapq import nlargest
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iocost import tracemodel
 from iocost.tracemodel import (
+    MAX_TRACE_INT,
+    RANGED_KINDS,
     TRACE_KINDS,
     AccessRecord,
     ReuseStats,
@@ -162,6 +165,153 @@ def test_ingested_trace_round_trip_property(rows):
         json.dumps({"ts_ms": ts, "obj": obj, "off": off, "len": length, "kind": kind}, separators=(",", ":"))
         for ts, obj, off, length, kind, _ in ordered
     ]
+
+
+_COLUMNS = ("ts_ms", "obj", "off", "length", "kind")
+
+
+def _assert_same_trace(got, want):
+    assert got.objects == want.objects
+    for name in _COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tolist() == b.tolist(), name
+
+
+def _line_path(path):
+    """The trace and error of the line path over a file read as UTF-8 text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return Trace(tracemodel._checked_rows(fh)), None
+        except ValueError as exc:
+            return None, str(exc)
+
+
+@st.composite
+def _valid_record(draw):
+    kind = draw(st.sampled_from(TRACE_KINDS))
+    least = 1 if kind in RANGED_KINDS else 0
+    ts = draw(st.integers(0, 5) | st.just(MAX_TRACE_INT) | st.integers(0, MAX_TRACE_INT))
+    off = min(draw(st.integers(0, 10**6) | st.just(MAX_TRACE_INT)), MAX_TRACE_INT - least)
+    room = MAX_TRACE_INT - off
+    length = draw(st.integers(least, min(room, least + 10**6)) | st.just(room))
+    # Ids repeat, need escapes (quotes, backslashes, controls, non-ASCII) or are lone surrogates.
+    obj = draw(st.sampled_from(["o1", "o2", "x/y", "\x7f"]) | st.text(min_size=1, max_size=3)
+               | st.sampled_from(["\ud800", "a\udfff"]))
+    return ts, obj, off, length, kind
+
+
+def _render(record, style):
+    ts, obj, off, length, kind = record
+    fields = {"ts_ms": ts, "obj": obj, "off": off, "len": length, "kind": kind}
+    compact = json.dumps(fields, separators=(",", ":"))
+    return {
+        "canonical": compact,  # escaped where the id needs it
+        "spaced": json.dumps(fields),
+        "sorted": json.dumps(fields, sort_keys=True, separators=(",", ":")),
+        # Raw UTF-8, except a lone surrogate, which has no UTF-8 form.
+        "raw": json.dumps(fields, ensure_ascii=not obj.isprintable(), separators=(",", ":")),
+        "duplicate": '{"kind":"head",' + compact[1:],  # the last "kind" wins
+    }[style]
+
+
+_STYLES = ("canonical", "canonical", "canonical", "spaced", "sorted", "raw", "duplicate")
+_ENDINGS = ("\n", "\n", "\n", "\r\n", "\r")
+
+_lines = st.lists(
+    st.tuples(
+        _valid_record(), st.sampled_from(_STYLES), st.sampled_from(_ENDINGS), st.sampled_from(["", "", "", "  \n"])
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _file_text(lines):
+    """Each line, its ending, then the blank line drawn with it (if any)."""
+    return "".join(_render(record, style) + end + blank for record, style, end, blank in lines)
+
+
+@given(_lines, st.booleans(), st.integers(1, 200))
+def test_bulk_read_equals_the_line_path_property(tmp_path_factory, lines, last_newline, chunk_bytes):
+    path = tmp_path_factory.getbasetemp() / "mixed.jsonl"
+    text = _file_text(lines)
+    if not last_newline:
+        text = text.rstrip("\r\n ")
+    path.write_bytes(text.encode("utf-8"))
+    want, error = _line_path(path)
+    assert error is None
+    # A valid file is read once: the line path's re-read is for faulty files.
+    with mock.patch.object(tracemodel, "parse_trace", side_effect=AssertionError("read again")):
+        _assert_same_trace(read_trace(str(path)), want)
+        # A few bytes a chunk put chunk cuts after every line or every few lines.
+        with mock.patch.object(tracemodel, "_CHUNK_BYTES", chunk_bytes):
+            _assert_same_trace(read_trace(str(path)), want)
+
+
+# One bad line each, as bytes: integers past the limits and failed row
+# checks in the exact line shape, then other JSON faults, a BOM, deep
+# nesting, and invalid UTF-8 (the last two).
+_FAULTS = [
+    b'{"ts_ms":10000000000000000000,"obj":"a","off":0,"len":1,"kind":"get"}',
+    b'{"ts_ms":1,"obj":"a","off":0,"len":100000000000000000000,"kind":"get"}',
+    b'{"ts_ms":9223372036854775808,"obj":"a","off":0,"len":1,"kind":"get"}',
+    b'{"ts_ms":1,"obj":"a","off":4611686018427387904,"len":4611686018427387904,"kind":"put"}',
+    b'{"ts_ms":1,"obj":"a","off":9223372036854775807,"len":1,"kind":"head"}',
+    b'{"ts_ms":1,"obj":"a","off":0,"len":0,"kind":"get"}',
+    b'{"ts_ms":1,"obj":"","off":0,"len":1,"kind":"get"}',
+    b'{"ts_ms":1e3,"obj":"a","off":0,"len":1,"kind":"get"}',
+    b'{"ts_ms":true,"obj":"a","off":0,"len":1,"kind":"get"}',
+    b'{"ts_ms":[[1]],"obj":"a","off":0,"len":1,"kind":"get"}',
+    b'{"ts_ms":1,"obj":"a","off":0,"len":1,"kind":"got"}',
+    b'{"ts_ms":01,"obj":"a","off":0,"len":1,"kind":"get"}',
+    b'{"ts_ms":1,"obj":"a","off":-1,"len":1,"kind":"get"}',
+    b'{"ts_ms":1,"obj":"a","off":0,"len":1,"kind":"get","x":1}',
+    b'\xef\xbb\xbf{"ts_ms":1,"obj":"a","off":0,"len":1,"kind":"get"}',
+    b"[" * 5000,
+    b'{"ts_ms":1,"obj":"a\xff","off":0,"len":1,"kind":"get"}',
+    b'{"ts_ms":1,"obj":"a\xed\xa0\x80","off":0,"len":1,"kind":"get"}',
+]
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@settings(max_examples=20)
+@given(lines=_lines, at=st.integers(0, 25), chunk_bytes=st.integers(1, 200))
+def test_bulk_read_errors_equal_the_line_path_property(tmp_path_factory, fault, lines, at, chunk_bytes):
+    # Good lines end in a newline, so the fault's line number is known.
+    path = tmp_path_factory.getbasetemp() / "faulty.jsonl"
+    at = min(at, len(lines))
+    head, tail = _file_text(lines[:at]), _file_text(lines[at:])
+    path.write_bytes(head.encode("utf-8") + fault + b"\n" + tail.encode("utf-8"))
+    _, want = _line_path(path)
+    with mock.patch.object(tracemodel, "_CHUNK_BYTES", chunk_bytes), pytest.raises(ValueError) as exc:
+        read_trace(str(path))
+    assert str(exc.value) == want
+    with pytest.raises(ValueError) as exc:
+        read_trace(str(path))
+    assert str(exc.value) == want
+    if b"\xff" in fault or b"\xed" in fault:
+        assert "can't decode" in want
+    else:
+        lineno = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        assert want.startswith(f"line {lineno}: ")
+
+
+def test_canonical_lines_take_the_bulk_path(tmp_path, monkeypatch):
+    trace = synthesize_trace(SynthSpec(records=3000, object_universe=100), seed=2)
+    path = tmp_path / "t.jsonl"
+    write_trace(trace, str(path))
+    text = path.read_text()
+    want = parse_trace(text.splitlines())
+    with monkeypatch.context() as m:
+        m.setattr(tracemodel, "_checked_rows", None)  # any call would fail
+        _assert_same_trace(read_trace(str(path)), want)
+    # One line in another shape goes through the line path, the rest stays bulk.
+    path.write_text(text + '{"ts_ms": 0, "obj": "o9", "off": 0, "len": 1, "kind": "get"}\n')
+    calls = []
+    checked_rows = tracemodel._checked_rows
+    monkeypatch.setattr(tracemodel, "_checked_rows", lambda lines: calls.append(1) or checked_rows(lines))
+    assert len(read_trace(str(path))) == 3001 and calls == [1]
 
 
 def test_size_cdf_direct_counting():
