@@ -1,9 +1,11 @@
 """Columnar file geometry and scan planning with predicate pushdown.
 
 A table is laid out as one object whose columns are stored as runs of
-fixed-size pages. A scan turns into one ranged read per needed page;
-with pushdown enabled, later predicate columns and the projection only
-read pages that still contain surviving rows.
+fixed-size pages, so a page's rows and bytes are arithmetic on its
+index. A scan turns into one ranged read per needed page, held as int64
+offset and length arrays; with pushdown enabled, later predicate
+columns and the projection only read pages that still contain
+surviving rows.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .tracemodel import MAX_TRACE_INT
 from .units import REQUIRED, ceil_div, check_fields, exact_fraction
 
 _OPS = {
@@ -28,25 +31,26 @@ _OPS = {
 # column data a scan synthesizes for it.
 MAX_LAYOUT_VALUES = 10**7
 
-# Most pages a layout may hold: every page is built as an object.
+# Most pages a layout may hold, which bounds a plan to 16 MB: one int64
+# offset and one int64 length a page. A layout's file bytes (rows x
+# value_bytes over its columns) must also fit int64 (MAX_TRACE_INT), so
+# every offset, length and coalesced end does.
 MAX_LAYOUT_PAGES = 10**6
 
 
 @dataclass(frozen=True)
-class Page:
-    """One page of one column: a row range mapped to a byte range."""
-
-    start_row: int
-    rows: int
-    offset: int
-    length: int
-
-
-@dataclass(frozen=True)
 class Column:
+    """One column: ``pages`` pages of ``rows_per_page`` rows from byte ``offset``.
+
+    Page ``i`` holds rows ``[i * rows_per_page, min((i + 1) * rows_per_page,
+    rows))`` at ``offset + i * rows_per_page * value_bytes``.
+    """
+
     name: str
     value_bytes: int
-    pages: tuple[Page, ...]
+    offset: int
+    rows_per_page: int
+    pages: int
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,9 @@ def build_layout(rows: int, columns, table: str = "t") -> TableLayout:
     ``columns`` is a sequence of (name, page_bytes, value_bytes).
     Each page holds floor(page_bytes / value_bytes) rows, the last page
     of a column may be partial. Columns are laid out back to back in
-    one file object. At most ``MAX_LAYOUT_VALUES`` rows x columns and
-    ``MAX_LAYOUT_PAGES`` pages, both checked before any page is built.
+    one file object. At most ``MAX_LAYOUT_VALUES`` rows x columns,
+    ``MAX_LAYOUT_PAGES`` pages and ``MAX_TRACE_INT`` file bytes, all
+    checked before anything is planned.
     """
     if rows < 1:
         raise ValueError(f"row count must be >= 1, got {rows}")
@@ -93,21 +98,20 @@ def build_layout(rows: int, columns, table: str = "t") -> TableLayout:
             raise ValueError(
                 f"column {name!r}: page_bytes {page_bytes} smaller than value_bytes {value_bytes}"
             )
-    pages_total = sum(ceil_div(rows, page // value) for _, page, value in specs)
+    built, offset = [], 0
+    for name, page_bytes, value_bytes in specs:
+        # A page larger than the column holds every row in one page.
+        rows_per_page = min(page_bytes // value_bytes, rows)
+        pages = ceil_div(rows, rows_per_page)
+        built.append(Column(name, value_bytes, offset, rows_per_page, pages))
+        offset += rows * value_bytes
+    pages_total = sum(col.pages for col in built)
     if pages_total > MAX_LAYOUT_PAGES:
         raise ValueError(
             f"layout needs {pages_total} pages, more than the limit of {MAX_LAYOUT_PAGES}"
         )
-    built = []
-    offset = 0
-    for name, page_bytes, value_bytes in specs:
-        rows_per_page = page_bytes // value_bytes
-        pages = []
-        for start in range(0, rows, rows_per_page):
-            n = min(rows_per_page, rows - start)
-            pages.append(Page(start_row=start, rows=n, offset=offset, length=n * value_bytes))
-            offset += n * value_bytes
-        built.append(Column(name=name, value_bytes=value_bytes, pages=tuple(pages)))
+    if offset > MAX_TRACE_INT:
+        raise ValueError(f"layout needs {offset} bytes, more than the limit of {MAX_TRACE_INT}")
     return TableLayout(table=table, rows=rows, columns=tuple(built))
 
 
@@ -127,74 +131,48 @@ class Predicate:
         return _OPS[self.op](value, self.literal)
 
 
-def _row_array(rows, n: int, what: str) -> np.ndarray:
-    """``rows`` (an iterable of row indices) as an int64 array, each in [0, n)."""
-    if isinstance(rows, range):
-        arr = np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
-    elif isinstance(rows, np.ndarray):
-        arr = rows
-    else:
-        arr = np.fromiter(rows, dtype=np.int64)
-    bad = (arr < 0) | (arr >= n)
-    if bad.any():
-        raise ValueError(f"{what} {arr[bad][0]} out of range for {n} rows")
-    return arr
-
-
 def apply_predicate(values, pred: Predicate, candidates) -> set[int]:
-    """Rows among ``candidates`` whose value satisfies the predicate."""
+    """Rows among ``candidates`` (row indices) whose value satisfies the predicate."""
     values = np.asarray(values, dtype=np.int64)
-    rows = _row_array(candidates, len(values), "candidate row")
+    rows = np.fromiter(candidates, dtype=np.int64)
+    bad = (rows < 0) | (rows >= len(values))
+    if bad.any():
+        raise ValueError(f"candidate row {rows[bad][0]} out of range for {len(values)} rows")
     return set(rows[_OPS[pred.op](values[rows], pred.literal)].tolist())
 
 
-def pages_for_rows(layout: TableLayout, column: str, rows) -> set[int]:
-    """Page ids of ``column`` whose row ranges intersect ``rows``."""
-    col = layout.column(column)
-    rows = _row_array(rows, layout.rows, "row index")
-    # Pages are packed uniformly except the last, so the page id is a
-    # direct division by the full-page row count.
-    ids = np.minimum(rows // col.pages[0].rows, len(col.pages) - 1)
-    return set(np.unique(ids).tolist())
-
-
-@dataclass(frozen=True)
-class ReadRequest:
-    """One ranged GET: ``length`` bytes of object ``obj`` from ``offset``."""
-
-    obj: str
-    offset: int
-    length: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanPlan:
-    """The ranged reads a scan issues, in issue order, and the surviving rows.
+    """The ranged reads a scan issues on object ``obj``, and the surviving rows.
 
-    The request count and byte total are derived from the reads, so a
-    plan cannot disagree with itself.
+    Read ``i`` is ``lengths[i]`` bytes from ``offsets[i]``; both are
+    int64 arrays in issue order, and every ``offset + length`` fits
+    int64. The request count and byte total are derived from the reads,
+    so a plan cannot disagree with itself.
     """
 
-    requests: tuple[ReadRequest, ...]
+    obj: str
+    offsets: np.ndarray
+    lengths: np.ndarray
     survivors: frozenset[int]
 
     @property
     def request_count(self) -> int:
-        return len(self.requests)
+        return len(self.offsets)
 
     @property
     def total_bytes(self) -> int:
-        return sum(r.length for r in self.requests)
+        return sum(self.lengths.tolist())
 
 
 def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool = True) -> ScanPlan:
     """Plan a scan, either with predicate pushdown or as a full scan.
 
     The scan steps through the predicate columns in order, then the
-    projection. Each step reads the pages of its column not read yet:
-    every page for the first step or a full scan, otherwise (pushdown)
-    only the pages that intersect the rows surviving the predicates so
-    far. Both modes compute identical survivor sets.
+    projection. Each step reads the pages of its column not read yet,
+    in page order: every page for the first step or a full scan,
+    otherwise (pushdown) only the pages that hold a row surviving the
+    predicates so far. Both modes compute identical survivor sets.
     """
     steps = [(p.column, p) for p in predicates] + [(name, None) for name in projection]
     if not steps:
@@ -207,40 +185,51 @@ def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool 
             raise ValueError(
                 f"column {name!r} has {len(data[name])} values for {layout.rows} rows"
             )
-    survivors = range(layout.rows)
-    read: set[int] = set()  # offsets of the pages requested so far
-    requests: list[ReadRequest] = []
+    survivors = np.ones(layout.rows, dtype=bool)
+    read: dict[str, np.ndarray] = {}  # each column's pages requested so far
+    offsets, lengths = [], []
     for i, (name, pred) in enumerate(steps):
-        pages = layout.column(name).pages
-        ids = pages_for_rows(layout, name, survivors) if pushdown and i > 0 else range(len(pages))
-        for page in (pages[pid] for pid in sorted(ids)):
-            if page.offset not in read:
-                read.add(page.offset)
-                requests.append(ReadRequest(layout.table, page.offset, page.length))
+        col = layout.column(name)
+        if pushdown and i > 0:
+            wanted = np.zeros(col.pages, dtype=bool)
+            wanted[np.flatnonzero(survivors) // col.rows_per_page] = True
+        else:
+            wanted = np.ones(col.pages, dtype=bool)
+        wanted &= ~read.setdefault(name, np.zeros(col.pages, dtype=bool))
+        read[name] |= wanted
+        start_rows = np.flatnonzero(wanted) * col.rows_per_page
+        offsets.append(col.offset + start_rows * col.value_bytes)
+        lengths.append(np.minimum(col.rows_per_page, layout.rows - start_rows) * col.value_bytes)
         if pred is not None:
-            survivors = apply_predicate(data[name], pred, survivors)
-    return ScanPlan(tuple(requests), frozenset(survivors))
+            survivors &= _OPS[pred.op](np.asarray(data[name], dtype=np.int64), pred.literal)
+    return ScanPlan(
+        layout.table,
+        np.concatenate(offsets),
+        np.concatenate(lengths),
+        frozenset(np.flatnonzero(survivors).tolist()),
+    )
 
 
 def coalesce_requests(plan: ScanPlan, max_gap: int) -> ScanPlan:
-    """Merge requests on the same object whose gap is at most ``max_gap``.
+    """Merge requests whose gap is at most ``max_gap``.
 
     Gap bytes are counted as transferred, so merging trades bytes for
     request count. Requests shrink or stay equal in number, bytes grow
     or stay equal, survivors are untouched. The merged requests come out
-    sorted by object and offset.
+    sorted by offset.
     """
     if max_gap < 0:
         raise ValueError(f"max gap must be >= 0, got {max_gap}")
-    runs: list[list] = []  # [obj, start, end] of each merged request
-    for req in sorted(plan.requests, key=lambda r: (r.obj, r.offset, r.length)):
-        if runs and runs[-1][0] == req.obj and req.offset - runs[-1][2] <= max_gap:
-            runs[-1][2] = max(runs[-1][2], req.offset + req.length)
-        else:
-            runs.append([req.obj, req.offset, req.offset + req.length])
-    return ScanPlan(
-        tuple(ReadRequest(obj, start, end - start) for obj, start, end in runs), plan.survivors
-    )
+    order = np.argsort(plan.offsets, kind="stable")
+    offsets = plan.offsets[order]
+    # The furthest end of each read and every read sorted before it.
+    ends = np.maximum.accumulate(offsets + plan.lengths[order])
+    # A read starts a new request when it begins more than max_gap past
+    # that end; no gap between int64 offsets exceeds MAX_TRACE_INT.
+    first = np.ones(len(offsets), dtype=bool)
+    first[1:] = offsets[1:] - ends[:-1] > min(max_gap, MAX_TRACE_INT)
+    last = np.roll(first, -1)
+    return ScanPlan(plan.obj, offsets[first], ends[last] - offsets[first], plan.survivors)
 
 
 @dataclass(frozen=True)

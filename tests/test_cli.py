@@ -510,7 +510,9 @@ def test_oversized_layout_exits_2(tmp_path, capsys):
 
 def test_layout_with_too_many_pages_exits_2(tmp_path, capsys, monkeypatch):
     # 10**7 one-value pages: within the value limit, over the page limit
-    monkeypatch.setattr(columnar, "Page", None)  # building any page would fail
+    # the refusal comes at load: synthesizing data or planning would fail
+    monkeypatch.setattr(columnar, "synthesize_column_data", None)
+    monkeypatch.setattr(columnar, "plan_scan", None)
     layout = {"table": "t", "rows": 10**7, "columns": [
         {"name": "A", "page_bytes": 8, "value_bytes": 8},
     ]}
@@ -521,6 +523,46 @@ def test_layout_with_too_many_pages_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert "scenario field 'scan.layout'" in captured.err
     assert "10000000 pages, more than the limit of 1000000" in captured.err
+
+
+QUERY_AB = {"select": ["B"], "where": [{"col": "A", "op": "<", "lit": 50}]}
+
+
+def _huge_value_layout(value_bytes):
+    return {"table": "t", "rows": 10, "columns": [
+        {"name": n, "page_bytes": value_bytes, "value_bytes": value_bytes} for n in "AB"
+    ]}
+
+
+def _scan_argv(command, tmp_path, layout, *gap):
+    if command == "scan":
+        argv = ["scan", "--layout", _write(tmp_path / "layout.json", layout),
+                "--query", _write(tmp_path / "query.json", QUERY_AB)]
+        return argv + (["--coalesce-gap", gap[0]] if gap else [])
+    section = {"layout": layout, "query": QUERY_AB}
+    if gap:
+        section["coalesce_gap"] = gap[0]
+    return ["scenario", "run", _write(tmp_path / "s.json", {**SCAN_SCENARIO, "scan": section})]
+
+
+@pytest.mark.parametrize("command", ["scan", "scenario"])
+def test_layout_past_int64_bytes_exits_2(command, tmp_path, capsys):
+    # 10 rows x 2 columns of 1e18-byte values: 2e19 file bytes
+    assert main(_scan_argv(command, tmp_path, _huge_value_layout("1e18"))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario field 'scan.layout'" in captured.err
+    assert "20000000000000000000 bytes, more than the limit of 9223372036854775807" in captured.err
+
+
+@pytest.mark.parametrize("command", ["scan", "scenario"])
+def test_coalesce_gap_past_int64_merges_every_read(command, tmp_path, capsys):
+    # 8e18 file bytes, within int64; a 1e21 gap folds each plan into one read
+    out = _run_json(capsys, _scan_argv(command, tmp_path, _huge_value_layout("4e17"), "1e21"))
+    if command == "scenario":
+        out = out["sections"][0]["comparison"]
+    assert (out["full_scan"]["bytes"], out["full_scan"]["requests"]) == (8 * 10**18, 1)
+    assert out["pushdown"]["requests"] == 1
 
 
 def test_misspelled_price_book_class_field_exits_2(tmp_path, capsys):

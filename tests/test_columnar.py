@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -12,19 +13,18 @@ from iocost.columnar import (
     MAX_LAYOUT_PAGES,
     MAX_LAYOUT_VALUES,
     Predicate,
-    ReadRequest,
     ScanPlan,
     apply_predicate,
     build_layout,
     coalesce_requests,
     fleet_scan_projection,
     layout_from_dict,
-    pages_for_rows,
     plan_scan,
     query_from_dict,
     synthesize_column_data,
 )
 from iocost.pricing import RequestTally, get_pricebook
+from iocost.tracemodel import MAX_TRACE_INT
 from iocost.units import KB, MB, PB, load_json
 
 # Example table: an 8-row scan whose predicate chain narrows all rows
@@ -44,46 +44,134 @@ def demo_layout(page_values=4):
 def pages_read(layout, plan):
     """(column, page id) of each request of an uncoalesced plan, in order."""
     by_offset = {
-        page.offset: (col.name, pid) for col in layout.columns for pid, page in enumerate(col.pages)
+        col.offset + pid * col.rows_per_page * col.value_bytes: (col.name, pid)
+        for col in layout.columns
+        for pid in range(col.pages)
     }
-    return [by_offset[req.offset] for req in plan.requests]
+    return [by_offset[offset] for offset in plan.offsets.tolist()]
+
+
+def full_scan(layout):
+    """The full scan of every column of ``layout``, over all-zero data."""
+    names = [col.name for col in layout.columns]
+    data = {name: np.zeros(layout.rows, dtype=np.int64) for name in names}
+    return plan_scan(layout, data, names, [], pushdown=False)
+
+
+def spans_plan(spans, survivors=frozenset()):
+    """A plan on object "o" reading the (offset, length) ``spans`` in order."""
+    offsets, lengths = zip(*spans) if spans else ((), ())
+    return ScanPlan("o", np.array(offsets, dtype=np.int64), np.array(lengths, dtype=np.int64),
+                    frozenset(survivors))
+
+
+def spans_of(plan):
+    return list(zip(plan.offsets.tolist(), plan.lengths.tolist()))
+
+
+# Offsets near 0 and near the int64 end, each read ending at or before
+# MAX_TRACE_INT; gaps of 0, small, at the int64 end and past it.
+_EDGE_OFFSETS = st.integers(0, 300) | st.integers(MAX_TRACE_INT - 300, MAX_TRACE_INT - 1)
+_SPANS = st.lists(
+    st.builds(lambda off, n: (off, min(n, MAX_TRACE_INT - off)), _EDGE_OFFSETS, st.integers(1, 60)),
+    max_size=40,
+)
+_GAPS = st.integers(0, 80) | st.sampled_from([0, MAX_TRACE_INT - 1, MAX_TRACE_INT, 10**21])
+
+
+def _coalesce_oracle(spans, max_gap):
+    """The loop coalescer: sort (offset, length) pairs, extend or start a run."""
+    runs = []  # [start, end] of each merged request
+    for offset, length in sorted(spans):
+        if runs and offset - runs[-1][1] <= max_gap:
+            runs[-1][1] = max(runs[-1][1], offset + length)
+        else:
+            runs.append([offset, offset + length])
+    return [(start, end - start) for start, end in runs]
+
+
+_Page = namedtuple("_Page", "start_row rows offset length")
+
+
+def _oracle_pages(rows, specs):
+    """One object per page of each column, packed one page at a time."""
+    pages, offset = {}, 0
+    for name, page_bytes, value_bytes in specs:
+        rows_per_page = page_bytes // value_bytes
+        pages[name] = []
+        for start in range(0, rows, rows_per_page):
+            n = min(rows_per_page, rows - start)
+            pages[name].append(_Page(start, n, offset, n * value_bytes))
+            offset += n * value_bytes
+    return pages
+
+
+def _plan_oracle(rows, specs, data, projection, predicates, pushdown):
+    """The per-page object planner: (offset, length) reads in issue order, survivors.
+
+    Each step walks its column's pages in order and requests those not
+    requested yet: all of them for the first step or a full scan, else
+    those whose row range holds a survivor. Survivors are a Python set
+    filtered with ``Predicate.matches``, so no value is converted.
+    """
+    pages = _oracle_pages(rows, specs)
+    steps = [(p.column, p) for p in predicates] + [(name, None) for name in projection]
+    survivors = set(range(rows))
+    read, requests = set(), []
+    for i, (name, pred) in enumerate(steps):
+        for page in pages[name]:
+            holds = survivors.intersection(range(page.start_row, page.start_row + page.rows))
+            if (not pushdown or i == 0 or holds) and page.offset not in read:
+                read.add(page.offset)
+                requests.append((page.offset, page.length))
+        if pred is not None:
+            survivors = {r for r in survivors if pred.matches(data[name][r])}
+    return requests, survivors
 
 
 def test_build_layout_packing():
     layout = build_layout(8, [("A", 16, 4)])
-    pages = layout.column("A").pages
-    assert [(p.start_row, p.rows) for p in pages] == [(0, 4), (4, 4)]
+    col = layout.column("A")
+    assert (col.offset, col.rows_per_page, col.pages) == (0, 4, 2)
+    plan = full_scan(layout)
+    assert plan.offsets.tolist() == [0, 16] and plan.lengths.tolist() == [16, 16]
     one = build_layout(8, [("A", 400, 4)])
-    assert len(one.column("A").pages) == 1
-    assert one.column("A").pages[0].rows == 8
+    assert (one.column("A").pages, one.column("A").rows_per_page) == (1, 8)
+    assert full_scan(one).lengths.tolist() == [32]
+    # the last page of a column is partial, and the next column follows it
+    two = build_layout(10, [("A", 16, 4), ("B", 8, 4)])
+    assert two.column("B").offset == 40
+    plan = full_scan(two)
+    assert plan.offsets.tolist() == [0, 16, 32, 40, 48, 56, 64, 72]
+    assert plan.lengths.tolist() == [16, 16, 8] + [8] * 5
 
 
 def test_build_layout_million_rows():
     layout = build_layout(10**6, [("x", MB, 8)])
-    pages = layout.column("x").pages
-    assert len(pages) == 8
-    assert all(p.rows == 125_000 for p in pages)
-    assert sum(p.length for p in pages) == 8 * 10**6
+    col = layout.column("x")
+    assert (col.pages, col.rows_per_page) == (8, 125_000)
+    plan = full_scan(layout)
+    assert plan.lengths.tolist() == [MB] * 8
+    assert plan.total_bytes == 8 * 10**6
 
 
 def test_build_layout_geometry_invariants():
     rng = random.Random(77)
     for _ in range(50):
         rows = rng.randint(1, 300)
-        cols = [(f"c{i}", rng.randint(1, 64) * 4, 4) for i in range(rng.randint(1, 4))]
-        layout = build_layout(rows, cols)
-        spans = []
+        specs = [(f"c{i}", rng.randint(1, 64) * 4, 4) for i in range(rng.randint(1, 4))]
+        layout = build_layout(rows, specs)
+        # the full scan reads each column's pages once, in page order
+        reads = spans_of(full_scan(layout))
+        pages = _oracle_pages(rows, specs)
+        assert reads == [(page.offset, page.length) for name, _, _ in specs for page in pages[name]]
         for col in layout.columns:
-            covered = 0
-            for page in col.pages:
-                assert page.start_row == covered
-                covered += page.rows
-                spans.append((page.offset, page.offset + page.length))
-            assert covered == rows
-        # no two pages overlap in file bytes
-        spans.sort()
-        for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-            assert a1 <= b0
+            assert col.pages == -(-rows // col.rows_per_page)
+        # the pages tile the file: back to back, no overlap, no hole
+        assert reads[0][0] == 0
+        for (offset, length), (next_offset, _) in zip(reads, reads[1:]):
+            assert offset + length == next_offset
+        assert sum(length for _, length in reads) == rows * 4 * len(specs)
 
 
 @pytest.mark.parametrize(
@@ -108,7 +196,21 @@ def test_build_layout_validation(rows, cols):
 
 def test_build_layout_accepts_the_largest_table():
     layout = build_layout(MAX_LAYOUT_VALUES // 2, [("A", MB, 4), ("B", MB, 4)])
-    assert sum(len(c.pages) for c in layout.columns) == 2 * 20
+    assert sum(c.pages for c in layout.columns) == 2 * 20
+
+
+def test_build_layout_byte_limit():
+    # file bytes up to MAX_TRACE_INT are planned exactly, one more is refused
+    half = MAX_TRACE_INT // 2
+    layout = build_layout(1, [("A", half, half), ("B", 10**30, half + 1)])
+    plan = full_scan(layout)
+    assert plan.offsets.tolist() == [0, half] and plan.lengths.tolist() == [half, half + 1]
+    assert plan.total_bytes == MAX_TRACE_INT
+    assert coalesce_requests(plan, 0).lengths.tolist() == [MAX_TRACE_INT]
+    with pytest.raises(ValueError, match="bytes, more than the limit of 9223372036854775807"):
+        build_layout(1, [("A", half, half), ("B", half + 2, half + 2)])
+    with pytest.raises(ValueError, match="20000000000000000000 bytes"):
+        build_layout(10, [("A", 10**18, 10**18), ("B", 10**18, 10**18)])
 
 
 def test_apply_predicate_chain():
@@ -136,31 +238,35 @@ def test_unknown_comparator():
         Predicate("v", "!=", 5)
 
 
-def test_pages_for_rows():
+def pages_holding(layout, name, rows):
+    """Page ids of ``name`` whose row range holds one of ``rows``."""
+    rpp = layout.column(name).rows_per_page
+    return {
+        pid for pid in range(layout.column(name).pages)
+        if any(pid * rpp <= r < min((pid + 1) * rpp, layout.rows) for r in rows)
+    }
+
+
+def test_pushdown_reads_the_pages_of_survivors():
     layout = demo_layout()  # two 4-row pages per column
-    assert pages_for_rows(layout, "A", set()) == set()
-    assert pages_for_rows(layout, "A", range(8)) == {0, 1}
-    assert pages_for_rows(layout, "A", {1, 4, 6}) == {0, 1}
-    assert pages_for_rows(layout, "A", {1}) == {0}
-    with pytest.raises(ValueError, match="unknown column"):
-        pages_for_rows(layout, "Z", {1})
-    with pytest.raises(ValueError, match="out of range"):
-        pages_for_rows(layout, "A", {8})
+    data = {**DEMO_DATA, "A": [0] * 8}
+    for survivors, pages in [(set(), []), (range(8), [0, 1]), ({1, 4, 6}, [0, 1]), ({1}, [0])]:
+        data["A"] = [1 if r in survivors else 0 for r in range(8)]
+        plan = plan_scan(layout, data, ["C"], [Predicate("A", "=", 1)], pushdown=True)
+        assert plan.survivors == set(survivors)
+        assert pages_read(layout, plan) == [("A", 0), ("A", 1)] + [("C", pid) for pid in pages]
 
 
-def test_pages_for_rows_matches_interval_oracle():
+def test_pushdown_pages_match_interval_oracle():
     rng = random.Random(13)
     for _ in range(50):
         rows = rng.randint(1, 200)
-        layout = build_layout(rows, [("A", rng.randint(1, 32) * 8, 8)])
-        col = layout.column("A")
+        layout = build_layout(rows, [(name, rng.randint(1, 32) * 8, 8) for name in "AB"])
         wanted = {rng.randrange(rows) for _ in range(rng.randint(0, 20))}
-        oracle = {
-            i
-            for i, page in enumerate(col.pages)
-            if any(page.start_row <= r < page.start_row + page.rows for r in wanted)
-        }
-        assert pages_for_rows(layout, "A", wanted) == oracle
+        data = {"A": [int(r in wanted) for r in range(rows)], "B": [0] * rows}
+        plan = plan_scan(layout, data, ["B"], [Predicate("A", "=", 1)], pushdown=True)
+        pages_b = [pid for name, pid in pages_read(layout, plan) if name == "B"]
+        assert pages_b == sorted(pages_holding(layout, "B", wanted))
 
 
 def demo_predicates():
@@ -216,9 +322,11 @@ def test_plan_tally_self_consistency_and_no_overlap():
     layout = demo_layout(page_values=2)
     for pushdown in (True, False):
         plan = plan_scan(layout, DEMO_DATA, ["B", "C"], demo_predicates(), pushdown=pushdown)
-        assert plan.request_count == len(plan.requests)
-        assert plan.total_bytes == sum(r.length for r in plan.requests)
-        spans = sorted((r.offset, r.offset + r.length) for r in plan.requests)
+        assert plan.offsets.dtype == plan.lengths.dtype == np.int64
+        assert plan.request_count == len(plan.offsets) == len(plan.lengths)
+        assert plan.total_bytes == sum(plan.lengths.tolist())
+        assert type(plan.total_bytes) is int and type(plan.request_count) is int
+        spans = sorted(zip(plan.offsets.tolist(), (plan.offsets + plan.lengths).tolist()))
         for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
             assert a1 <= b0
 
@@ -288,6 +396,47 @@ def test_pushdown_survivors_on_int64_columns_property(rows, predicates, projecti
     assert on.total_bytes <= off.total_bytes
 
 
+_COMPARATORS = ["<", "<=", "=", ">=", ">"]
+
+
+@st.composite
+def _scan_cases(draw):
+    """A layout spec, data and query; some value widths fill the file to the int64 end."""
+    rows = draw(st.integers(1, 40))
+    names = "ABCD"[: draw(st.integers(1, 4))]
+    widest = MAX_TRACE_INT // (rows * len(names))
+    specs = []
+    for name in names:
+        value = draw(st.integers(1, 8) | st.just(widest))
+        page = value * draw(st.integers(1, rows + 1)) + draw(st.integers(0, value - 1))
+        specs.append((name, page, value))
+    data = {n: draw(st.lists(_NEAR_INT64_ENDS | st.integers(0, 9), min_size=rows, max_size=rows))
+            for n in names}
+    predicates = draw(st.lists(
+        st.builds(Predicate, st.sampled_from(names), st.sampled_from(_COMPARATORS),
+                  _NEAR_CONSTANTS | st.integers(0, 9)),
+        max_size=3,
+    ))
+    projection = draw(st.lists(st.sampled_from(names), unique=True, max_size=4))
+    if not projection and not predicates:
+        projection = [names[0]]
+    return rows, specs, data, projection, predicates
+
+
+@given(_scan_cases(), st.booleans(), _GAPS)
+def test_plan_scan_equals_oracle_property(case, pushdown, max_gap):
+    rows, specs, data, projection, predicates = case
+    layout = build_layout(rows, specs)
+    plan = plan_scan(layout, data, projection, predicates, pushdown=pushdown)
+    requests, survivors = _plan_oracle(rows, specs, data, projection, predicates, pushdown)
+    assert spans_of(plan) == requests
+    assert plan.survivors == survivors
+    assert plan.obj == layout.table
+    assert plan.total_bytes == sum(length for _, length in requests)
+    merged = coalesce_requests(plan, max_gap)
+    assert spans_of(merged) == _coalesce_oracle(requests, max_gap)
+
+
 def test_pushdown_page_minimality_property():
     # every page of a non-first predicate or projection column must
     # intersect the survivor set that was current when it was planned
@@ -303,20 +452,20 @@ def test_pushdown_page_minimality_property():
         survivors = set(range(layout.rows))
         for i, pred in enumerate(predicates):
             if i == 0:
-                pages = set(range(len(layout.column(pred.column).pages)))
+                pages = set(range(layout.column(pred.column).pages))
             else:
-                pages = pages_for_rows(layout, pred.column, survivors)
+                pages = pages_holding(layout, pred.column, survivors)
             expected.setdefault(pred.column, set()).update(pages)
             survivors = apply_predicate(data[pred.column], pred, survivors)
         for name in projection:
-            expected.setdefault(name, set()).update(pages_for_rows(layout, name, survivors))
+            expected.setdefault(name, set()).update(pages_holding(layout, name, survivors))
         expected = {name: pages for name, pages in expected.items() if pages}
         assert by_column == expected
         # columns only projected never read a page without a survivor
         predicate_cols = {p.column for p in predicates}
         for name in projection:
             if name not in predicate_cols:
-                assert by_column.get(name, set()) <= pages_for_rows(layout, name, survivors)
+                assert by_column.get(name, set()) <= pages_holding(layout, name, survivors)
 
 
 def test_coalesce_examples():
@@ -329,19 +478,21 @@ def test_coalesce_examples():
 
 
 def test_coalesce_respects_gap():
-    adjacent = ScanPlan((ReadRequest("o", 0, 100), ReadRequest("o", 100, 100)), frozenset())
-    merged = coalesce_requests(adjacent, 0)
-    assert merged.request_count == 1
-    assert (merged.requests[0].offset, merged.requests[0].length) == (0, 200)
+    merged = coalesce_requests(spans_plan([(0, 100), (100, 100)]), 0)
+    assert merged.obj == "o"
+    assert spans_of(merged) == [(0, 200)]
 
-    gapped = ScanPlan((ReadRequest("o", 0, 100), ReadRequest("o", 150, 100)), frozenset())
-    assert coalesce_requests(gapped, 10).requests == gapped.requests  # gap 50 stays
+    gapped = spans_plan([(150, 100), (0, 100)])
+    assert spans_of(coalesce_requests(gapped, 10)) == [(0, 100), (150, 100)]  # gap 50 stays
     wide = coalesce_requests(gapped, 50)
-    assert wide.request_count == 1
-    assert wide.requests[0].length == 250  # the 50 gap bytes count as transferred
-    # different objects never merge
-    split = ScanPlan((ReadRequest("a", 0, 10), ReadRequest("b", 10, 10)), frozenset())
-    assert coalesce_requests(split, 10**6).request_count == 2
+    assert spans_of(wide) == [(0, 250)]  # the 50 gap bytes count as transferred
+    # a read inside an earlier, longer one adds no bytes and no request
+    assert spans_of(coalesce_requests(spans_plan([(0, 100), (10, 5), (120, 1)]), 10)) == [
+        (0, 100), (120, 1),
+    ]
+    assert spans_of(coalesce_requests(spans_plan([]), 0)) == []
+    with pytest.raises(ValueError, match="max gap"):
+        coalesce_requests(gapped, -1)
 
 
 def test_coalesce_monotonicity_property():
@@ -369,13 +520,13 @@ def test_coalesce_exhaustive_small_cases():
     from itertools import product
 
     for gaps in product((0, 1, 3), repeat=4):
-        requests, offset = [], 0
+        spans, offset = [], 0
         for gap in gaps + (None,):
-            requests.append(ReadRequest("o", offset, 2))
+            spans.append((offset, 2))
             if gap is None:
                 break
             offset += 2 + gap
-        plan = ScanPlan(tuple(requests), frozenset())
+        plan = spans_plan(spans)
         for max_gap in (0, 1, 2, 3):
             merged = coalesce_requests(plan, max_gap)
             expected = 1
@@ -383,32 +534,31 @@ def test_coalesce_exhaustive_small_cases():
                 if gap > max_gap:
                     expected += 1
             assert merged.request_count == expected
-            assert merged.total_bytes == sum(r.length for r in merged.requests)
+            assert merged.total_bytes == sum(merged.lengths.tolist())
 
 
-_REQUESTS = st.lists(
-    st.builds(ReadRequest, st.sampled_from("abc"), st.integers(0, 300), st.integers(1, 60)),
-    max_size=40,
-)
+@given(_SPANS, _GAPS)
+def test_coalesce_equals_oracle_property(spans, max_gap):
+    merged = coalesce_requests(spans_plan(spans), max_gap)
+    assert spans_of(merged) == _coalesce_oracle(spans, max_gap)
 
 
-@given(_REQUESTS, st.integers(0, 80), st.frozensets(st.integers(0, 1000), max_size=5))
-def test_coalesce_laws_property(requests, max_gap, survivors):
-    plan = ScanPlan(tuple(requests), survivors)
+@given(_SPANS, _GAPS, st.frozensets(st.integers(0, 1000), max_size=5))
+def test_coalesce_laws_property(spans, max_gap, survivors):
+    plan = spans_plan(spans, survivors)
     merged = coalesce_requests(plan, max_gap)
     assert merged.request_count <= plan.request_count
     assert merged.survivors == plan.survivors
-    assert {r.obj for r in merged.requests} == {r.obj for r in requests}
-    for obj in {r.obj for r in requests}:
-        spans = [(r.offset, r.offset + r.length) for r in merged.requests if r.obj == obj]
-        # sorted, disjoint, and more than max_gap apart
-        assert all(b0 - a1 > max_gap for (_, a1), (b0, _) in zip(spans, spans[1:]))
-        for r in requests:
-            if r.obj == obj:
-                inside = [s for s in spans if s[0] <= r.offset and r.offset + r.length <= s[1]]
-                assert len(inside) == 1
-    ranges = sorted((r.obj, r.offset, r.offset + r.length) for r in requests)
-    if all(a[0] != b[0] or a[2] <= b[1] for a, b in zip(ranges, ranges[1:])):
+    assert merged.obj == plan.obj
+    assert merged.offsets.dtype == merged.lengths.dtype == np.int64
+    runs = [(offset, offset + length) for offset, length in spans_of(merged)]
+    # sorted, disjoint, and more than max_gap apart
+    assert all(b0 - a1 > max_gap for (_, a1), (b0, _) in zip(runs, runs[1:]))
+    # every input byte is covered, by exactly one merged request
+    for offset, length in spans:
+        assert len([r for r in runs if r[0] <= offset and offset + length <= r[1]]) == 1
+    ranges = sorted((offset, offset + length) for offset, length in spans)
+    if all(a1 <= b0 for (_, a1), (b0, _) in zip(ranges, ranges[1:])):
         assert merged.total_bytes >= plan.total_bytes
 
 
@@ -451,7 +601,7 @@ def test_layout_json_roundtrip(tmp_path):
     }
     layout = layout_from_dict(spec)
     assert layout.table == "events"
-    assert layout.column("ts").pages[0].rows == 125
+    assert layout.column("ts").rows_per_page == 125
     path = tmp_path / "layout.json"
     path.write_text(json.dumps(spec))
     assert layout_from_dict(load_json(str(path), "layout file")) == layout
