@@ -1,11 +1,11 @@
 """Command-line interface.
 
 One subcommand per module plus `scenario run` for end-to-end runs.
-`scan` and `join` build a one-section scenario from their flags and
-run it through the same section code as `scenario run`, then reshape
-the result into their own JSON. Byte-valued flags accept decimal-unit
-suffixes (KB, MB, GB, TB, PB, all powers of 10). Exit codes: 0
-success, 2 validation error, 3 runtime error.
+`scan`, `join` and `cache` build a one-section scenario from their
+flags and run it through the same section code as `scenario run`,
+then reshape the result into their own JSON. Byte-valued flags accept
+decimal-unit suffixes (KB, MB, GB, TB, PB, all powers of 10). Exit
+codes: 0 success, 2 validation error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import cachesim, joinplan, scenario as scenario_mod, tracemodel
+from . import joinplan, scenario as scenario_mod, tracemodel
 from .pricing import RequestTally, format_usd, get_pricebook, load_pricebook
 from .tracemodel import DEFAULT_ZIPF_EXPONENT, SynthSpec
 from .units import REQUIRED, check_fields, check_value, load_json, parse_bytes
@@ -63,9 +63,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _run_section(name: str, section: dict, seed: int = 0) -> scenario_mod.SectionResult:
-    """Run one scenario section built from flags, priced with a fixed built-in book."""
-    raw = {"price_book": "s3-standard", "seed": seed, name: section}
+def _run_section(name: str, section: dict, seed: int = 0,
+                 workload: dict | None = None) -> scenario_mod.SectionResult:
+    """Run a one-section scenario priced with a fixed built-in book.
+
+    `scan`, `join` and `cache` build a one-section scenario from their
+    flags; `workload` is its workload object, for a section that reads one.
+    """
+    raw = {"price_book": "s3-standard", "seed": seed, "workload": workload, name: section}
     s = scenario_mod.scenario_from_dict(raw, base_dir=os.getcwd())
     return scenario_mod.run_scenario(s).sections[0]
 
@@ -116,21 +121,12 @@ def _cmd_join(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    trace = tracemodel.read_trace(args.trace)
-    config = cachesim.CacheConfig(capacity_bytes=args.capacity, block_bytes=args.block)
-    report = cachesim.simulate(trace, config)
-    _print_json(
-        {
-            "config": {
-                "capacity_bytes": config.capacity_bytes,
-                "effective_capacity_bytes": config.effective_capacity_bytes,
-                "block_bytes": config.block_bytes,
-                "policy": "lru",
-                "fetch": "per-run",
-            },
-            "report": report.to_dict(),
-        }
-    )
+    section = {"capacity_bytes": args.capacity, "block_bytes": args.block}
+    report = dict(_run_section("cache", section, workload={"trace": args.trace}).details)
+    config = {key: report.pop(key) for key in ("capacity_bytes", "effective_capacity_bytes", "block_bytes")}
+    for key in ("distinct_blocks", "workload"):
+        del report[key]
+    _print_json({"config": {**config, "policy": "lru", "fetch": "per-run"}, "report": report})
     return 0
 
 

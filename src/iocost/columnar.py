@@ -148,13 +148,19 @@ class ScanPlan:
     Read ``i`` is ``lengths[i]`` bytes from ``offsets[i]``; both are
     int64 arrays in issue order, and every ``offset + length`` fits
     int64. The request count and byte total are derived from the reads,
-    so a plan cannot disagree with itself.
+    so a plan cannot disagree with itself. ``mask`` is a boolean array,
+    true at each surviving row.
     """
 
     obj: str
     offsets: np.ndarray
     lengths: np.ndarray
-    survivors: frozenset[int]
+    mask: np.ndarray
+
+    @property
+    def survivors(self) -> frozenset[int]:
+        """The surviving rows, built from ``mask`` on each read."""
+        return frozenset(np.flatnonzero(self.mask).tolist())
 
     @property
     def request_count(self) -> int:
@@ -202,12 +208,7 @@ def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool 
         lengths.append(np.minimum(col.rows_per_page, layout.rows - start_rows) * col.value_bytes)
         if pred is not None:
             survivors &= _OPS[pred.op](np.asarray(data[name], dtype=np.int64), pred.literal)
-    return ScanPlan(
-        layout.table,
-        np.concatenate(offsets),
-        np.concatenate(lengths),
-        frozenset(np.flatnonzero(survivors).tolist()),
-    )
+    return ScanPlan(layout.table, np.concatenate(offsets), np.concatenate(lengths), survivors)
 
 
 def coalesce_requests(plan: ScanPlan, max_gap: int) -> ScanPlan:
@@ -229,7 +230,7 @@ def coalesce_requests(plan: ScanPlan, max_gap: int) -> ScanPlan:
     first = np.ones(len(offsets), dtype=bool)
     first[1:] = offsets[1:] - ends[:-1] > min(max_gap, MAX_TRACE_INT)
     last = np.roll(first, -1)
-    return ScanPlan(plan.obj, offsets[first], ends[last] - offsets[first], plan.survivors)
+    return ScanPlan(plan.obj, offsets[first], ends[last] - offsets[first], plan.mask)
 
 
 @dataclass(frozen=True)

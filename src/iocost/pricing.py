@@ -64,23 +64,21 @@ class PriceBook:
                 mapping[kind] = pc
         object.__setattr__(self, "_kind_to_class", mapping)
 
-    def classify(self, kind: str) -> OperationClass:
-        """Return the operation class the book bills ``kind`` under."""
+    def _class_of(self, kind: str) -> PriceClass:
         try:
-            return self._kind_to_class[kind].op_class
+            return self._kind_to_class[kind]
         except KeyError:
             raise ValueError(
                 f"price book {self.book_id!r} cannot classify request kind {kind!r}"
             ) from None
 
+    def classify(self, kind: str) -> OperationClass:
+        """Return the operation class the book bills ``kind`` under."""
+        return self._class_of(kind).op_class
+
     def price_per_request(self, kind: str) -> int:
         """Per-request price of ``kind`` in nanoUSD."""
-        try:
-            return self._kind_to_class[kind].nanousd_per_request
-        except KeyError:
-            raise ValueError(
-                f"price book {self.book_id!r} cannot classify request kind {kind!r}"
-            ) from None
+        return self._class_of(kind).nanousd_per_request
 
     def cost_of(self, tally: "RequestTally") -> int:
         """Exact cost of a tally in nanoUSD.
@@ -88,10 +86,7 @@ class PriceBook:
         Depends only on request counts, never on bytes; object stores
         charge per call regardless of payload size.
         """
-        total = 0
-        for kind, count in tally.counts.items():
-            total += count * self.price_per_request(kind)
-        return total
+        return sum(count * self.price_per_request(kind) for kind, count in tally.counts.items())
 
 
 @dataclass(frozen=True)

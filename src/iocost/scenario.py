@@ -346,7 +346,7 @@ def _run_scan(section: dict, scenario: Scenario, workload) -> SectionResult:
         "table": layout.table,
         "rows": layout.rows,
         "mode": mode,
-        "survivors": len(plans[mode].survivors),
+        "survivors": int(np.count_nonzero(plans[mode].mask)),
         "coalesce_gap": gap,
         "data_source": "supplied" if data is not None else "synthesized",
     })

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from iocost import columnar, scenario, tracemodel, units
+from iocost import cachesim, columnar, scenario, tracemodel, units
 from iocost.cli import main
 
 LAYOUT = {
@@ -362,8 +365,10 @@ def test_trace_past_the_touch_bound_exits_2(command, tmp_path, monkeypatch, caps
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "more than 100,000,000 blocks of 1 bytes" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err == (
+        "error: section 'cache': the trace's gets touch more than 100,000,000 blocks of 1 bytes;"
+        " use a larger block size\n"
+    )
 
 
 @pytest.mark.parametrize("block", ["1e21", str(2**63)])
@@ -389,6 +394,53 @@ def test_block_past_int64_holds_each_object(command, block, tmp_path, monkeypatc
         assert report["distinct_blocks"] == 2
     assert report["misses"] == report["requests_served"] == len(gets)
     assert report["origin_bytes"] == len(gets) * units.parse_bytes(block)
+
+
+_CACHE_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from(["get", "get", "put"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.integers(0, 3000),
+        st.integers(1, 2000),
+    ),
+    min_size=1,
+    max_size=16,
+)
+_CONFIG_KEYS = ("capacity_bytes", "effective_capacity_bytes", "block_bytes")
+
+
+# Capacity 0 gives the section's two-point sweep a smallest nonzero
+# capacity (the footprint) that a one-capacity simulate does not have.
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(recs=_CACHE_RECORDS, block=st.sampled_from(["1", "7", "500", "1KB", "1e21"]), data=st.data())
+def test_cache_command_is_the_scenario_section_property(recs, block, data, tmp_path, capsys):
+    trace = tracemodel.Trace(tuple(
+        tracemodel.AccessRecord(i, obj, off, length, kind)
+        for i, (kind, obj, off, length) in enumerate(recs)
+    ))
+    path = str(tmp_path / "t.jsonl")
+    tracemodel.write_trace(trace, path)
+    block_bytes = units.parse_bytes(block)
+    # Whole blocks from none to past the footprint, often only a few, plus a part of a block.
+    footprint = cachesim.distinct_blocks(trace, block_bytes)
+    blocks = data.draw(st.integers(0, 4) | st.integers(0, footprint + 2))
+    capacity = min(units.MAX_BYTES, blocks * block_bytes + data.draw(st.sampled_from([0, 1, block_bytes - 1])))
+    out = _run_json(capsys, ["cache", "--trace", path, "--capacity", str(capacity), "--block", block])
+    scenario_file = _write(tmp_path / "s.json", {
+        "price_book": "s3-standard",
+        "workload": {"trace": path},
+        "cache": {"capacity_bytes": capacity, "block_bytes": block},
+    })
+    details = _run_json(capsys, ["scenario", "run", scenario_file])["sections"][0]["details"]
+    config = cachesim.CacheConfig(capacity, block_bytes)
+    assert out["report"] == cachesim.simulate(trace, config).to_dict()
+    assert out["report"] == {
+        key: value for key, value in details.items()
+        if key not in (*_CONFIG_KEYS, "distinct_blocks", "workload")
+    }
+    assert out["config"] == {
+        **{key: details[key] for key in _CONFIG_KEYS}, "policy": "lru", "fetch": "per-run",
+    }
 
 
 # Every numeric or byte flag of synth, scan, join and cache, each given
@@ -590,20 +642,44 @@ def test_malformed_tally_exits_2(tally, path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["price", "--book", "s3-standard", "--tally", "DIR"],
-        ["price", "--book-file", "DIR", "--tally", "tally.json"],
-        ["cache", "--trace", "DIR", "--capacity", "1MB"],
+        (["price", "--book", "s3-standard", "--tally", "DIR"], "[Errno 21] Is a directory: 'DIR'"),
+        (["price", "--book-file", "DIR", "--tally", "tally.json"], "[Errno 21] Is a directory: 'DIR'"),
+        (["cache", "--trace", "DIR", "--capacity", "1MB"],
+         "scenario field 'workload.trace': file not found: {cwd}/DIR"),
     ],
     ids=["price-tally", "price-book-file", "cache-trace"],
 )
-def test_directory_path_exits_2(argv, tmp_path, monkeypatch, capsys):
+def test_directory_path_exits_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "DIR").mkdir()
     _write(tmp_path / "tally.json", {"counts": {"get": 1}})
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(cwd=os.getcwd())}\n"
+
+
+# The cache command's scenario section checks its trace path and block
+# size, so its refusals name the scenario field.
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--trace", "none.jsonl"], "scenario field 'workload.trace': file not found: {cwd}/none.jsonl"),
+        (["--block", "0"], "scenario field 'cache.block_bytes': must be >= 1, got 0"),
+    ],
+    ids=["missing-trace", "zero-block"],
+)
+def test_cache_refusal_names_the_scenario_field(flags, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.jsonl").write_text(
+        json.dumps({"ts_ms": 1, "obj": "a", "off": 0, "len": 1000, "kind": "get"}) + "\n"
+    )
+    assert main(["cache", "--trace", "t.jsonl", "--capacity", "1MB"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(cwd=os.getcwd())}\n"
 
 
 @pytest.mark.parametrize("flags", [["--zipf", "nan"], ["--zipf", "inf"], ["--objects", "10000001"]])

@@ -61,8 +61,9 @@ def full_scan(layout):
 def spans_plan(spans, survivors=frozenset()):
     """A plan on object "o" reading the (offset, length) ``spans`` in order."""
     offsets, lengths = zip(*spans) if spans else ((), ())
-    return ScanPlan("o", np.array(offsets, dtype=np.int64), np.array(lengths, dtype=np.int64),
-                    frozenset(survivors))
+    mask = np.zeros(max(survivors, default=-1) + 1, dtype=bool)
+    mask[list(survivors)] = True
+    return ScanPlan("o", np.array(offsets, dtype=np.int64), np.array(lengths, dtype=np.int64), mask)
 
 
 def spans_of(plan):
