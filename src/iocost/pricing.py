@@ -21,22 +21,16 @@ CORE_KINDS = ("get", "put", "post", "copy", "list", "head", "select")
 
 
 @dataclass(frozen=True)
-class OperationClass:
-    """A vendor billing class, either "read" or "write", with the vendor's own label."""
+class PriceClass:
+    """A vendor billing class, "read" or "write", with the vendor's own label.
+
+    It bills each of its ``kinds`` at ``nanousd_per_request``. Built by
+    ``pricebook_from_dict``, whose field table checks the class name, a
+    non-empty kind list and an integer price >= 0.
+    """
 
     name: str
     label: str
-
-
-@dataclass(frozen=True)
-class PriceClass:
-    """One priced operation class: the kinds it covers and the per-request price.
-
-    Built by ``pricebook_from_dict``, whose field table checks the class
-    name, a non-empty kind list and an integer price >= 0.
-    """
-
-    op_class: OperationClass
     kinds: frozenset[str]
     nanousd_per_request: int
 
@@ -64,7 +58,8 @@ class PriceBook:
                 mapping[kind] = pc
         object.__setattr__(self, "_kind_to_class", mapping)
 
-    def _class_of(self, kind: str) -> PriceClass:
+    def classify(self, kind: str) -> PriceClass:
+        """Return the class the book bills ``kind`` under."""
         try:
             return self._kind_to_class[kind]
         except KeyError:
@@ -72,13 +67,9 @@ class PriceBook:
                 f"price book {self.book_id!r} cannot classify request kind {kind!r}"
             ) from None
 
-    def classify(self, kind: str) -> OperationClass:
-        """Return the operation class the book bills ``kind`` under."""
-        return self._class_of(kind).op_class
-
     def price_per_request(self, kind: str) -> int:
         """Per-request price of ``kind`` in nanoUSD."""
-        return self._class_of(kind).nanousd_per_request
+        return self.classify(kind).nanousd_per_request
 
     def cost_of(self, tally: "RequestTally") -> int:
         """Exact cost of a tally in nanoUSD.
@@ -221,7 +212,8 @@ def pricebook_from_dict(spec: dict) -> PriceBook:
     f = check_fields(spec, _PRICEBOOK_FIELDS, "price book")
     classes = tuple(
         PriceClass(
-            OperationClass(c["class"], c["label"] or f"{c['class'].capitalize()} operations"),
+            c["class"],
+            c["label"] or f"{c['class'].capitalize()} operations",
             frozenset(c["kinds"]),
             c["nanousd_per_request"],
         )

@@ -6,10 +6,10 @@ Traces are JSON-lines, one request per line:
 
 Timestamps are milliseconds from the trace epoch. ``off`` and ``len``
 default to 0 for non-ranged kinds. Lines are checked as they are read
-into a ``Trace``, which holds typed columns; ``read_trace`` parses runs
-of lines in the exact shape ``trace_lines`` writes in bulk. Statistics follow the
-read-focused modeling scope of this package, so they are computed over
-get records.
+into a ``Trace``, which holds typed columns; ``read_trace`` parses a file
+whose every line has the exact shape ``trace_lines`` writes in bulk, and
+any other file line by line. Statistics follow the read-focused modeling
+scope of this package, so they are computed over get records.
 """
 
 from __future__ import annotations
@@ -84,8 +84,13 @@ class Trace:
 
     def __init__(self, rows=()) -> None:
         codes: dict[str, int] = {}
-        columns = _row_buffers()
-        _append_rows(rows, codes, columns)
+        ts, obj, off, length, kind = columns = _row_buffers()
+        for t, o, a, n, k in rows:
+            ts.append(t)
+            obj.append(codes.setdefault(o, len(codes)))  # coded by first appearance
+            off.append(a)
+            length.append(n)
+            kind.append(_KIND_CODES[k])
         self._set_columns(tuple(codes), *columns)
 
     @classmethod
@@ -113,17 +118,6 @@ class Trace:
 def _row_buffers() -> list[array]:
     """Empty ``array`` buffers for the five columns, in ``Trace`` order and dtypes."""
     return [array(t) for t in ("q", "i", "q", "q", "B")]
-
-
-def _append_rows(rows, codes: dict[str, int], columns) -> None:
-    """Append rows to ``_row_buffers`` columns, coding new object ids in ``codes`` by first appearance."""
-    ts, obj, off, length, kind = columns
-    for t, o, a, n, k in rows:
-        ts.append(t)
-        obj.append(codes.setdefault(o, len(codes)))
-        off.append(a)
-        length.append(n)
-        kind.append(_KIND_CODES[k])
 
 
 def group_pairs(obj, block):
@@ -261,9 +255,9 @@ def _canonical_columns(chunk: bytes, codes: dict[str, int]):
     """The typed columns of a chunk of ``trace_lines``-shaped lines, or None.
 
     None if any line has another shape or fails a row check, so the
-    chunk needs the line path; ``codes`` then stays untouched.
+    file needs the line path; ``codes`` then stays untouched.
     """
-    # Positions are int32, so a chunk holding a line of 2 GiB or more takes the line path.
+    # Positions are int32, so a file with a line of 2 GiB or more takes the line path.
     if len(chunk) >= 2**31:
         return None
     # One match a line means every line has the shape; latin-1 maps each byte to one character.
@@ -287,38 +281,31 @@ def _canonical_columns(chunk: bytes, codes: dict[str, int]):
     return ts.astype(np.int64), obj, off.astype(np.int64), length.astype(np.int64), kind
 
 
-def _read_chunks(fh) -> Trace:
-    """The trace of a binary trace file, chunk by chunk; ValueError on any fault."""
+def _read_canonical(path: str) -> Trace | None:
+    """The trace of a non-empty file of ``trace_lines``-shaped lines, or None at the first other chunk."""
     codes: dict[str, int] = {}
     columns = _row_buffers()
-    for chunk in _chunks(fh):
-        parsed = _canonical_columns(chunk, codes)
-        if parsed is None:
-            # Universal newlines, as a text-mode file splits its lines.
-            text = chunk.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-            _append_rows(_checked_rows(text.split("\n")), codes, columns)
-        else:
+    with open(path, "rb") as fh:
+        for chunk in _chunks(fh):
+            parsed = _canonical_columns(chunk, codes)
+            if parsed is None:
+                return None
             for buffer, column in zip(columns, parsed):
                 buffer.frombytes(memoryview(column).cast("B"))
-    return Trace._from_columns(tuple(codes), *columns)
+    return Trace._from_columns(tuple(codes), *columns) if codes else None
 
 
 def read_trace(path: str) -> Trace:
     """Read a trace file: ``parse_trace`` over its lines, read as UTF-8 text.
 
-    Chunks of lines in the exact ``trace_lines`` shape are parsed in
-    bulk with numpy; every other chunk goes through the line path. A
-    faulty or empty file is read again by ``parse_trace``, so its error
-    text and line number are the line path's (a UTF-8 error names a
-    position within the text reader's own buffer).
+    A file whose every line is in the exact ``trace_lines`` shape is
+    parsed in bulk with numpy, to the same trace. Any other file, a
+    faulty, empty or mixed one included, goes through ``parse_trace``
+    whole, so its error text and line number are the line path's.
     """
-    try:
-        with open(path, "rb") as fh:
-            trace = _read_chunks(fh)
-        if len(trace):
-            return trace
-    except ValueError:
-        pass
+    trace = _read_canonical(path)
+    if trace is not None:
+        return trace
     with open(path, "r", encoding="utf-8") as fh:
         return parse_trace(fh)
 

@@ -25,6 +25,7 @@ PB = 10**15
 # "1e400" is refused before it becomes an integer.
 MAX_BYTES = 10**21
 
+# Tried in order, so "B", the end of every other suffix, comes last.
 _SUFFIXES = {
     "KB": KB,
     "MB": MB,
@@ -52,12 +53,12 @@ def parse_bytes(text: str | int) -> int:
         return text
     raw = str(text).strip()
     s = raw.upper()
-    multiplier = 1
-    for suffix in ("KB", "MB", "GB", "TB", "PB", "B"):
+    for suffix, multiplier in _SUFFIXES.items():
         if s.endswith(suffix):
-            multiplier = _SUFFIXES[suffix]
             s = s[: -len(suffix)].strip()
             break
+    else:
+        multiplier = 1
     if not s:
         raise ValueError(f"not a byte count: {raw!r}")
     try:
@@ -123,16 +124,22 @@ def load_json(path: str, what: str):
             raise ValueError(f"{what} {path}: invalid JSON (nesting too deep)") from None
 
 
+def _is_finite_number(v) -> bool:
+    """An int or float that is a finite float: a huge int is refused, not left to overflow later."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 # The default of a field table row whose key must be present.
 REQUIRED = object()
 
 _KINDS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "number": (
-        lambda v: (isinstance(v, int) and not isinstance(v, bool))
-        or (isinstance(v, float) and math.isfinite(v)),
-        "a finite number",
-    ),
+    "number": (_is_finite_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "str": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
     "strs": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
@@ -161,7 +168,7 @@ def check_fields(obj, table, noun: str, path: str = "") -> dict:
 
     Each row of ``table`` is ``(key, kind, default, minimum)``. Kinds:
 
-    - ``"int"``, ``"number"`` (a finite int or float), ``"bool"``;
+    - ``"int"``, ``"number"`` (an int or float, finite as a float), ``"bool"``;
     - ``"bytes"``: anything ``parse_bytes`` accepts, returned as an int;
     - ``"str"``: a non-empty string; ``"strs"``: an array of strings;
     - ``"object"``: a JSON object, and ``"any"``: any value, each returned

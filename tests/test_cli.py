@@ -551,6 +551,34 @@ def test_misspelled_scenario_field_exits_2(raw, path, tmp_path, capsys):
     assert path in captured.err and "unknown fields" in captured.err
 
 
+def _synthesizing(**synthesize):
+    """A cache scenario over a 5-record synthesized trace."""
+    return {
+        "price_book": "s3-standard",
+        "workload": {"synthesize": {"records": 5, **synthesize}},
+        "cache": {"capacity_bytes": "1GB"},
+    }
+
+
+@pytest.mark.parametrize(
+    "raw,path",
+    [
+        (_synthesizing(zipf_exponent=10**400), "'workload.synthesize.zipf_exponent'"),
+        (_synthesizing(anchors=[["1MB", 10**400]]), "'workload.synthesize.anchors[0][1]'"),
+        ({"price_book": "s3-standard",
+          "scan_fleet": {"daily_bytes": "10PB", "avg_request_bytes": "10KB", "inflation": 10**400,
+                         "page_bytes": "1MB"}},
+         "'scan_fleet.inflation'"),
+    ],
+    ids=["zipf-exponent", "anchor-fraction", "inflation"],
+)
+def test_number_past_the_float_range_exits_2(raw, path, tmp_path, capsys):
+    assert main(["scenario", "run", _write(tmp_path / "s.json", raw)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"scenario field {path}: must be a finite number" in captured.err
+
+
 def test_oversized_layout_exits_2(tmp_path, capsys):
     layout = {**LAYOUT, "rows": 10**9}
     raw = {**SCAN_SCENARIO, "scan": {**SCAN_SCENARIO["scan"], "layout": layout}}

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import string
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -23,6 +24,7 @@ from iocost.cli import main
 from iocost.columnar import layout_from_dict, query_from_dict
 from iocost.pricing import pricebook_from_dict
 from iocost.scenario import scenario_from_dict
+from iocost.units import FieldError, check_value
 
 LAYOUT = {
     "table": "events",
@@ -232,3 +234,10 @@ def test_dropping_a_field(case, path):
     else:
         assert message is not None
         assert _dotted(path[:-1]) in message and repr(path[-1]) in message
+
+
+def test_number_must_be_finite_as_a_float():
+    # Callers take a number's float, so an int past the float range is refused here.
+    assert check_value(int(sys.float_info.max), "number", "thing", "x") == int(sys.float_info.max)
+    with pytest.raises(FieldError, match=r"^thing field 'x': must be a finite number, got 1000"):
+        check_value(10**400, "number", "thing", "x")

@@ -241,12 +241,16 @@ def test_bulk_read_equals_the_line_path_property(tmp_path_factory, lines, last_n
     path.write_bytes(text.encode("utf-8"))
     want, error = _line_path(path)
     assert error is None
-    # A valid file is read once: the line path's re-read is for faulty files.
-    with mock.patch.object(tracemodel, "parse_trace", side_effect=AssertionError("read again")):
+    # Only a file whose every line has the bulk shape skips the line path.
+    read = text if text.endswith("\n") else text + "\n"  # as the bulk reader completes a last line
+    canonical = all(tracemodel._CANONICAL_LINE.fullmatch(line) for line in read.splitlines(True))
+    parse = mock.Mock(wraps=tracemodel.parse_trace)
+    with mock.patch.object(tracemodel, "parse_trace", parse):
         _assert_same_trace(read_trace(str(path)), want)
         # A few bytes a chunk put chunk cuts after every line or every few lines.
         with mock.patch.object(tracemodel, "_CHUNK_BYTES", chunk_bytes):
             _assert_same_trace(read_trace(str(path)), want)
+    assert parse.call_count == (0 if canonical else 2)
 
 
 # One bad line each, as bytes: integers past the limits and failed row
@@ -306,12 +310,17 @@ def test_canonical_lines_take_the_bulk_path(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(tracemodel, "_checked_rows", None)  # any call would fail
         _assert_same_trace(read_trace(str(path)), want)
-    # One line in another shape goes through the line path, the rest stays bulk.
-    path.write_text(text + '{"ts_ms": 0, "obj": "o9", "off": 0, "len": 1, "kind": "get"}\n')
-    calls = []
-    checked_rows = tracemodel._checked_rows
-    monkeypatch.setattr(tracemodel, "_checked_rows", lambda lines: calls.append(1) or checked_rows(lines))
-    assert len(read_trace(str(path))) == 3001 and calls == [1]
+    # One line in another shape sends the whole file through parse_trace, once.
+    spaced = '{"ts_ms": 0, "obj": "o9", "off": 0, "len": 1, "kind": "get"}\n'
+    path.write_text(text + spaced)
+    parse = mock.Mock(wraps=tracemodel.parse_trace)
+    monkeypatch.setattr(tracemodel, "parse_trace", parse)
+    assert len(read_trace(str(path))) == 3001 and parse.call_count == 1
+    # A spaced first line costs one chunk of bulk work before the line path.
+    path.write_text(spaced + text)
+    columns = mock.Mock(wraps=tracemodel._canonical_columns)
+    monkeypatch.setattr(tracemodel, "_canonical_columns", columns)
+    assert len(read_trace(str(path))) == 3001 and columns.call_count == 1 and parse.call_count == 2
 
 
 def test_size_cdf_direct_counting():
