@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from . import joinplan, scenario as scenario_mod, tracemodel
 from .pricing import RequestTally, format_usd, get_pricebook, load_pricebook
-from .tracemodel import DEFAULT_ZIPF_EXPONENT, SynthSpec
+from .tracemodel import SynthSpec
 from .units import REQUIRED, check_fields, check_value, load_json, parse_bytes
 
 
@@ -121,7 +121,9 @@ def _cmd_join(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    section = {"capacity_bytes": args.capacity, "block_bytes": args.block}
+    section = {"capacity_bytes": args.capacity}
+    if args.block is not None:
+        section["block_bytes"] = args.block
     report = dict(_run_section("cache", section, workload={"trace": args.trace}).details)
     config = {key: report.pop(key) for key in ("capacity_bytes", "effective_capacity_bytes", "block_bytes")}
     for key in ("distinct_blocks", "workload"):
@@ -154,16 +156,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_price.set_defaults(func=_cmd_price)
 
     p_synth = sub.add_parser("synth", help="synthesize a workload trace")
-    p_synth.add_argument("--records", type=int, default=100_000)
+    (p50, _), (p90, _), (largest, _) = SynthSpec.size_anchors
+    p_synth.add_argument("--records", type=int, default=SynthSpec.records)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True, help="output trace path (JSONL)")
-    p_synth.add_argument("--p50", type=parse_bytes, default="10KB", help="median request size")
-    p_synth.add_argument("--p90", type=parse_bytes, default="1MB", help="90th percentile request size")
-    p_synth.add_argument("--max", type=parse_bytes, default="100MB", help="maximum request size")
-    p_synth.add_argument("--min-bytes", type=parse_bytes, default="100", help="minimum request size")
-    p_synth.add_argument("--objects", type=int, default=1_000_000, help="object universe size")
-    p_synth.add_argument("--zipf", type=float, default=DEFAULT_ZIPF_EXPONENT, help="popularity exponent")
-    p_synth.add_argument("--duration-ms", type=int, default=86_400_000)
+    p_synth.add_argument("--p50", type=parse_bytes, default=p50, help="median request size")
+    p_synth.add_argument("--p90", type=parse_bytes, default=p90, help="90th percentile request size")
+    p_synth.add_argument("--max", type=parse_bytes, default=largest, help="maximum request size")
+    p_synth.add_argument("--min-bytes", type=parse_bytes, default=SynthSpec.min_bytes,
+                         help="minimum request size")
+    p_synth.add_argument("--objects", type=int, default=SynthSpec.object_universe,
+                         help="object universe size")
+    p_synth.add_argument("--zipf", type=float, default=SynthSpec.zipf_exponent, help="popularity exponent")
+    p_synth.add_argument("--duration-ms", type=int, default=SynthSpec.duration_ms)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_scan = sub.add_parser("scan", help="plan a columnar scan with and without pushdown")
@@ -188,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser("cache", help="simulate an LRU block cache over a trace")
     p_cache.add_argument("--trace", required=True, help="trace JSONL file")
     p_cache.add_argument("--capacity", type=parse_bytes, required=True)
-    p_cache.add_argument("--block", type=parse_bytes, default="1MB")
+    p_cache.add_argument("--block", type=parse_bytes)
     p_cache.set_defaults(func=_cmd_cache)
 
     p_scenario = sub.add_parser("scenario", help="scenario file operations")

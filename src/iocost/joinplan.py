@@ -120,13 +120,10 @@ def fleet_aggregate(params: FleetParams) -> int:
     Exact integer arithmetic; the fraction is taken at its decimal
     face value, so 0.20 is exactly one fifth.
     """
-    frac = exact_fraction(params.broadcast_fraction)
-    total = Fraction(params.workers * params.build_bytes * params.queries_per_day) * frac
-    if total.denominator != 1:
-        # Fractions like 1/3 of an odd count cannot land on a whole
-        # byte; round down and stay conservative.
-        return int(total)
-    return total.numerator
+    # Fractions like 1/3 of an odd count cannot land on a whole byte;
+    # int() rounds down and stays conservative.
+    return int(params.workers * params.build_bytes * params.queries_per_day
+               * exact_fraction(params.broadcast_fraction))
 
 
 def fleet_api_calls(bytes_per_day: int, request_bytes: int) -> int:

@@ -22,46 +22,28 @@ CORE_KINDS = ("get", "put", "post", "copy", "list", "head", "select")
 
 @dataclass(frozen=True)
 class PriceClass:
-    """A vendor billing class, "read" or "write", with the vendor's own label.
-
-    It bills each of its ``kinds`` at ``nanousd_per_request``. Built by
-    ``pricebook_from_dict``, whose field table checks the class name, a
-    non-empty kind list and an integer price >= 0.
-    """
+    """A vendor billing class, "read" or "write", billed at ``nanousd_per_request``."""
 
     name: str
-    label: str
-    kinds: frozenset[str]
     nanousd_per_request: int
 
 
 @dataclass(frozen=True)
 class PriceBook:
-    """A vendor/tier price list mapping request kinds to per-request prices."""
+    """A vendor/tier price list: each request kind's billing class.
+
+    Built by ``pricebook_from_dict``, whose field table checks the id,
+    the class names, non-empty kind lists and integer prices >= 0, and
+    which refuses a kind listed in two classes.
+    """
 
     book_id: str
-    classes: tuple[PriceClass, ...]
-    _kind_to_class: dict = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self) -> None:
-        if not self.book_id:
-            raise ValueError("price book id must be non-empty")
-        if not self.classes:
-            raise ValueError(f"price book {self.book_id!r} has no classes")
-        mapping: dict[str, PriceClass] = {}
-        for pc in self.classes:
-            for kind in pc.kinds:
-                if kind in mapping:
-                    raise ValueError(
-                        f"price book {self.book_id!r}: kind {kind!r} appears in more than one class"
-                    )
-                mapping[kind] = pc
-        object.__setattr__(self, "_kind_to_class", mapping)
+    classes: dict[str, PriceClass]
 
     def classify(self, kind: str) -> PriceClass:
         """Return the class the book bills ``kind`` under."""
         try:
-            return self._kind_to_class[kind]
+            return self.classes[kind]
         except KeyError:
             raise ValueError(
                 f"price book {self.book_id!r} cannot classify request kind {kind!r}"
@@ -207,18 +189,17 @@ def pricebook_from_dict(spec: dict) -> PriceBook:
 
     Schema: {"id": str, "classes": [{"class": "read"|"write",
     "kinds": [str, ...], "nanousd_per_request": int}]}. An optional
-    per-class "label" carries the vendor wording.
+    per-class "label" with the vendor wording is accepted and ignored.
     """
     f = check_fields(spec, _PRICEBOOK_FIELDS, "price book")
-    classes = tuple(
-        PriceClass(
-            c["class"],
-            c["label"] or f"{c['class'].capitalize()} operations",
-            frozenset(c["kinds"]),
-            c["nanousd_per_request"],
-        )
-        for c in f["classes"]
-    )
+    classes: dict[str, PriceClass] = {}
+    for c in f["classes"]:
+        pc = PriceClass(c["class"], c["nanousd_per_request"])
+        for kind in c["kinds"]:
+            if classes.setdefault(kind, pc) is not pc:
+                raise ValueError(
+                    f"price book {f['id']!r}: kind {kind!r} appears in more than one class"
+                )
     return PriceBook(f["id"], classes)
 
 

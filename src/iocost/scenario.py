@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -166,10 +166,10 @@ def _parse_scan(raw: dict, base_dir: str) -> dict:
     f = check_fields(raw, _SCAN_FIELDS, "scenario", "scan")
     layout_spec = _inline_or_file(f["layout"], base_dir, "scan.layout")
     query_spec = _inline_or_file(f["query"], base_dir, "scan.query")
-    f["layout"] = _nested("scan.layout", columnar.layout_from_dict, layout_spec)
+    layout = f["layout"] = _nested("scan.layout", columnar.layout_from_dict, layout_spec)
     f["query"] = _nested("scan.query", columnar.query_from_dict, query_spec)
-    data = f["data"]
-    if data is not None and not all(
+    data = f["data"] or {}
+    if not all(
         isinstance(v, list)
         and all(isinstance(x, int) and not isinstance(x, bool) and -2**63 <= x < 2**63 for x in v)
         for v in data.values()
@@ -177,6 +177,13 @@ def _parse_scan(raw: dict, base_dir: str) -> dict:
         raise FieldError(
             "scenario", "scan.data", "must map column names to arrays of 64-bit integers"
         )
+    columns = {c.name for c in layout.columns}
+    for name, values in data.items():
+        path = f"scan.data.{name}"
+        if name not in columns:
+            raise FieldError("scenario", path, f"table {layout.table!r} has no such column")
+        if len(values) != layout.rows:
+            raise FieldError("scenario", path, f"has {len(values)} values for {layout.rows} rows")
     return f
 
 
@@ -250,15 +257,7 @@ class SectionResult:
     comparison: dict
 
     def to_dict(self, annual: bool) -> dict:
-        out = {
-            "name": self.name,
-            "requests": self.requests,
-            "bytes": self.bytes,
-            "nanousd": self.nanousd,
-            "usd": self.usd,
-            "details": self.details,
-            "comparison": self.comparison,
-        }
+        out = asdict(self)
         if annual:
             out["annual_nanousd"] = self.nanousd * DAYS_PER_YEAR
             out["annual_usd"] = format_usd(self.nanousd * DAYS_PER_YEAR)
@@ -312,19 +311,10 @@ def _section(name: str, scenario: Scenario, sides: dict, chosen: str, details: d
     """A section priced as its ``chosen`` side; ``sides`` maps each to (requests, bytes)."""
     comparison = {}
     for key, (requests, nbytes) in sides.items():
-        tally = RequestTally({"get": requests}, {"get": nbytes} if nbytes else {})
+        tally = RequestTally({"get": requests}, {"get": nbytes})
         cost = scenario.price_book.cost_of(tally)
         comparison[key] = {"requests": requests, "bytes": nbytes, "nanousd": cost, "usd": format_usd(cost)}
-    side = comparison[chosen]
-    return SectionResult(
-        name=name,
-        requests=side["requests"],
-        bytes=side["bytes"],
-        nanousd=side["nanousd"],
-        usd=side["usd"],
-        details=details,
-        comparison=comparison,
-    )
+    return SectionResult(name, **comparison[chosen], details=details, comparison=comparison)
 
 
 def _run_scan(section: dict, scenario: Scenario, workload) -> SectionResult:

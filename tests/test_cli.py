@@ -106,6 +106,13 @@ def test_synth_writes_deterministic_trace(tmp_path, capsys):
     assert a_bytes != (tmp_path / "c.jsonl").read_bytes()
 
 
+def test_synth_defaults_are_the_synth_spec_defaults(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    _run_json(capsys, ["synth", "--records", "50", "--seed", "3", "--out", str(out)])
+    trace = tracemodel.synthesize_trace(tracemodel.SynthSpec(records=50), 3)
+    assert out.read_text() == "".join(line + "\n" for line in tracemodel.trace_lines(trace))
+
+
 def test_scan_with_data_file(tmp_path, capsys):
     out = _run_json(capsys, [
         "scan",
@@ -244,6 +251,20 @@ def test_scan_data_with_non_integer_value_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_scan_data_with_unknown_column_exits_2(tmp_path, capsys):
+    layout = {"table": "t", "rows": 2, "columns": [{"name": "A", "page_bytes": 8, "value_bytes": 4}]}
+    code = main([
+        "scan",
+        "--layout", _write(tmp_path / "layout.json", layout),
+        "--query", _write(tmp_path / "query.json", {"select": ["A"]}),
+        "--data", _write(tmp_path / "data.json", {"A": [1, 2], "Zz": [1]}),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scenario field 'scan.data.Zz': table 't' has no such column\n"
 
 
 def test_scan_negative_seed_exits_2(tmp_path, capsys):

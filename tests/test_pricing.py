@@ -1,6 +1,7 @@
 """Price books: published-rate fidelity, classification, exact cost arithmetic."""
 
 import json
+import pathlib
 import random
 from decimal import Decimal
 
@@ -17,6 +18,7 @@ from iocost.pricing import (
     load_pricebook,
     pricebook_from_dict,
 )
+from iocost.units import PB
 
 # Every published price point: (book id, request kind, dollars per
 # 1,000 requests as printed). The GCS "GET Bucket" verb is split by the
@@ -195,6 +197,21 @@ def test_duplicate_kind_across_classes_rejected():
     }
     with pytest.raises(ValueError, match="more than one class"):
         pricebook_from_dict(spec)
+
+
+def test_kind_repeated_in_one_class_is_accepted():
+    spec = {"id": "rep", "classes": [{"class": "read", "kinds": ["get", "get"], "nanousd_per_request": 2}]}
+    assert pricebook_from_dict(spec).cost_of(RequestTally({"get": 3})) == 6
+
+
+def test_readme_library_example_gives_its_commented_figures():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    commented = (line.split("#") for line in block.splitlines() if "#" in line)
+    figures = {comment.strip(): eval(code, namespace) for code, comment in commented}
+    assert figures == {"400000000 nanoUSD": 400_000_000, "2 PB/day": 2 * PB}
 
 
 def test_schema_validation_messages():

@@ -364,6 +364,12 @@ BAD_SCENARIOS = [
     ({"price_book": "s3-standard",
       "scan": {**SCAN_RAW["scan"], "data": {"A": [-2**63 - 1]}}},
      "'scan.data': must map column names to arrays of 64-bit integers"),
+    ({"price_book": "s3-standard",
+      "scan": {**SCAN_RAW["scan"], "data": {**SCAN_RAW["scan"]["data"], "Zz": [1] * 8}}},
+     "scenario field 'scan.data.Zz': table 'events' has no such column"),
+    ({"price_book": "s3-standard",
+      "scan": {**SCAN_RAW["scan"], "data": {**SCAN_RAW["scan"]["data"], "B": [1, 2]}}},
+     "scenario field 'scan.data.B': has 2 values for 8 rows"),
 ]
 
 
