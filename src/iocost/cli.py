@@ -3,9 +3,11 @@
 One subcommand per module plus `scenario run` for end-to-end runs.
 `scan`, `join` and `cache` build a one-section scenario from their
 flags and run it through the same section code as `scenario run`,
-then reshape the result into their own JSON. Byte-valued flags accept
-decimal-unit suffixes (KB, MB, GB, TB, PB, all powers of 10). Exit
-codes: 0 success, 2 validation error, 3 runtime error.
+then reshape the result into their own JSON; the section's field table
+parses their byte flags but `--build-bytes`, so a refusal names the
+scenario field. Byte-valued flags accept decimal-unit suffixes (KB, MB,
+GB, TB, PB, all powers of 10). Exit codes: 0 success, 2 validation
+error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -174,26 +176,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="plan a columnar scan with and without pushdown")
     p_scan.add_argument("--layout", required=True, help="layout JSON file")
     p_scan.add_argument("--query", required=True, help="query JSON file")
-    p_scan.add_argument("--coalesce-gap", type=parse_bytes, default=None,
-                        help="merge requests separated by at most this many bytes")
+    p_scan.add_argument("--coalesce-gap", help="merge requests separated by at most this many bytes")
     p_scan.add_argument("--data", help="column data JSON file (synthesized when omitted)")
     p_scan.add_argument("--seed", type=int, default=0, help="seed for synthesized column data")
     p_scan.set_defaults(func=_cmd_scan)
 
     p_join = sub.add_parser("join", help="broadcast vs shuffle join I/O at fleet scale")
     p_join.add_argument("--workers", type=int, required=True)
+    # argparse parses this one byte flag itself: its refusal names the flag.
     p_join.add_argument("--build-bytes", type=parse_bytes, required=True)
-    p_join.add_argument("--probe-bytes", type=parse_bytes, default="0")
+    p_join.add_argument("--probe-bytes", default="0")
     p_join.add_argument("--queries", type=int, required=True, help="queries per day")
     p_join.add_argument("--broadcast-frac", type=float, required=True)
-    p_join.add_argument("--request-bytes", type=parse_bytes, required=True)
+    p_join.add_argument("--request-bytes", required=True)
     p_join.add_argument("--strategy", choices=joinplan.STRATEGIES, default="broadcast")
     p_join.set_defaults(func=_cmd_join)
 
     p_cache = sub.add_parser("cache", help="simulate an LRU block cache over a trace")
     p_cache.add_argument("--trace", required=True, help="trace JSONL file")
-    p_cache.add_argument("--capacity", type=parse_bytes, required=True)
-    p_cache.add_argument("--block", type=parse_bytes)
+    p_cache.add_argument("--capacity", required=True)
+    p_cache.add_argument("--block")
     p_cache.set_defaults(func=_cmd_cache)
 
     p_scenario = sub.add_parser("scenario", help="scenario file operations")
@@ -216,7 +218,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -171,6 +171,16 @@ class ScanPlan:
         return sum(self.lengths.tolist())
 
 
+def query_columns(layout: TableLayout, projection, predicates) -> list[str]:
+    """The distinct columns a query reads, in scan order, each checked against ``layout``."""
+    names = list(dict.fromkeys([p.column for p in predicates] + list(projection)))
+    if not names:
+        raise ValueError("scan references no columns (empty projection with no predicates)")
+    for name in names:
+        layout.column(name)
+    return names
+
+
 def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool = True) -> ScanPlan:
     """Plan a scan, either with predicate pushdown or as a full scan.
 
@@ -181,10 +191,7 @@ def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool 
     predicates so far. Both modes compute identical survivor sets.
     """
     steps = [(p.column, p) for p in predicates] + [(name, None) for name in projection]
-    if not steps:
-        raise ValueError("scan references no columns (empty projection with no predicates)")
-    for name in dict.fromkeys(name for name, _ in steps):
-        layout.column(name)
+    for name in query_columns(layout, projection, predicates):
         if name not in data:
             raise ValueError(f"no data supplied for column {name!r}")
         if len(data[name]) != layout.rows:

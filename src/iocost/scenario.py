@@ -167,7 +167,8 @@ def _parse_scan(raw: dict, base_dir: str) -> dict:
     layout_spec = _inline_or_file(f["layout"], base_dir, "scan.layout")
     query_spec = _inline_or_file(f["query"], base_dir, "scan.query")
     layout = f["layout"] = _nested("scan.layout", columnar.layout_from_dict, layout_spec)
-    f["query"] = _nested("scan.query", columnar.query_from_dict, query_spec)
+    select, predicates, _ = f["query"] = _nested("scan.query", columnar.query_from_dict, query_spec)
+    _nested("scan.query", columnar.query_columns, layout, select, predicates)
     data = f["data"] or {}
     if not all(
         isinstance(v, list)
@@ -215,6 +216,7 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
     """Validate a scenario's JSON form. Relative paths resolve against base_dir."""
     f = check_fields(raw, _SCENARIO_FIELDS, "scenario")
     book = _parse_price_book(f["price_book"], base_dir)
+    _nested("price_book", book.classify, "get")  # every section prices its sides as gets
     workload = None if f["workload"] is None else _parse_workload(f["workload"], base_dir)
     sections = {
         name: parse(f[name], base_dir)
@@ -256,13 +258,6 @@ class SectionResult:
     details: dict
     comparison: dict
 
-    def to_dict(self, annual: bool) -> dict:
-        out = asdict(self)
-        if annual:
-            out["annual_nanousd"] = self.nanousd * DAYS_PER_YEAR
-            out["annual_usd"] = format_usd(self.nanousd * DAYS_PER_YEAR)
-        return out
-
 
 @dataclass(frozen=True)
 class CostReport:
@@ -274,36 +269,28 @@ class CostReport:
     sections: tuple[SectionResult, ...]
     echo: dict
 
-    @property
-    def total_requests(self) -> int:
-        return sum(s.requests for s in self.sections)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(s.bytes for s in self.sections)
-
-    @property
-    def total_nanousd(self) -> int:
-        return sum(s.nanousd for s in self.sections)
-
     def to_dict(self) -> dict:
+        """The report's one dict: both formats of ``render_report`` render it."""
+        sections = [asdict(s) for s in self.sections]
+        total = sum(s["nanousd"] for s in sections)
         out = {
             "price_book": self.price_book_id,
             "seed": self.seed,
-            "sections": [s.to_dict(self.annual) for s in self.sections],
+            "sections": sections,
             "totals": {
-                "requests": self.total_requests,
-                "bytes": self.total_bytes,
-                "nanousd": self.total_nanousd,
-                "usd": format_usd(self.total_nanousd),
+                "requests": sum(s["requests"] for s in sections),
+                "bytes": sum(s["bytes"] for s in sections),
+                "nanousd": total,
+                "usd": format_usd(total),
             },
             "scenario": self.echo,
         }
         if self.annual:
-            out["annual_totals"] = {
-                "nanousd": self.total_nanousd * DAYS_PER_YEAR,
-                "usd": format_usd(self.total_nanousd * DAYS_PER_YEAR),
-            }
+            for s in sections:
+                s["annual_nanousd"] = s["nanousd"] * DAYS_PER_YEAR
+                s["annual_usd"] = format_usd(s["annual_nanousd"])
+            annual = total * DAYS_PER_YEAR
+            out["annual_totals"] = {"nanousd": annual, "usd": format_usd(annual)}
         return out
 
 
@@ -421,10 +408,11 @@ def _materialize_workload(scenario: Scenario) -> tuple[Trace, dict]:
 
 def run_scenario(scenario: Scenario) -> CostReport:
     """Execute every present section and price it with the scenario's book."""
-    # Only the cache section reads the workload; it is built before any section runs.
-    workload = _materialize_workload(scenario) if "cache" in scenario.sections else None
     results: list[SectionResult] = []
     for name, section in scenario.sections.items():
+        # Only the cache section, last in report order, reads the workload,
+        # so no other section's fault waits for the trace to be read.
+        workload = _materialize_workload(scenario) if name == "cache" else None
         try:
             results.append(_SECTIONS[name][1](section, scenario, workload))
         except ValueError as exc:
@@ -450,28 +438,24 @@ def usd_display(nanousd: int) -> str:
 
 
 def render_report(report: CostReport, fmt: str = "json") -> str:
-    """Render a report as canonical JSON or an aligned text table."""
+    """Render a report's ``to_dict`` as canonical JSON or an aligned text table."""
+    out = report.to_dict()
     if fmt == "json":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(out, sort_keys=True, indent=2) + "\n"
     if fmt != "table":
         raise ValueError(f"unknown report format {fmt!r} (supported: json, table)")
     rows = [("section", "requests", "bytes", "cost")]
-    for s in report.sections:
-        rows.append((s.name, f"{s.requests:,}", f"{s.bytes:,}", usd_display(s.nanousd)))
-    rows.append(
-        ("total", f"{report.total_requests:,}", f"{report.total_bytes:,}",
-         usd_display(report.total_nanousd))
-    )
+    for s in [*out["sections"], {"name": "total", **out["totals"]}]:
+        rows.append((s["name"], f"{s['requests']:,}", f"{s['bytes']:,}", usd_display(s["nanousd"])))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    lines = [f"cost report (price book {report.price_book_id}, seed {report.seed})", ""]
+    lines = [f"cost report (price book {out['price_book']}, seed {out['seed']})", ""]
     for i, row in enumerate(rows):
         lines.append(
             "  ".join(cell.rjust(w) if j else cell.ljust(w) for j, (cell, w) in enumerate(zip(row, widths)))
         )
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
-    if report.annual:
-        annual = report.total_nanousd * DAYS_PER_YEAR
+    if "annual_totals" in out:
         lines.append("")
-        lines.append(f"annual total ({DAYS_PER_YEAR} days): {usd_display(annual)}")
+        lines.append(f"annual total ({DAYS_PER_YEAR} days): {usd_display(out['annual_totals']['nanousd'])}")
     return "\n".join(lines) + "\n"

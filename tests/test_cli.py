@@ -710,6 +710,114 @@ def test_directory_path_exits_2(argv, message, tmp_path, monkeypatch, capsys):
     assert captured.err == f"error: {message.format(cwd=os.getcwd())}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["price", "--book", "s3-standard", "--tally", "f.json/x"],
+        ["price", "--book-file", "f.json/x", "--tally", "f.json"],
+        ["scan", "--layout", "f.json", "--query", "f.json", "--data", "f.json/x"],
+        ["synth", "--records", "5", "--out", "f.json/x"],
+    ],
+    ids=["price-tally", "price-book-file", "scan-data", "synth-out"],
+)
+def test_path_through_a_regular_file_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "f.json", {"counts": {"get": 1}})
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Not a directory" in captured.err
+
+
+# scan, join and cache hand their byte flags to the section's field
+# table as text, so a refusal names the field and gives parse_bytes' reason.
+@pytest.mark.parametrize(
+    "command,flag,field",
+    [
+        ("scan", "--coalesce-gap", "scan.coalesce_gap"),
+        ("join", "--probe-bytes", "join.probe_bytes"),
+        ("join", "--request-bytes", "join.request_bytes"),
+        ("cache", "--capacity", "cache.capacity_bytes"),
+        ("cache", "--block", "cache.block_bytes"),
+    ],
+)
+def test_byte_flag_refusal_names_the_scenario_field(command, flag, field, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "layout.json", LAYOUT)
+    _write(tmp_path / "query.json", QUERY)
+    (tmp_path / "t.jsonl").write_text(
+        json.dumps({"ts_ms": 1, "obj": "a", "off": 0, "len": 1000, "kind": "get"}) + "\n"
+    )
+    argv = {
+        "scan": ["scan", "--layout", "layout.json", "--query", "query.json"],
+        "join": JOIN_ARGS,
+        "cache": ["cache", "--trace", "t.jsonl", "--capacity", "1GB"],
+    }[command]
+    assert main(argv + [flag, "1.5B"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: scenario field {field!r}: byte count is not a whole number of bytes: '1.5B'\n"
+    )
+
+
+def _scenario_over_a_trace(tmp_path, monkeypatch, **sections) -> str:
+    """A scenario file with a cache section over a trace that must not be read."""
+    def refuse(path):
+        raise AssertionError(f"trace {path} was read")
+
+    monkeypatch.setattr(scenario, "read_trace", refuse)
+    (tmp_path / "t.jsonl").write_text(
+        json.dumps({"ts_ms": 1, "obj": "a", "off": 0, "len": 1000, "kind": "get"}) + "\n"
+    )
+    raw = {
+        "price_book": "s3-standard",
+        "workload": {"trace": "t.jsonl"},
+        "cache": {"capacity_bytes": "1MB"},
+        **sections,
+    }
+    return _write(tmp_path / "s.json", raw)
+
+
+def test_price_book_that_cannot_price_get_is_refused_before_the_trace_is_read(
+    tmp_path, monkeypatch, capsys
+):
+    book = {"id": "w", "classes": [{"class": "write", "kinds": ["put"], "nanousd_per_request": 5}]}
+    _write(tmp_path / "book.json", book)
+    path = _scenario_over_a_trace(tmp_path, monkeypatch, price_book={"file": "book.json"})
+    assert main(["scenario", "run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: scenario field 'price_book': price book 'w' cannot classify request kind 'get'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "query,data,message",
+    [
+        ({"select": ["Z"]}, None,
+         "scenario field 'scan.query': unknown column 'Z' (table 'events' has: A, B, C)"),
+        ({"select": [], "where": [{"col": "Z", "op": ">", "lit": 1}]}, None,
+         "scenario field 'scan.query': unknown column 'Z' (table 'events' has: A, B, C)"),
+        ({"select": []}, None,
+         "scenario field 'scan.query': scan references no columns (empty projection with no predicates)"),
+        (QUERY, {"A": DATA["A"], "B": DATA["B"]}, "section 'scan': no data supplied for column 'C'"),
+    ],
+    ids=["select-unknown", "where-unknown", "no-column", "data-lacks-column"],
+)
+def test_scan_query_fault_is_refused_before_the_trace_is_read(
+    query, data, message, tmp_path, monkeypatch, capsys
+):
+    path = _scenario_over_a_trace(
+        tmp_path, monkeypatch, scan={"layout": LAYOUT, "query": query, "data": data},
+    )
+    assert main(["scenario", "run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # The cache command's scenario section checks its trace path and block
 # size, so its refusals name the scenario field.
 @pytest.mark.parametrize(

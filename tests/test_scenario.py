@@ -93,7 +93,7 @@ def test_join_scenario_headline_numbers():
     shuffle = join.comparison["shuffle"]
     assert shuffle["bytes"] == 10**13
     assert shuffle["requests"] == 10**9
-    assert report.total_nanousd == join.nanousd
+    assert report.to_dict()["totals"]["nanousd"] == join.nanousd
 
 
 def test_scan_fleet_scenario_headline_numbers():
@@ -259,9 +259,10 @@ def test_multi_section_order_and_consistency():
             {"get": section.bytes} if section.bytes else {},
         )
         assert section.nanousd == book.cost_of(tally)
-    assert report.total_requests == sum(s.requests for s in report.sections)
-    assert report.total_bytes == sum(s.bytes for s in report.sections)
-    assert report.total_nanousd == sum(s.nanousd for s in report.sections)
+    totals = report.to_dict()["totals"]
+    assert totals["requests"] == sum(s.requests for s in report.sections)
+    assert totals["bytes"] == sum(s.bytes for s in report.sections)
+    assert totals["nanousd"] == sum(s.nanousd for s in report.sections)
 
 
 def test_report_echoes_scenario():
@@ -277,7 +278,7 @@ def test_annual_totals():
     out = report.to_dict()
     section = out["sections"][0]
     assert section["annual_nanousd"] == section["nanousd"] * DAYS_PER_YEAR
-    assert out["annual_totals"]["nanousd"] == report.total_nanousd * DAYS_PER_YEAR
+    assert out["annual_totals"]["nanousd"] == out["totals"]["nanousd"] * DAYS_PER_YEAR
     assert out["annual_totals"]["usd"] == "29200000"  # $80,000 x 365
     table = render_report(report, fmt="table")
     assert "annual total (365 days): $29,200,000" in table
@@ -451,7 +452,7 @@ def test_bundled_scenarios_run_clean():
     for path in paths:
         report = run_scenario(load_scenario(str(path)))
         assert report.sections
-        assert report.total_nanousd >= 0
+        assert report.to_dict()["totals"]["nanousd"] >= 0
         assert render_report(report).endswith("\n")
 
 
