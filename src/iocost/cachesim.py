@@ -58,7 +58,8 @@ class CacheReport:
     Hits and misses are per block touch. Origin requests are ranged
     fetches of contiguous missing-block runs, so origin bytes are
     always a whole number of blocks, which is what read amplification
-    measures against the bytes the trace actually asked for.
+    measures against the bytes the trace actually asked for. The
+    footprint, ``distinct_blocks``, counts the blocks the gets touch.
     """
 
     requests_served: int
@@ -69,6 +70,7 @@ class CacheReport:
     requested_bytes: int
     read_amplification: float
     hit_ratio: float
+    distinct_blocks: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -245,6 +247,7 @@ def sweep(trace: Trace, template: CacheConfig, capacities) -> list[CacheReport]:
             requested_bytes=requested,
             read_amplification=origin_bytes / requested if requested else 0.0,
             hit_ratio=hits / total if total else 0.0,
+            distinct_blocks=footprint,
         ))
     return reports
 

@@ -3,11 +3,11 @@
 One subcommand per module plus `scenario run` for end-to-end runs.
 `scan`, `join` and `cache` build a one-section scenario from their
 flags and run it through the same section code as `scenario run`,
-then reshape the result into their own JSON; the section's field table
-parses their byte flags but `--build-bytes`, so a refusal names the
-scenario field. Byte-valued flags accept decimal-unit suffixes (KB, MB,
-GB, TB, PB, all powers of 10). Exit codes: 0 success, 2 validation
-error, 3 runtime error.
+then reshape the result into their own JSON; `synth` builds a
+`workload.synthesize` object. Every flag that is a scenario field is
+checked by that field's table, so a refusal names the scenario field.
+Byte-valued flags accept decimal-unit suffixes (KB, MB, GB, TB, PB, all
+powers of 10). Exit codes: 0 success, 2 validation error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import replace
 from . import joinplan, scenario as scenario_mod, tracemodel
 from .pricing import RequestTally, format_usd, get_pricebook, load_pricebook
 from .tracemodel import SynthSpec
-from .units import REQUIRED, check_fields, check_value, load_json, parse_bytes
+from .units import REQUIRED, check_fields, check_value, load_json
 
 
 def _print_json(payload: dict) -> None:
@@ -50,15 +50,15 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    check_value(args.seed, "int", "iocost synth", "--seed", 0)
-    spec = SynthSpec(
-        records=args.records,
-        size_anchors=((args.p50, 0.5), (args.p90, 0.9), (args.max, 1.0)),
-        min_bytes=args.min_bytes,
-        object_universe=args.objects,
-        zipf_exponent=args.zipf,
-        duration_ms=args.duration_ms,
-    )
+    check_value(args.seed, "int", "scenario", "seed", 0)
+    spec = scenario_mod.synth_spec_from_dict({
+        "records": args.records,
+        "anchors": [[args.p50, 0.5], [args.p90, 0.9], [args.max, 1.0]],
+        "min_bytes": args.min_bytes,
+        "objects": args.objects,
+        "zipf_exponent": args.zipf,
+        "duration_ms": args.duration_ms,
+    })
     trace = tracemodel.synthesize_trace(spec, args.seed)
     tracemodel.write_trace(trace, args.out)
     _print_json({"out": args.out, "records": len(trace), "seed": args.seed})
@@ -162,11 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--records", type=int, default=SynthSpec.records)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True, help="output trace path (JSONL)")
-    p_synth.add_argument("--p50", type=parse_bytes, default=p50, help="median request size")
-    p_synth.add_argument("--p90", type=parse_bytes, default=p90, help="90th percentile request size")
-    p_synth.add_argument("--max", type=parse_bytes, default=largest, help="maximum request size")
-    p_synth.add_argument("--min-bytes", type=parse_bytes, default=SynthSpec.min_bytes,
-                         help="minimum request size")
+    p_synth.add_argument("--p50", default=p50, help="median request size")
+    p_synth.add_argument("--p90", default=p90, help="90th percentile request size")
+    p_synth.add_argument("--max", default=largest, help="maximum request size")
+    p_synth.add_argument("--min-bytes", default=SynthSpec.min_bytes, help="minimum request size")
     p_synth.add_argument("--objects", type=int, default=SynthSpec.object_universe,
                          help="object universe size")
     p_synth.add_argument("--zipf", type=float, default=SynthSpec.zipf_exponent, help="popularity exponent")
@@ -183,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_join = sub.add_parser("join", help="broadcast vs shuffle join I/O at fleet scale")
     p_join.add_argument("--workers", type=int, required=True)
-    # argparse parses this one byte flag itself: its refusal names the flag.
-    p_join.add_argument("--build-bytes", type=parse_bytes, required=True)
+    p_join.add_argument("--build-bytes", required=True)
     p_join.add_argument("--probe-bytes", default="0")
     p_join.add_argument("--queries", type=int, required=True, help="queries per day")
     p_join.add_argument("--broadcast-frac", type=float, required=True)

@@ -49,17 +49,13 @@ class PriceBook:
                 f"price book {self.book_id!r} cannot classify request kind {kind!r}"
             ) from None
 
-    def price_per_request(self, kind: str) -> int:
-        """Per-request price of ``kind`` in nanoUSD."""
-        return self.classify(kind).nanousd_per_request
-
     def cost_of(self, tally: "RequestTally") -> int:
         """Exact cost of a tally in nanoUSD.
 
         Depends only on request counts, never on bytes; object stores
         charge per call regardless of payload size.
         """
-        return sum(count * self.price_per_request(kind) for kind, count in tally.counts.items())
+        return sum(count * self.classify(kind).nanousd_per_request for kind, count in tally.counts.items())
 
 
 @dataclass(frozen=True)

@@ -133,13 +133,9 @@ def _parse_anchors(raw) -> tuple[tuple[int, float], ...]:
     )
 
 
-def _parse_workload(raw: dict, base_dir: str) -> str | SynthSpec:
-    f = check_fields(raw, _WORKLOAD_FIELDS, "scenario", "workload")
-    if (f["trace"] is None) == (f["synthesize"] is None):
-        raise FieldError("scenario", "workload", "needs exactly one of 'trace' or 'synthesize'")
-    if f["trace"] is not None:
-        return _check_file(os.path.join(base_dir, f["trace"]), "workload.trace")
-    s = check_fields(f["synthesize"], _SYNTHESIZE_FIELDS, "scenario", "workload.synthesize")
+def synth_spec_from_dict(raw: dict) -> SynthSpec:
+    """A ``workload.synthesize`` object as a ``SynthSpec``; errors name its fields."""
+    s = check_fields(raw, _SYNTHESIZE_FIELDS, "scenario", "workload.synthesize")
     return _nested(
         "workload.synthesize", SynthSpec,
         records=s["records"],
@@ -149,6 +145,15 @@ def _parse_workload(raw: dict, base_dir: str) -> str | SynthSpec:
         zipf_exponent=float(s["zipf_exponent"]),
         duration_ms=s["duration_ms"],
     )
+
+
+def _parse_workload(raw: dict, base_dir: str) -> str | SynthSpec:
+    f = check_fields(raw, _WORKLOAD_FIELDS, "scenario", "workload")
+    if (f["trace"] is None) == (f["synthesize"] is None):
+        raise FieldError("scenario", "workload", "needs exactly one of 'trace' or 'synthesize'")
+    if f["trace"] is not None:
+        return _check_file(os.path.join(base_dir, f["trace"]), "workload.trace")
+    return synth_spec_from_dict(f["synthesize"])
 
 
 def _inline_or_file(raw, base_dir: str, key: str) -> dict:
@@ -367,10 +372,7 @@ def _run_join(section: tuple, scenario: Scenario, workload) -> SectionResult:
 
 def _run_cache(config: CacheConfig, scenario: Scenario, workload: tuple[Trace, dict]) -> SectionResult:
     trace, note = workload
-    # Past the touch bound every block fits, so that report's misses are the distinct blocks.
-    report, everything = cachesim.sweep(
-        trace, config, [config.capacity_bytes, cachesim.MAX_TRACE_TOUCHES * config.block_bytes]
-    )
+    report = cachesim.simulate(trace, config)
     sides = {
         "cache": (report.origin_requests, report.origin_bytes),
         "no_cache": (report.requests_served, report.requested_bytes),
@@ -380,7 +382,6 @@ def _run_cache(config: CacheConfig, scenario: Scenario, workload: tuple[Trace, d
         "capacity_bytes": config.capacity_bytes,
         "effective_capacity_bytes": config.effective_capacity_bytes,
         "block_bytes": config.block_bytes,
-        "distinct_blocks": everything.misses,
         "workload": note,
     })
 

@@ -45,6 +45,7 @@ def _lru_oracle(trace, config):
     cap = config.capacity_blocks
     block = config.block_bytes
     lru = OrderedDict()
+    seen = set()
     served = hits = misses = origin_requests = origin_bytes = requested = 0
     for rec in trace.gets():
         served += 1
@@ -52,6 +53,7 @@ def _lru_oracle(trace, config):
         run_len = 0
         for idx in range(rec.off // block, (rec.off + rec.length - 1) // block + 1):
             key = (rec.obj, idx)
+            seen.add(key)
             if key in lru:
                 hits += 1
                 lru.move_to_end(key)
@@ -78,6 +80,7 @@ def _lru_oracle(trace, config):
         requested_bytes=requested,
         read_amplification=origin_bytes / requested if requested else 0.0,
         hit_ratio=hits / touches if touches else 0.0,
+        distinct_blocks=len(seen),
     )
 
 
@@ -262,6 +265,7 @@ def test_simulate_is_deterministic():
 def test_report_to_dict_field_names():
     rep = simulate(_trace([("x", 0, 1000)]), CacheConfig(B, B))
     assert sorted(rep.to_dict()) == [
+        "distinct_blocks",
         "hit_ratio",
         "hits",
         "misses",

@@ -284,7 +284,7 @@ def test_scan_negative_seed_exits_2(tmp_path, capsys):
 def test_unbounded_byte_flag_exits_2(value, capsys):
     argv = [a if a != "100MB" else value for a in JOIN_ARGS]
     assert main(argv) == 2
-    assert "--build-bytes" in capsys.readouterr().err
+    assert "scenario field 'join.build_bytes'" in capsys.readouterr().err
 
 
 def test_cache_over_trace_file(tmp_path, capsys):
@@ -430,8 +430,8 @@ _CACHE_RECORDS = st.lists(
 _CONFIG_KEYS = ("capacity_bytes", "effective_capacity_bytes", "block_bytes")
 
 
-# Capacity 0 gives the section's two-point sweep a smallest nonzero
-# capacity (the footprint) that a one-capacity simulate does not have.
+# `iocost cache`, the scenario's cache section and a direct `simulate`
+# call report the same counters, the footprint included.
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(recs=_CACHE_RECORDS, block=st.sampled_from(["1", "7", "500", "1KB", "1e21"]), data=st.data())
 def test_cache_command_is_the_scenario_section_property(recs, block, data, tmp_path, capsys):
@@ -453,8 +453,9 @@ def test_cache_command_is_the_scenario_section_property(recs, block, data, tmp_p
         "cache": {"capacity_bytes": capacity, "block_bytes": block},
     })
     details = _run_json(capsys, ["scenario", "run", scenario_file])["sections"][0]["details"]
-    config = cachesim.CacheConfig(capacity, block_bytes)
-    assert out["report"] == cachesim.simulate(trace, config).to_dict()
+    expected = cachesim.simulate(trace, cachesim.CacheConfig(capacity, block_bytes)).to_dict()
+    assert expected.pop("distinct_blocks") == footprint == details["distinct_blocks"]
+    assert out["report"] == expected
     assert out["report"] == {
         key: value for key, value in details.items()
         if key not in (*_CONFIG_KEYS, "distinct_blocks", "workload")
@@ -729,16 +730,20 @@ def test_path_through_a_regular_file_exits_2(argv, tmp_path, monkeypatch, capsys
     assert captured.err.startswith("error: ") and "Not a directory" in captured.err
 
 
-# scan, join and cache hand their byte flags to the section's field
-# table as text, so a refusal names the field and gives parse_bytes' reason.
+# Every command hands its byte flags to a scenario field table as text,
+# so a refusal names the field and gives parse_bytes' reason.
 @pytest.mark.parametrize(
     "command,flag,field",
     [
         ("scan", "--coalesce-gap", "scan.coalesce_gap"),
+        ("join", "--build-bytes", "join.build_bytes"),
         ("join", "--probe-bytes", "join.probe_bytes"),
         ("join", "--request-bytes", "join.request_bytes"),
         ("cache", "--capacity", "cache.capacity_bytes"),
         ("cache", "--block", "cache.block_bytes"),
+        ("synth", "--p50", "workload.synthesize.anchors[0][0]"),
+        ("synth", "--max", "workload.synthesize.anchors[2][0]"),
+        ("synth", "--min-bytes", "workload.synthesize.min_bytes"),
     ],
 )
 def test_byte_flag_refusal_names_the_scenario_field(command, flag, field, tmp_path, monkeypatch, capsys):
@@ -752,6 +757,7 @@ def test_byte_flag_refusal_names_the_scenario_field(command, flag, field, tmp_pa
         "scan": ["scan", "--layout", "layout.json", "--query", "query.json"],
         "join": JOIN_ARGS,
         "cache": ["cache", "--trace", "t.jsonl", "--capacity", "1GB"],
+        "synth": ["synth", "--records", "10", "--out", "s.jsonl"],
     }[command]
     assert main(argv + [flag, "1.5B"]) == 2
     captured = capsys.readouterr()
@@ -759,6 +765,7 @@ def test_byte_flag_refusal_names_the_scenario_field(command, flag, field, tmp_pa
     assert captured.err == (
         f"error: scenario field {field!r}: byte count is not a whole number of bytes: '1.5B'\n"
     )
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 def _scenario_over_a_trace(tmp_path, monkeypatch, **sections) -> str:
@@ -903,7 +910,7 @@ def _no_synthesis(monkeypatch):
     [
         (["--records", "5", "--max", "1e19"], "anchor sizes must be <= 2**63 - 1"),
         (["--records", str(10**8 + 1)], "record count must be in [1, 10**8]"),
-        (["--seed", "-1"], "'--seed': must be >= 0, got -1"),
+        (["--seed", "-1"], "scenario field 'seed': must be >= 0, got -1"),
     ],
     ids=["anchor", "records", "negative-seed"],
 )

@@ -241,7 +241,7 @@ def test_load_pricebook_roundtrip(tmp_path):
     path.write_text(json.dumps(spec))
     book = load_pricebook(str(path))
     assert book.book_id == "onprem-flat"
-    assert book.price_per_request("get") == 30
+    assert book.classify("get").nanousd_per_request == 30
     assert book.classify("list").name == "write"
     assert book.cost_of(RequestTally({"get": 1000, "put": 10})) == 30_000 + 1_200
 

@@ -6,7 +6,8 @@ import pathlib
 
 import pytest
 
-from iocost import columnar
+from iocost import cachesim, columnar
+from iocost.cli import main
 from iocost.pricing import RequestTally, get_pricebook
 from iocost.scenario import (
     DAYS_PER_YEAR,
@@ -210,6 +211,25 @@ def test_cache_scenario_reads_trace_file(tmp_path):
     }
     assert cache.details["requests_served"] == 4
     assert cache.details["origin_requests"] == 1
+
+
+def test_cache_section_is_one_simulate_call(monkeypatch, capsys):
+    # A tracer that wraps cachesim.simulate, as the benchmark's does, sees
+    # the cache section's whole work and the counters it reports.
+    calls = []
+    simulate = cachesim.simulate
+
+    def recording(*args, **kwargs):
+        calls.append(simulate(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(cachesim, "simulate", recording)
+    path = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "cache_demo.json"
+    assert main(["scenario", "run", str(path)]) == 0
+    details = json.loads(capsys.readouterr().out)["sections"][0]["details"]
+    assert len(calls) == 1
+    for key in ("hits", "misses", "origin_requests", "distinct_blocks"):
+        assert getattr(calls[0], key) == details[key]
 
 
 def test_custom_price_book_file(tmp_path):
