@@ -185,7 +185,13 @@ def _stack_distances(order, new, starts, counts, low: int, high: int) -> np.ndar
         size = 1 << k
         # Each chunk is two chunks sorted at the level below; a query's
         # chunk always lies inside the whole chunks sorted here.
-        nxt[:end >> k << k].reshape(-1, size).sort(axis=1)
+        chunks = nxt[:end >> k << k].reshape(-1, size)
+        if k == 1:  # a pair sorts with one min/max pass
+            smaller = np.minimum(chunks[:, 0], chunks[:, 1])
+            np.maximum(chunks[:, 0], chunks[:, 1], out=chunks[:, 1])
+            chunks[:, 0] = smaller
+        elif k > 1:
+            chunks.sort(axis=1)
         sel = np.flatnonzero(prefix & size)
         bound = r[sel]
         chunk_end = prefix[sel] >> k << k

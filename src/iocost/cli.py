@@ -7,7 +7,8 @@ then reshape the result into their own JSON; `synth` builds a
 `workload.synthesize` object. Every flag that is a scenario field is
 checked by that field's table, so a refusal names the scenario field.
 Byte-valued flags accept decimal-unit suffixes (KB, MB, GB, TB, PB, all
-powers of 10). Exit codes: 0 success, 2 validation error, 3 runtime error.
+powers of 10); the other numeric flags are JSON numbers. Exit codes: 0
+success, 2 validation error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -26,6 +27,15 @@ from .units import REQUIRED, check_fields, check_value, load_json
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
+
+
+def _number(text: str):
+    """A numeric flag's value as its JSON number, else its text, for its field table to check."""
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError):
+        return text
+    return value if isinstance(value, (int, float)) and not isinstance(value, bool) else text
 
 
 # {"counts": {kind: count}, "bytes": {kind: bytes}}; RequestTally checks the entries.
@@ -159,17 +169,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="synthesize a workload trace")
     (p50, _), (p90, _), (largest, _) = SynthSpec.size_anchors
-    p_synth.add_argument("--records", type=int, default=SynthSpec.records)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--records", type=_number, default=SynthSpec.records)
+    p_synth.add_argument("--seed", type=_number, default=0)
     p_synth.add_argument("--out", required=True, help="output trace path (JSONL)")
     p_synth.add_argument("--p50", default=p50, help="median request size")
     p_synth.add_argument("--p90", default=p90, help="90th percentile request size")
     p_synth.add_argument("--max", default=largest, help="maximum request size")
     p_synth.add_argument("--min-bytes", default=SynthSpec.min_bytes, help="minimum request size")
-    p_synth.add_argument("--objects", type=int, default=SynthSpec.object_universe,
+    p_synth.add_argument("--objects", type=_number, default=SynthSpec.object_universe,
                          help="object universe size")
-    p_synth.add_argument("--zipf", type=float, default=SynthSpec.zipf_exponent, help="popularity exponent")
-    p_synth.add_argument("--duration-ms", type=int, default=SynthSpec.duration_ms)
+    p_synth.add_argument("--zipf", type=_number, default=SynthSpec.zipf_exponent, help="popularity exponent")
+    p_synth.add_argument("--duration-ms", type=_number, default=SynthSpec.duration_ms)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_scan = sub.add_parser("scan", help="plan a columnar scan with and without pushdown")
@@ -177,15 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--query", required=True, help="query JSON file")
     p_scan.add_argument("--coalesce-gap", help="merge requests separated by at most this many bytes")
     p_scan.add_argument("--data", help="column data JSON file (synthesized when omitted)")
-    p_scan.add_argument("--seed", type=int, default=0, help="seed for synthesized column data")
+    p_scan.add_argument("--seed", type=_number, default=0, help="seed for synthesized column data")
     p_scan.set_defaults(func=_cmd_scan)
 
     p_join = sub.add_parser("join", help="broadcast vs shuffle join I/O at fleet scale")
-    p_join.add_argument("--workers", type=int, required=True)
+    p_join.add_argument("--workers", type=_number, required=True)
     p_join.add_argument("--build-bytes", required=True)
     p_join.add_argument("--probe-bytes", default="0")
-    p_join.add_argument("--queries", type=int, required=True, help="queries per day")
-    p_join.add_argument("--broadcast-frac", type=float, required=True)
+    p_join.add_argument("--queries", type=_number, required=True, help="queries per day")
+    p_join.add_argument("--broadcast-frac", type=_number, required=True)
     p_join.add_argument("--request-bytes", required=True)
     p_join.add_argument("--strategy", choices=joinplan.STRATEGIES, default="broadcast")
     p_join.set_defaults(func=_cmd_join)

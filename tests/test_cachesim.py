@@ -3,7 +3,9 @@
 import random
 from collections import OrderedDict
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -362,6 +364,31 @@ def test_sweep_laws_property(recs, capacities):
     for rep in reports:
         assert rep.origin_requests <= rep.misses
         assert rep.origin_bytes == rep.misses * B
+
+
+# A whole number of 700-byte blocks near 2**62 bytes. At 1-byte blocks a
+# trace mixing shifted and unshifted gets spans 62 bits of blocks, so
+# its (object, block, position) key needs more than 63 bits and
+# group_pairs takes the lexsort; at 700-byte blocks the packed key holds
+# a 53-bit block span.
+_SHIFT = 2**62 // 700 * 700
+
+
+@given(_records, _capacities, st.sets(st.sampled_from(["a", "b", "c"])), st.sampled_from([1, 700]))
+def test_sweep_is_unchanged_by_a_whole_block_shift_of_some_objects_property(
+    recs, capacities, shifted, block
+):
+    moved = [
+        (kind, obj, off + _SHIFT if kind == "get" and obj in shifted else off, length)
+        for kind, obj, off, length in recs
+    ]
+    template = CacheConfig(0, block)
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        reports = sweep(_mixed_trace(moved), template, capacities)
+    assert reports == sweep(_mixed_trace(recs), template, capacities)
+    gets = {obj for kind, obj, _, _ in recs if kind == "get"}
+    if block == 1 and gets & shifted and gets - shifted:
+        assert lexsort.called
 
 
 @given(_records)

@@ -747,6 +747,38 @@ def test_path_through_a_regular_file_exits_2(argv, tmp_path, monkeypatch, capsys
     ],
 )
 def test_byte_flag_refusal_names_the_scenario_field(command, flag, field, tmp_path, monkeypatch, capsys):
+    _assert_flag_refused(
+        command, flag, "1.5B", f"scenario field {field!r}: byte count is not a whole number of bytes: '1.5B'",
+        tmp_path, monkeypatch, capsys,
+    )
+
+
+# The integer and float flags go to the field tables as JSON numbers, or
+# as text when they are not one, so a malformed value names the field too.
+NUMBER_FLAG_REFUSALS = [
+    ("synth", "--records", "1.5", "'workload.synthesize.records': must be an integer, got 1.5"),
+    ("synth", "--seed", "1.5", "'seed': must be an integer, got 1.5"),
+    ("synth", "--objects", "1e3", "'workload.synthesize.objects': must be an integer, got 1000.0"),
+    ("synth", "--zipf", "x", "'workload.synthesize.zipf_exponent': must be a finite number, got 'x'"),
+    ("synth", "--duration-ms", "true", "'workload.synthesize.duration_ms': must be an integer, got 'true'"),
+    ("scan", "--seed", "1.5", "'seed': must be an integer, got 1.5"),
+    ("join", "--workers", "1.5", "'join.workers': must be an integer, got 1.5"),
+    ("join", "--queries", "[1]", "'join.queries_per_day': must be an integer, got '[1]'"),
+    ("join", "--broadcast-frac", "0.2x", "'join.broadcast_fraction': must be a finite number, got '0.2x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value,refusal", NUMBER_FLAG_REFUSALS, ids=[c + f for c, f, _, _ in NUMBER_FLAG_REFUSALS]
+)
+def test_number_flag_refusal_names_the_scenario_field(
+    command, flag, value, refusal, tmp_path, monkeypatch, capsys
+):
+    _assert_flag_refused(command, flag, value, f"scenario field {refusal}", tmp_path, monkeypatch, capsys)
+
+
+def _assert_flag_refused(command, flag, value, message, tmp_path, monkeypatch, capsys):
+    """A valid command line plus ``flag value`` exits 2 printing only ``error: message``."""
     monkeypatch.chdir(tmp_path)
     _write(tmp_path / "layout.json", LAYOUT)
     _write(tmp_path / "query.json", QUERY)
@@ -759,12 +791,10 @@ def test_byte_flag_refusal_names_the_scenario_field(command, flag, field, tmp_pa
         "cache": ["cache", "--trace", "t.jsonl", "--capacity", "1GB"],
         "synth": ["synth", "--records", "10", "--out", "s.jsonl"],
     }[command]
-    assert main(argv + [flag, "1.5B"]) == 2
+    assert main(argv + [flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"error: scenario field {field!r}: byte count is not a whole number of bytes: '1.5B'\n"
-    )
+    assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "s.jsonl").exists()
 
 

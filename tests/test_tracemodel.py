@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iocost import tracemodel
@@ -643,3 +643,52 @@ def test_statistics_equal_their_per_record_oracles(rows, granularity, k, thresho
     assert repr(got) == repr(want)
     got, want = popularity_share(trace, granularity, k), _popularity_share_oracle(trace, granularity, k)
     assert got == want and type(got) is float
+
+
+def _group_pairs_lexsort_oracle(obj, block):
+    """``group_pairs`` as a stable lexsort, as it was computed before the packed key."""
+    order = np.lexsort((block, obj))
+    new = np.ones(len(order), dtype=bool)
+    key = obj[order]
+    new[1:] = key[1:] != key[:-1]
+    key = block[order]
+    new[1:] |= key[1:] != key[:-1]
+    return order, new
+
+
+@st.composite
+def _pair_columns(draw):
+    """Object codes and blocks drawn from small pools, so pairs repeat.
+
+    Blocks span either a few values or up to 2**62, where the object,
+    block and position no longer pack into 63 bits.
+    """
+    objs = draw(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=4))
+    top = draw(st.sampled_from([7, 2**62]))
+    blocks = draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.sampled_from(objs), st.sampled_from(blocks)), max_size=60))
+    return (np.array([o for o, _ in picks], dtype=np.int32),
+            np.array([b for _, b in picks], dtype=np.int64))
+
+
+# Keys of exactly 63 bits (packed) and 64 bits (lexsort): one object bit,
+# 61 or 62 block bits and one position bit; and blocks that fit one bit
+# only once less their minimum.
+@example((np.array([1, 0], dtype=np.int32), np.array([0, 2**61 - 1], dtype=np.int64)))
+@example((np.array([1, 0], dtype=np.int32), np.array([0, 2**61], dtype=np.int64)))
+@example((np.array([0, 1], dtype=np.int32), np.array([3, 2], dtype=np.int64)))
+@given(_pair_columns())
+def test_group_pairs_matches_lexsort_property(columns):
+    obj, block = columns
+    n = len(obj)
+    bits = n and sum(
+        int(x).bit_length() for x in (obj.max() - np.int64(obj.min()), block.max() - block.min(), n - 1)
+    )
+    # The lexsort is left only when the packed key would need more than 63 bits.
+    refuse = mock.Mock(side_effect=AssertionError("lexsort on a key that fits 63 bits"))
+    with mock.patch.object(tracemodel.np, "lexsort", refuse if n and bits <= 63 else np.lexsort):
+        order, new = tracemodel.group_pairs(obj, block)
+    want_order, want_new = _group_pairs_lexsort_oracle(obj, block)
+    assert order.dtype == want_order.dtype and new.dtype == want_new.dtype
+    assert order.tolist() == want_order.tolist()
+    assert new.tolist() == want_new.tolist()
