@@ -1,14 +1,15 @@
 """Command-line interface.
 
 One subcommand per module plus `scenario run` for end-to-end runs.
-`scan`, `join` and `cache` build a one-section scenario from their
-flags and run it through the same section code as `scenario run`,
-then reshape the result into their own JSON; `synth` builds a
-`workload.synthesize` object. Every flag that is a scenario field is
-checked by that field's table, so a refusal names the scenario field.
-Byte-valued flags accept decimal-unit suffixes (KB, MB, GB, TB, PB, all
-powers of 10); the other numeric flags are JSON numbers. Exit codes: 0
-success, 2 validation error, 3 runtime error.
+`scan`, `join` and `cache` run a one-section scenario through the same
+section code as `scenario run`, then reshape the result into their own
+JSON; `synth` builds a `workload.synthesize` object. A flag that is a
+scenario field is stored under the field's name and handed over only
+when given, so the field's table supplies its default and checks it,
+and a refusal names the scenario field. Byte-valued flags accept
+decimal-unit suffixes (KB, MB, GB, TB, PB, all powers of 10); the other
+numeric flags are JSON numbers. Exit codes: 0 success, 2 validation
+error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import replace
 from . import joinplan, scenario as scenario_mod, tracemodel
 from .pricing import RequestTally, format_usd, get_pricebook, load_pricebook
 from .tracemodel import SynthSpec
-from .units import REQUIRED, check_fields, check_value, load_json
+from .units import REQUIRED, FieldError, check_fields, check_value, load_json
 
 
 def _print_json(payload: dict) -> None:
@@ -45,7 +46,10 @@ _TALLY_FIELDS = (("counts", "object", REQUIRED, None), ("bytes", "object", None,
 def _cmd_price(args) -> int:
     book = load_pricebook(args.book_file) if args.book_file else get_pricebook(args.book)
     raw = check_fields(load_json(args.tally, "tally file"), _TALLY_FIELDS, f"tally file {args.tally}")
-    tally = RequestTally(counts=raw["counts"], transferred_bytes=raw["bytes"] or {})
+    try:
+        tally = RequestTally(counts=raw["counts"], transferred_bytes=raw["bytes"] or {})
+    except ValueError as exc:
+        raise FieldError(f"tally file {args.tally}", "", str(exc)) from None
     cost = book.cost_of(tally)
     _print_json(
         {
@@ -59,16 +63,15 @@ def _cmd_price(args) -> int:
     return 0
 
 
+def _given(args) -> dict:
+    """The scenario-field flags that were given, by field name; the rest take the table's default."""
+    return {key: getattr(args, key) for key in args.fields if getattr(args, key) is not None}
+
+
 def _cmd_synth(args) -> int:
     check_value(args.seed, "int", "scenario", "seed", 0)
-    spec = scenario_mod.synth_spec_from_dict({
-        "records": args.records,
-        "anchors": [[args.p50, 0.5], [args.p90, 0.9], [args.max, 1.0]],
-        "min_bytes": args.min_bytes,
-        "objects": args.objects,
-        "zipf_exponent": args.zipf,
-        "duration_ms": args.duration_ms,
-    })
+    anchors = [[args.p50, 0.5], [args.p90, 0.9], [args.max, 1.0]]
+    spec = scenario_mod.synth_spec_from_dict({**_given(args), "anchors": anchors})
     trace = tracemodel.synthesize_trace(spec, args.seed)
     tracemodel.write_trace(trace, args.out)
     _print_json({"out": args.out, "records": len(trace), "seed": args.seed})
@@ -79,8 +82,8 @@ def _run_section(name: str, section: dict, seed: int = 0,
                  workload: dict | None = None) -> scenario_mod.SectionResult:
     """Run a one-section scenario priced with a fixed built-in book.
 
-    `scan`, `join` and `cache` build a one-section scenario from their
-    flags; `workload` is its workload object, for a section that reads one.
+    `scan`, `join` and `cache` pass their given flags as ``section``;
+    ``workload`` is its workload object, for a section that reads one.
     """
     raw = {"price_book": "s3-standard", "seed": seed, "workload": workload, name: section}
     s = scenario_mod.scenario_from_dict(raw, base_dir=os.getcwd())
@@ -88,11 +91,7 @@ def _run_section(name: str, section: dict, seed: int = 0,
 
 
 def _cmd_scan(args) -> int:
-    section = {"layout": args.layout, "query": args.query, "coalesce_gap": args.coalesce_gap}
-    if args.data:
-        data = load_json(args.data, "data file")
-        section["data"] = check_value(data, "object", f"data file {args.data}", "")
-    result = _run_section("scan", section, args.seed)
+    result = _run_section("scan", _given(args), args.seed)
     details, comp = result.details, result.comparison
     out = {key: details[key] for key in ("table", "rows", "mode", "survivors")}
     for mode in ("pushdown", "full_scan"):
@@ -102,15 +101,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_join(args) -> int:
-    result = _run_section("join", {
-        "queries_per_day": args.queries,
-        "broadcast_fraction": args.broadcast_frac,
-        "workers": args.workers,
-        "build_bytes": args.build_bytes,
-        "probe_bytes": args.probe_bytes,
-        "request_bytes": args.request_bytes,
-        "strategy": args.strategy,
-    })
+    result = _run_section("join", _given(args))
     details, comp = result.details, result.comparison
     fleet = {}
     for strategy in ("broadcast", "shuffle"):
@@ -133,10 +124,7 @@ def _cmd_join(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    section = {"capacity_bytes": args.capacity}
-    if args.block is not None:
-        section["block_bytes"] = args.block
-    report = dict(_run_section("cache", section, workload={"trace": args.trace}).details)
+    report = dict(_run_section("cache", _given(args), workload={"trace": args.trace}).details)
     config = {key: report.pop(key) for key in ("capacity_bytes", "effective_capacity_bytes", "block_bytes")}
     for key in ("distinct_blocks", "workload"):
         del report[key]
@@ -169,18 +157,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="synthesize a workload trace")
     (p50, _), (p90, _), (largest, _) = SynthSpec.size_anchors
-    p_synth.add_argument("--records", type=_number, default=SynthSpec.records)
+    p_synth.add_argument("--records", type=_number)
     p_synth.add_argument("--seed", type=_number, default=0)
     p_synth.add_argument("--out", required=True, help="output trace path (JSONL)")
     p_synth.add_argument("--p50", default=p50, help="median request size")
     p_synth.add_argument("--p90", default=p90, help="90th percentile request size")
     p_synth.add_argument("--max", default=largest, help="maximum request size")
-    p_synth.add_argument("--min-bytes", default=SynthSpec.min_bytes, help="minimum request size")
-    p_synth.add_argument("--objects", type=_number, default=SynthSpec.object_universe,
-                         help="object universe size")
-    p_synth.add_argument("--zipf", type=_number, default=SynthSpec.zipf_exponent, help="popularity exponent")
-    p_synth.add_argument("--duration-ms", type=_number, default=SynthSpec.duration_ms)
-    p_synth.set_defaults(func=_cmd_synth)
+    p_synth.add_argument("--min-bytes", help="minimum request size")
+    p_synth.add_argument("--objects", type=_number, help="object universe size")
+    p_synth.add_argument("--zipf", dest="zipf_exponent", type=_number, help="popularity exponent")
+    p_synth.add_argument("--duration-ms", type=_number)
+    p_synth.set_defaults(func=_cmd_synth,
+                         fields=("records", "min_bytes", "objects", "zipf_exponent", "duration_ms"))
 
     p_scan = sub.add_parser("scan", help="plan a columnar scan with and without pushdown")
     p_scan.add_argument("--layout", required=True, help="layout JSON file")
@@ -188,23 +176,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--coalesce-gap", help="merge requests separated by at most this many bytes")
     p_scan.add_argument("--data", help="column data JSON file (synthesized when omitted)")
     p_scan.add_argument("--seed", type=_number, default=0, help="seed for synthesized column data")
-    p_scan.set_defaults(func=_cmd_scan)
+    p_scan.set_defaults(func=_cmd_scan, fields=("layout", "query", "coalesce_gap", "data"))
 
     p_join = sub.add_parser("join", help="broadcast vs shuffle join I/O at fleet scale")
     p_join.add_argument("--workers", type=_number, required=True)
     p_join.add_argument("--build-bytes", required=True)
-    p_join.add_argument("--probe-bytes", default="0")
-    p_join.add_argument("--queries", type=_number, required=True, help="queries per day")
-    p_join.add_argument("--broadcast-frac", type=_number, required=True)
+    p_join.add_argument("--probe-bytes")
+    p_join.add_argument("--queries", dest="queries_per_day", type=_number, required=True)
+    p_join.add_argument("--broadcast-frac", dest="broadcast_fraction", type=_number, required=True)
     p_join.add_argument("--request-bytes", required=True)
-    p_join.add_argument("--strategy", choices=joinplan.STRATEGIES, default="broadcast")
-    p_join.set_defaults(func=_cmd_join)
+    p_join.add_argument("--strategy", metavar="{" + ",".join(joinplan.STRATEGIES) + "}")
+    p_join.set_defaults(func=_cmd_join, fields=("workers", "build_bytes", "probe_bytes", "queries_per_day",
+                                                "broadcast_fraction", "request_bytes", "strategy"))
 
     p_cache = sub.add_parser("cache", help="simulate an LRU block cache over a trace")
     p_cache.add_argument("--trace", required=True, help="trace JSONL file")
-    p_cache.add_argument("--capacity", required=True)
-    p_cache.add_argument("--block")
-    p_cache.set_defaults(func=_cmd_cache)
+    p_cache.add_argument("--capacity", dest="capacity_bytes", required=True)
+    p_cache.add_argument("--block", dest="block_bytes")
+    p_cache.set_defaults(func=_cmd_cache, fields=("capacity_bytes", "block_bytes"))
 
     p_scenario = sub.add_parser("scenario", help="scenario file operations")
     sub2 = p_scenario.add_subparsers(dest="scenario_command", required=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -70,7 +71,7 @@ _SYNTHESIZE_FIELDS = (
 _SCAN_FIELDS = (
     ("layout", "any", REQUIRED, None),
     ("query", "any", REQUIRED, None),
-    ("data", "object", None, None),
+    ("data", "any", None, None),
     ("coalesce_gap", "bytes", None, None),
 )
 _SCAN_FLEET_FIELDS = (
@@ -174,8 +175,10 @@ def _parse_scan(raw: dict, base_dir: str) -> dict:
     layout = f["layout"] = _nested("scan.layout", columnar.layout_from_dict, layout_spec)
     select, predicates, _ = f["query"] = _nested("scan.query", columnar.query_from_dict, query_spec)
     _nested("scan.query", columnar.query_columns, layout, select, predicates)
-    data = f["data"] or {}
-    if not all(
+    if f["data"] is not None:
+        f["data"] = _inline_or_file(f["data"], base_dir, "scan.data")
+    data = {} if f["data"] is None else f["data"]
+    if not isinstance(data, dict) or not all(
         isinstance(v, list)
         and all(isinstance(x, int) and not isinstance(x, bool) and -2**63 <= x < 2**63 for x in v)
         for v in data.values()
@@ -202,8 +205,9 @@ def _parse_scan_fleet(raw: dict, base_dir: str) -> dict:
 
 def _parse_join(raw: dict, base_dir: str) -> tuple[FleetParams, JoinSpec, int]:
     f = check_fields(raw, _JOIN_FIELDS, "scenario", "join")
+    # After the table, the fraction's range is the one FleetParams check left to fail.
     params = _nested(
-        "join", FleetParams,
+        "join.broadcast_fraction", FleetParams,
         f["queries_per_day"], f["broadcast_fraction"], f["workers"], f["build_bytes"],
     )
     spec = _nested(
@@ -429,13 +433,8 @@ def run_scenario(scenario: Scenario) -> CostReport:
 
 def usd_display(nanousd: int) -> str:
     """Human form of a nanoUSD amount: dollar sign and digit grouping."""
-    text = format_usd(nanousd)
-    sign = ""
-    if text.startswith("-"):
-        sign, text = "-", text[1:]
-    whole, _, frac = text.partition(".")
-    grouped = f"{int(whole):,}"
-    return f"{sign}${grouped}.{frac}" if frac else f"{sign}${grouped}"
+    # A Decimal from a string is exact, and ",f" groups it without rounding.
+    return f"{'-' if nanousd < 0 else ''}${Decimal(format_usd(abs(nanousd))):,f}"
 
 
 def render_report(report: CostReport, fmt: str = "json") -> str:

@@ -686,9 +686,12 @@ def test_misspelled_price_book_class_field_exits_2(tmp_path, capsys):
     ],
 )
 def test_malformed_tally_exits_2(tally, path, tmp_path, capsys):
-    code = main(["price", "--book", "s3-standard", "--tally", _write(tmp_path / "t.json", tally)])
+    name = _write(tmp_path / "t.json", tally)
+    code = main(["price", "--book", "s3-standard", "--tally", name])
     assert code == 2
-    assert path in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert path in err
+    assert f"tally file {name}" in err
 
 
 @pytest.mark.parametrize(
@@ -698,36 +701,47 @@ def test_malformed_tally_exits_2(tally, path, tmp_path, capsys):
         (["price", "--book-file", "DIR", "--tally", "tally.json"], "[Errno 21] Is a directory: 'DIR'"),
         (["cache", "--trace", "DIR", "--capacity", "1MB"],
          "scenario field 'workload.trace': file not found: {cwd}/DIR"),
+        (["scan", "--layout", "layout.json", "--query", "query.json", "--data", "DIR"],
+         "scenario field 'scan.data': file not found: {cwd}/DIR"),
     ],
-    ids=["price-tally", "price-book-file", "cache-trace"],
+    ids=["price-tally", "price-book-file", "cache-trace", "scan-data"],
 )
 def test_directory_path_exits_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "DIR").mkdir()
     _write(tmp_path / "tally.json", {"counts": {"get": 1}})
+    _write(tmp_path / "layout.json", LAYOUT)
+    _write(tmp_path / "query.json", QUERY)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.format(cwd=os.getcwd())}\n"
 
 
+NOT_A_DIRECTORY = "[Errno 20] Not a directory: 'f.json/x'"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["price", "--book", "s3-standard", "--tally", "f.json/x"],
-        ["price", "--book-file", "f.json/x", "--tally", "f.json"],
-        ["scan", "--layout", "f.json", "--query", "f.json", "--data", "f.json/x"],
-        ["synth", "--records", "5", "--out", "f.json/x"],
+        (["price", "--book", "s3-standard", "--tally", "f.json/x"], NOT_A_DIRECTORY),
+        (["price", "--book-file", "f.json/x", "--tally", "f.json"], NOT_A_DIRECTORY),
+        # scan.data is a file field like scan.layout: a path that is not a file is not found
+        (["scan", "--layout", "layout.json", "--query", "query.json", "--data", "f.json/x"],
+         "scenario field 'scan.data': file not found: {cwd}/f.json/x"),
+        (["synth", "--records", "5", "--out", "f.json/x"], NOT_A_DIRECTORY),
     ],
     ids=["price-tally", "price-book-file", "scan-data", "synth-out"],
 )
-def test_path_through_a_regular_file_exits_2(argv, tmp_path, monkeypatch, capsys):
+def test_path_through_a_regular_file_exits_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _write(tmp_path / "f.json", {"counts": {"get": 1}})
+    _write(tmp_path / "layout.json", LAYOUT)
+    _write(tmp_path / "query.json", QUERY)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "Not a directory" in captured.err
+    assert captured.err == f"error: {message.format(cwd=os.getcwd())}\n"
 
 
 # Every command hands its byte flags to a scenario field table as text,
@@ -775,6 +789,19 @@ def test_number_flag_refusal_names_the_scenario_field(
     command, flag, value, refusal, tmp_path, monkeypatch, capsys
 ):
     _assert_flag_refused(command, flag, value, f"scenario field {refusal}", tmp_path, monkeypatch, capsys)
+
+
+def test_strategy_outside_its_choices_is_refused_by_its_field(tmp_path, monkeypatch, capsys):
+    _assert_flag_refused(
+        "join", "--strategy", "merge",
+        "scenario field 'join.strategy': must be one of ['broadcast', 'shuffle', 'auto'], got 'merge'",
+        tmp_path, monkeypatch, capsys,
+    )
+
+
+def test_join_help_lists_the_strategies(capsys):
+    assert main(["join", "--help"]) == 0
+    assert "--strategy {broadcast,shuffle,auto}" in capsys.readouterr().out
 
 
 def _assert_flag_refused(command, flag, value, message, tmp_path, monkeypatch, capsys):

@@ -153,6 +153,12 @@ def test_scan_files_resolve_against_scenario_dir(tmp_path):
     path.write_text(json.dumps(raw))
     report = run_scenario(load_scenario(str(path)))
     assert report.sections[0].details["survivors"] == 3
+    # scan.data may be a file next to the scenario too, and reads as the same data inline
+    (tmp_path / "data.json").write_text(json.dumps(SCAN_RAW["scan"]["data"]))
+    raw["scan"]["data"] = "data.json"
+    path.write_text(json.dumps(raw))
+    from_file = run_scenario(load_scenario(str(path)))
+    assert from_file.sections == report.sections
 
 
 def test_cache_scenario_beats_no_cache_on_reused_workload():
@@ -405,6 +411,7 @@ FIELD_ERRORS = [
     ({**JOIN_RAW, "join": {**JOIN_RAW["join"], "workers": 0}}, "join.workers"),
     ({**JOIN_RAW, "join": {**JOIN_RAW["join"], "queries_per_day": -1}}, "join.queries_per_day"),
     ({**JOIN_RAW, "join": {**JOIN_RAW["join"], "build_bytes": "inf"}}, "join.build_bytes"),
+    ({**JOIN_RAW, "join": {**JOIN_RAW["join"], "broadcast_fraction": 1.5}}, "join.broadcast_fraction"),
     ({**CACHE_RAW, "cache": {"capacity_bytes": "1e400"}}, "cache.capacity_bytes"),
     ({**CACHE_RAW, "cache": {"capacity_bytes": "1GB", "block_bytes": -1}}, "cache.block_bytes"),
     ({**SCAN_RAW, "scan": {**SCAN_RAW["scan"], "layout": "bad.json"}}, "scan.layout"),
