@@ -20,9 +20,11 @@ import re
 from array import array
 from itertools import count, filterfalse
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .units import KB, MB
 
@@ -330,17 +332,82 @@ def read_trace(path: str) -> Trace:
         return parse_trace(fh)
 
 
+# Rows encoded at a time while their ids are at most 64 bytes quoted; a
+# wider id shrinks its chunk so the id cells stay within 2**20 bytes.
+# 2**16-row chunks raised the synth_sweep child's peak RSS from 50.2 to 52.6 MB.
+_WRITE_ROWS = 1 << 14
+
+# The text around the five fields of a canonical line, in order.
+_LINE_TEXT = [np.frombuffer(t, np.uint8) for t in b'{"ts_ms":|,"obj":|,"off":|,"len":|,"kind":"|"}\n'.split(b"|")]
+# Row k holds kind k's bytes, NUL-padded.
+_KIND_CELLS = np.array(TRACE_KINDS, "S").view(np.uint8).reshape(len(TRACE_KINDS), -1)
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """A row of ASCII digits for each of the non-negative ``values``, NUL before its first digit."""
+    width = len(str(int(values.max())))
+    digits = np.empty((len(values), width), np.uint8)
+    rest = values
+    for place in range(width - 1, -1, -1):
+        # numpy divides by a scalar several times faster than by an array of powers.
+        tens = rest // 10
+        digits[:, place] = rest - tens * 10
+        rest = tens
+    digits += ord("0")
+    # NUL above the first digit; 0 keeps one. int64 powers compare exactly on numpy 1 too.
+    digits *= np.maximum(values, 1)[:, None] >= _POWERS_OF_TEN[-width:].astype(np.int64)
+    return digits
+
+
+def _quoted_ids(objects):
+    """The ids as ``json.dumps`` writes them, in one byte array: ``(ids, ends, widths)``.
+
+    Id i is the ``widths[i]`` bytes before ``ids[ends[i]]``; as many NULs
+    as the widest id has bytes lead the first.
+    """
+    quoted = list(map(encode_basestring_ascii, objects))  # json.dumps of a str
+    widths = np.fromiter(map(len, quoted), np.intp, len(quoted))
+    lead = int(widths.max(initial=0))
+    ids = np.frombuffer(b"\0" * lead + "".join(quoted).encode("ascii"), np.uint8)
+    return ids, lead + np.cumsum(widths), widths
+
+
+def _encoded(trace: Trace):
+    """The canonical lines of ``trace`` as ASCII bytes, one chunk of rows at a time.
+
+    Each chunk is a grid of one row a record: the line's text, its
+    integers' digits, its quoted id right-aligned and its kind, with NUL
+    in the places a shorter value leaves. Dropping the NULs leaves the
+    lines, as ``json.dumps`` escapes NUL and so no line holds one.
+    """
+    ids, ends, widths = _quoted_ids(trace.objects)
+    start = 0
+    while start < len(trace):
+        obj = trace.obj[start:start + _WRITE_ROWS]
+        width = int(widths[obj].max())
+        obj = obj[:max(1, _WRITE_ROWS * 64 // max(width, 64))]
+        rows, start = slice(start, start + len(obj)), start + len(obj)
+        cells = sliding_window_view(ids, width)[ends[obj] - width]  # each id right-aligned
+        cells *= np.arange(width) >= (width - widths[obj])[:, None]  # NUL before its first byte
+        text = [np.broadcast_to(t, (len(obj), len(t))) for t in _LINE_TEXT]
+        grid = np.concatenate([
+            text[0], _digits(trace.ts_ms[rows]), text[1], cells, text[2], _digits(trace.off[rows]),
+            text[3], _digits(trace.length[rows]), text[4], _KIND_CELLS[trace.kind[rows]], text[5],
+        ], axis=1)
+        yield grid[grid != 0].tobytes()
+
+
 def trace_lines(trace: Trace):
     """Yield the canonical JSONL line for each record (fixed key order)."""
-    names = [json.dumps(name) for name in trace.objects]
-    columns = (trace.ts_ms, trace.obj, trace.off, trace.length, trace.kind)
-    for t, o, a, n, k in zip(*(c.tolist() for c in columns)):
-        yield f'{{"ts_ms":{t},"obj":{names[o]},"off":{a},"len":{n},"kind":"{TRACE_KINDS[k]}"}}'
+    for chunk in _encoded(trace):
+        # The lines are ASCII with every control character escaped but the newlines.
+        yield from chunk.decode("ascii").splitlines()
 
 
 def write_trace(trace: Trace, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in trace_lines(trace))
+    """Write ``trace`` as its canonical lines, each ending in a newline."""
+    with open(path, "wb") as fh:
+        fh.writelines(_encoded(trace))
 
 
 @dataclass(frozen=True, eq=False)  # arrays compare elementwise, not to one bool

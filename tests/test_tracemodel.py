@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import statistics
+import tracemalloc
 from collections import Counter
 from heapq import nlargest
 from unittest import mock
@@ -122,6 +123,75 @@ def test_write_read_roundtrip(tmp_path):
     assert again.gets() == trace.gets()
     # canonical serialization is stable
     assert list(trace_lines(again)) == list(trace_lines(trace))
+
+
+def _lines_oracle(trace):
+    """The canonical lines, one f-string a record: the writer before the bulk encoder."""
+    names = [json.dumps(name) for name in trace.objects]
+    columns = (trace.ts_ms, trace.obj, trace.off, trace.length, trace.kind)
+    for t, o, a, n, k in zip(*(c.tolist() for c in columns)):
+        yield f'{{"ts_ms":{t},"obj":{names[o]},"off":{a},"len":{n},"kind":"{TRACE_KINDS[k]}"}}'
+
+
+# The writer checks no row, so any int64 and any non-empty id will do.
+_written_ints = st.sampled_from([0, 9, 10, MAX_TRACE_INT]) | st.integers(0, MAX_TRACE_INT)
+_written_ids = st.one_of(
+    st.sampled_from(['"', "\\", "\x7f", "\x00", "\n", "\x1f", "é", "\ud800", "o1"]), st.text(min_size=1, max_size=4)
+)
+
+
+@given(
+    st.lists(st.tuples(_written_ints, _written_ids, _written_ints, _written_ints, st.sampled_from(TRACE_KINDS)),
+             max_size=12),
+    st.integers(1, 3),
+)
+@example(rows=[], chunk_rows=1)  # an empty trace writes an empty file
+def test_write_trace_equals_the_per_line_oracle_property(tmp_path_factory, rows, chunk_rows):
+    trace = Trace(rows)
+    path = tmp_path_factory.getbasetemp() / "written.jsonl"
+    # Chunks of one to three rows put every row next to a chunk boundary.
+    with mock.patch.object(tracemodel, "_WRITE_ROWS", chunk_rows):
+        write_trace(trace, str(path))
+        assert list(trace_lines(trace)) == list(_lines_oracle(trace))
+    assert path.read_bytes() == "".join(line + "\n" for line in _lines_oracle(trace)).encode()
+
+
+def test_written_ids_read_back_in_bulk_unless_escaped(tmp_path):
+    # Every character json.dumps writes as itself; DEL it escapes, though the bulk reader takes it raw.
+    plain = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\')
+    path = tmp_path / "t.jsonl"
+    trace = Trace([(1, plain, 0, 5, "get"), (2, "o1", 7, 0, "head"), (3, "o1", 9, 1, "put")])
+    write_trace(trace, str(path))
+    _assert_same_trace(tracemodel._read_canonical(str(path)), trace)
+    trace = Trace([(1, "a\x7fb", 0, 5, "get"), (2, "o1", 0, 1, "get")])
+    write_trace(trace, str(path))
+    assert '"a\\u007fb"' in path.read_text()
+    assert tracemodel._read_canonical(str(path)) is None
+    _assert_same_trace(read_trace(str(path)), trace)
+
+
+def _write_peak(trace, path):
+    """The tracemalloc peak of ``write_trace(trace, path)``, in bytes."""
+    tracemalloc.start()
+    try:
+        write_trace(trace, str(path))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_trace_memory_is_bounded(tmp_path):
+    path = tmp_path / "t.jsonl"
+    # The per-line writer peaked at 23.5 MB here, in Python ints of whole columns.
+    trace = synthesize_trace(SynthSpec(records=200_000), seed=1)
+    assert _write_peak(trace, path) < 8 * MB
+    # One 10**5-byte id among 2,000 short ones widens only its own chunk,
+    # of 10 rows: 2**14 rows of it would take 1.6 GB, and every chunk
+    # padded to it 201 chunks.
+    trace = Trace([(i, f"o{i}", 0, 1, "get") for i in range(2000)] + [(0, "x" * 10**5, 0, 1, "get")])
+    assert _write_peak(trace, path) < 8 * MB
+    assert path.read_text() == "".join(line + "\n" for line in _lines_oracle(trace))
+    assert len(list(tracemodel._encoded(trace))) == 2
 
 
 def _written_twice(lines):
