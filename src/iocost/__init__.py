@@ -5,55 +5,49 @@ books, nanoUSD arithmetic), tracemodel (traces, statistics,
 synthesis), columnar (scan planning with predicate pushdown), joinplan
 (broadcast vs shuffle I/O), cachesim (LRU block cache), and scenario
 (end-to-end runs and reports). The `iocost` CLI fronts all of them.
+
+Importing the package loads none of them: each public name below, and
+each submodule, loads its module on first use (PEP 562), so a caller
+pays only for the modules it names.
 """
 
-from .cachesim import CacheConfig, CacheReport, miss_ratio_curve, simulate, sweep
-from .columnar import (
-    Predicate,
-    ScanPlan,
-    TableLayout,
-    build_layout,
-    coalesce_requests,
-    fleet_scan_projection,
-    plan_scan,
-)
-from .joinplan import (
-    FleetParams,
-    JoinIoPlan,
-    JoinSpec,
-    fleet_aggregate,
-    fleet_api_calls,
-    plan_join,
-    waste_fraction,
-)
-from .pricing import (
-    PriceBook,
-    RequestTally,
-    builtin_pricebooks,
-    format_usd,
-    get_pricebook,
-    load_pricebook,
-)
-from .scenario import (
-    CostReport,
-    Scenario,
-    load_scenario,
-    render_report,
-    run_scenario,
-)
-from .tracemodel import (
-    AccessRecord,
-    SizeCdf,
-    SynthSpec,
-    Trace,
-    parse_trace,
-    popularity_share,
-    read_trace,
-    reuse_intervals,
-    size_cdf,
-    synthesize_trace,
-    write_trace,
-)
-from .units import GB, KB, MB, PB, TB, parse_bytes
+import importlib
+
+# Each public name, by the submodule that defines it.
+_EXPORTS = {
+    "cachesim": ("CacheConfig", "CacheReport", "miss_ratio_curve", "simulate", "sweep"),
+    "columnar": (
+        "Predicate", "ScanPlan", "TableLayout", "build_layout", "coalesce_requests",
+        "fleet_scan_projection", "plan_scan",
+    ),
+    "joinplan": (
+        "FleetParams", "JoinIoPlan", "JoinSpec", "fleet_aggregate", "fleet_api_calls",
+        "plan_join", "waste_fraction",
+    ),
+    "pricing": (
+        "PriceBook", "RequestTally", "builtin_pricebooks", "format_usd", "get_pricebook",
+        "load_pricebook",
+    ),
+    "scenario": ("CostReport", "Scenario", "load_scenario", "render_report", "run_scenario"),
+    "tracemodel": (
+        "AccessRecord", "SizeCdf", "SynthSpec", "Trace", "parse_trace", "popularity_share",
+        "read_trace", "reuse_intervals", "size_cdf", "synthesize_trace", "write_trace",
+    ),
+    "units": ("GB", "KB", "MB", "PB", "TB", "parse_bytes"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli")
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF, *_SUBMODULES})

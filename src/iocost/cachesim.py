@@ -17,8 +17,8 @@ from .tracemodel import GET, MAX_TRACE_INT, Trace, group_pairs
 from .units import MB
 
 # Most block touches (blocks covered by the gets, counted per get) one
-# simulation expands. The sweep peaks at about 45 bytes per touch, so
-# the limit costs about 4.5 GB; being below 2**31, it also keeps every
+# simulation expands. The sweep peaks at about 41 bytes per touch, so
+# the limit costs about 4.1 GB; being below 2**31, it also keeps every
 # touch position exact in the int32 arrays of the sweep.
 MAX_TRACE_TOUCHES = 10**8
 
@@ -153,6 +153,19 @@ def _stack_distances(order, new, starts, counts, low: int, high: int) -> np.ndar
     array is sorted in place within aligned chunks of ``2**k``, and a
     binary search of one chunk answers each query whose prefix
     ``[0, prev]`` ends with a chunk of that size.
+
+    Re-touches come in runs, and one count serves a whole run. A
+    re-touch ``t`` continues the run of ``t - 1`` when ``t - 1`` is a
+    re-touch of the same request and ``prev(t) == prev(t - 1) + 1``, as
+    when a multi-block get is read again. The window of ``t`` is then
+    the window of ``t - 1`` less position ``prev(t)``, which that window
+    counts (its next touch is ``t``, not before ``r``), so ``dist(t) =
+    dist(t - 1) - 1`` exactly. Only the head of each run holding a
+    touch the bounds leave open is counted, even where its own bounds
+    decide it (a kept bound is no distance to step down from), and each
+    touch of the run takes the head's distance less its offset; every
+    other touch keeps its bound. The runs are found over the re-touches
+    alone, so they add little memory.
     """
     total = len(order)
     same = ~new[1:]
@@ -177,9 +190,17 @@ def _stack_distances(order, new, starts, counts, low: int, high: int) -> np.ndar
     dist[query] = np.where(upper < low, upper, lower)
     exact = (upper >= low) & (lower < high)
     del upper, lower
-    query, prefix, r = query[exact], before[exact] + 1, r[exact]
-    del before, exact
-    found = np.zeros(len(query), dtype=np.int32)
+    # The runs over the queries, and which of them hold an open touch.
+    head = np.ones(len(query), dtype=bool)
+    head[1:] = (np.diff(query) != 1) | (np.diff(r) != 0) | (np.diff(before) != 1)
+    run = np.cumsum(head, dtype=np.int32) - 1
+    heads = np.flatnonzero(head).astype(np.int32)
+    counted = np.zeros(len(heads), dtype=bool)
+    counted[run[exact]] = True
+    heads = heads[counted]
+    prefix, r = before[heads] + 1, r[heads]
+    del head, exact, before
+    found = np.zeros(len(heads), dtype=np.int32)
     end = int(prefix.max(initial=0))
     for k in range(end.bit_length()):
         size = 1 << k
@@ -203,7 +224,12 @@ def _stack_distances(order, new, starts, counts, low: int, high: int) -> np.ndar
             at += np.where(nxt[at + step - 1] < bound, step, 0)
         at += nxt[at] < bound
         found[sel] += chunk_end - at
-    dist[query] = seen[r] - found
+    # The query at index i of a counted run is its head's distance less i - head.
+    base = np.zeros(len(counted), dtype=np.int32)
+    base[counted] = seen[r] - found + heads
+    del nxt, seen, r, found, prefix, heads
+    member = np.flatnonzero(counted[run])
+    dist[query[member]] = base[run[member]] - member
     return dist
 
 
@@ -217,7 +243,7 @@ def sweep(trace: Trace, template: CacheConfig, capacities) -> list[CacheReport]:
     computed once and each capacity costs a few array passes. A
     capacity at or past the footprint hits every re-touch, so only the
     largest capacity below it bounds the exact counting. Memory is
-    O(block touches), about 45 bytes per touch at peak.
+    O(block touches), about 41 bytes per touch at peak.
     """
     configs = [replace(template, capacity_bytes=cap) for cap in capacities]
     if not configs:

@@ -280,12 +280,13 @@ def test_report_to_dict_field_names():
 
 # Records over a few objects: unaligned, overlapping ranges up to 8
 # blocks long (larger than the small capacities), mixed with puts and
-# heads, which the cache ignores.
+# heads, which the cache ignores. Whole-block offsets, 0 included,
+# make re-reads of the same blocks, whose re-touches form long runs.
 _records = st.lists(
     st.tuples(
         st.sampled_from(["get", "get", "get", "put", "head"]),
         st.sampled_from(["a", "b", "c"]),
-        st.integers(0, 12 * B),
+        st.integers(0, 12 * B) | st.integers(0, 12).map(lambda i: i * B),
         st.integers(1, 8 * B),
     ),
     min_size=1,
@@ -354,6 +355,34 @@ def test_lower_bound_decides_every_retouch_at_one_block():
     config = CacheConfig(B, B)
     assert simulate(trace, config) == _lru_oracle(trace, config)
     assert simulate(trace, config).hits == 0
+
+
+# Z Y [A B C D] Y Y [A B C D]: the re-read of the four-block get is one
+# run. A's window holds B, C, D and Y twice, so its bounds are 3 and 5
+# around its distance 4, and each later block's window is the one
+# before it less that block's own earlier touch, one distance lower.
+_REREAD = [
+    _block_read(9), _block_read(8), ("o", 0, 4 * B), _block_read(8), _block_read(8), ("o", 0, 4 * B)
+]
+
+
+def test_a_reread_get_is_one_run_stepping_down_by_one():
+    trace = _trace(_REREAD)
+    assert _retouch_distances(trace, 4) == [(6, 4), (7, 0), (8, 4), (9, 3), (10, 2), (11, 1)]
+    config = CacheConfig(4 * B, B)
+    assert simulate(trace, config) == _lru_oracle(trace, config)
+    assert simulate(trace, config).hits == 4
+
+
+def test_a_run_whose_head_its_bounds_decide_is_still_counted_from_the_head():
+    # At 3 blocks A's lower bound 3 decides a miss, but B's bounds 2
+    # and 5 leave it open; B's distance is A's exact 4 less one, so B
+    # misses too, where A's kept bound less one would make it hit
+    trace = _trace(_REREAD)
+    assert _retouch_distances(trace, 3) == [(6, 4), (7, 0), (8, 4), (9, 3), (10, 2), (11, 1)]
+    config = CacheConfig(3 * B, B)
+    assert simulate(trace, config) == _lru_oracle(trace, config)
+    assert simulate(trace, config).hits == 3
 
 
 @given(_records, _capacities)
