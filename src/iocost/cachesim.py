@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .tracemodel import GET, MAX_TRACE_INT, Trace, group_pairs
-from .units import MB
+from .tracemodel import GET, Trace, group_pairs
+from .units import MAX_TRACE_INT, MB, REQUIRED
 
 # Most block touches (blocks covered by the gets, counted per get) one
 # simulation expands. The sweep peaks at about 41 bytes per touch, so
@@ -49,6 +49,14 @@ class CacheConfig:
     @property
     def effective_capacity_bytes(self) -> int:
         return self.capacity_blocks * self.block_bytes
+
+
+# A scenario's ``cache`` object, checked by units.check_fields: (key,
+# kind, default, minimum); its keys are CacheConfig's fields.
+CACHE_FIELDS = (
+    ("capacity_bytes", "bytes", REQUIRED, None),
+    ("block_bytes", "bytes", CacheConfig.block_bytes, 1),
+)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,12 @@ and a refusal names the scenario field. Byte-valued flags accept
 decimal-unit suffixes (KB, MB, GB, TB, PB, all powers of 10); the other
 numeric flags are JSON numbers. Exit codes: 0 success, 2 validation
 error, 3 runtime error.
+
+Each subcommand imports what it uses when it runs; building the parser
+loads only this module and ``units``. `price` loads ``pricing``. The
+other commands go through ``scenario``, which loads a section's module
+only when that section appears, so `price`, `join` and a join-only
+`scenario run` never load numpy.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ import json
 import os
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
-from . import joinplan, scenario as scenario_mod, tracemodel
-from .pricing import RequestTally, format_usd, get_pricebook, load_pricebook
-from .tracemodel import SynthSpec
 from .units import REQUIRED, FieldError, check_fields, check_value, load_json
+
+if TYPE_CHECKING:
+    from .scenario import SectionResult
 
 
 def _print_json(payload: dict) -> None:
@@ -44,6 +51,8 @@ _TALLY_FIELDS = (("counts", "object", REQUIRED, None), ("bytes", "object", None,
 
 
 def _cmd_price(args) -> int:
+    from .pricing import RequestTally, format_usd, get_pricebook, load_pricebook
+
     book = load_pricebook(args.book_file) if args.book_file else get_pricebook(args.book)
     raw = check_fields(load_json(args.tally, "tally file"), _TALLY_FIELDS, f"tally file {args.tally}")
     try:
@@ -69,9 +78,14 @@ def _given(args) -> dict:
 
 
 def _cmd_synth(args) -> int:
+    from . import scenario, tracemodel
+
     check_value(args.seed, "int", "scenario", "seed", 0)
-    anchors = [[args.p50, 0.5], [args.p90, 0.9], [args.max, 1.0]]
-    spec = scenario_mod.synth_spec_from_dict({**_given(args), "anchors": anchors})
+    # --p50, --p90 and --max replace the sizes of SynthSpec's anchors at 0.5, 0.9 and 1.0.
+    flags = (args.p50, args.p90, args.max)
+    anchors = [[size if flag is None else flag, frac]
+               for flag, (size, frac) in zip(flags, tracemodel.SynthSpec.size_anchors)]
+    spec = scenario.synth_spec_from_dict({**_given(args), "anchors": anchors})
     trace = tracemodel.synthesize_trace(spec, args.seed)
     tracemodel.write_trace(trace, args.out)
     _print_json({"out": args.out, "records": len(trace), "seed": args.seed})
@@ -79,15 +93,17 @@ def _cmd_synth(args) -> int:
 
 
 def _run_section(name: str, section: dict, seed: int = 0,
-                 workload: dict | None = None) -> scenario_mod.SectionResult:
+                 workload: dict | None = None) -> SectionResult:
     """Run a one-section scenario priced with a fixed built-in book.
 
     `scan`, `join` and `cache` pass their given flags as ``section``;
     ``workload`` is its workload object, for a section that reads one.
     """
+    from . import scenario
+
     raw = {"price_book": "s3-standard", "seed": seed, "workload": workload, name: section}
-    s = scenario_mod.scenario_from_dict(raw, base_dir=os.getcwd())
-    return scenario_mod.run_scenario(s).sections[0]
+    s = scenario.scenario_from_dict(raw, base_dir=os.getcwd())
+    return scenario.run_scenario(s).sections[0]
 
 
 def _cmd_scan(args) -> int:
@@ -133,11 +149,13 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_scenario_run(args) -> int:
-    s = scenario_mod.load_scenario(args.file)
+    from . import scenario
+
+    s = scenario.load_scenario(args.file)
     if args.annual:
         s = replace(s, annual=True)
-    report = scenario_mod.run_scenario(s)
-    sys.stdout.write(scenario_mod.render_report(report, args.format))
+    report = scenario.run_scenario(s)
+    sys.stdout.write(scenario.render_report(report, args.format))
     return 0
 
 
@@ -156,13 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_price.set_defaults(func=_cmd_price)
 
     p_synth = sub.add_parser("synth", help="synthesize a workload trace")
-    (p50, _), (p90, _), (largest, _) = SynthSpec.size_anchors
     p_synth.add_argument("--records", type=_number)
     p_synth.add_argument("--seed", type=_number, default=0)
     p_synth.add_argument("--out", required=True, help="output trace path (JSONL)")
-    p_synth.add_argument("--p50", default=p50, help="median request size")
-    p_synth.add_argument("--p90", default=p90, help="90th percentile request size")
-    p_synth.add_argument("--max", default=largest, help="maximum request size")
+    p_synth.add_argument("--p50", help="median request size")
+    p_synth.add_argument("--p90", help="90th percentile request size")
+    p_synth.add_argument("--max", help="maximum request size")
     p_synth.add_argument("--min-bytes", help="minimum request size")
     p_synth.add_argument("--objects", type=_number, help="object universe size")
     p_synth.add_argument("--zipf", dest="zipf_exponent", type=_number, help="popularity exponent")
@@ -185,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_join.add_argument("--queries", dest="queries_per_day", type=_number, required=True)
     p_join.add_argument("--broadcast-frac", dest="broadcast_fraction", type=_number, required=True)
     p_join.add_argument("--request-bytes", required=True)
-    p_join.add_argument("--strategy", metavar="{" + ",".join(joinplan.STRATEGIES) + "}")
+    # joinplan.STRATEGIES, spelled out so that building the parser does not load joinplan.
+    p_join.add_argument("--strategy", metavar="{broadcast,shuffle,auto}")
     p_join.set_defaults(func=_cmd_join, fields=("workers", "build_bytes", "probe_bytes", "queries_per_day",
                                                 "broadcast_fraction", "request_bytes", "strategy"))
 

@@ -16,8 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tracemodel import MAX_TRACE_INT
-from .units import REQUIRED, ceil_div, check_fields, exact_fraction
+from .units import MAX_TRACE_INT, REQUIRED, ceil_div, check_fields, exact_fraction
 
 _OPS = {
     "<": operator.lt,
@@ -163,6 +162,10 @@ class ScanPlan:
         return frozenset(np.flatnonzero(self.mask).tolist())
 
     @property
+    def survivor_count(self) -> int:
+        return int(np.count_nonzero(self.mask))
+
+    @property
     def request_count(self) -> int:
         return len(self.offsets)
 
@@ -189,6 +192,8 @@ def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool 
     in page order: every page for the first step or a full scan,
     otherwise (pushdown) only the pages that hold a row surviving the
     predicates so far. Both modes compute identical survivor sets.
+    ``data`` maps each column the query reads to its values, an int64
+    array or a list of 64-bit integers.
     """
     steps = [(p.column, p) for p in predicates] + [(name, None) for name in projection]
     for name in query_columns(layout, projection, predicates):

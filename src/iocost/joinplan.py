@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .units import MB, ceil_div, exact_fraction
+from .units import MB, REQUIRED, ceil_div, exact_fraction
 
 DEFAULT_BROADCAST_THRESHOLD = 100 * MB
 
@@ -112,6 +112,21 @@ class FleetParams:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
         if self.build_bytes < 0:
             raise ValueError(f"build bytes must be >= 0, got {self.build_bytes}")
+
+
+# A scenario's ``join`` object, checked by units.check_fields: (key,
+# kind, default, minimum). It feeds one FleetParams and one JoinSpec;
+# its strategy defaults to "broadcast", not JoinSpec's "auto".
+JOIN_FIELDS = (
+    ("queries_per_day", "int", REQUIRED, 0),
+    ("broadcast_fraction", "number", REQUIRED, None),
+    ("workers", "int", REQUIRED, 1),
+    ("build_bytes", "bytes", REQUIRED, None),
+    ("probe_bytes", "bytes", 0, None),
+    ("request_bytes", "bytes", REQUIRED, 1),
+    ("strategy", STRATEGIES, "broadcast", None),
+    ("broadcast_threshold", "bytes", JoinSpec.broadcast_threshold, None),
+)
 
 
 def fleet_aggregate(params: FleetParams) -> int:

@@ -5,6 +5,14 @@ A scenario is one JSON file naming a price book, an optional workload
 table-level scan, a fleet-level scan projection, a fleet join model,
 and a cache simulation. Running it prices every section with the one
 price book and emits a deterministic report.
+
+Loading this module loads no section module and no numpy. A section's
+parser and runner import the module that models it (``columnar`` for
+``scan`` and ``scan_fleet``, ``joinplan`` for ``join``, ``cachesim``
+for ``cache``) when that section first appears, and a workload loads
+``tracemodel`` when it is synthesized or read, so a run loads only
+what its sections use. Each of those modules holds the field table of
+its section next to the class whose defaults the table reads.
 """
 
 from __future__ import annotations
@@ -13,17 +21,28 @@ import json
 import os
 from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import cachesim, columnar, joinplan
-from .cachesim import CacheConfig
-from .joinplan import FleetParams, JoinSpec
 from .pricing import PriceBook, RequestTally, format_usd, get_pricebook, load_pricebook
-from .tracemodel import SynthSpec, Trace, read_trace, synthesize_trace
 from .units import REQUIRED, FieldError, check_fields, check_value, load_json
 
+if TYPE_CHECKING:
+    from .cachesim import CacheConfig
+    from .joinplan import FleetParams, JoinSpec
+    from .tracemodel import SynthSpec, Trace
+
 DAYS_PER_YEAR = 365
+
+
+def __getattr__(name):
+    # tracemodel's two workload builders, reachable here without loading
+    # tracemodel with this module (PEP 562). A run calls them through
+    # tracemodel's attributes, so that is where a caller replaces them.
+    if name in ("read_trace", "synthesize_trace"):
+        from . import tracemodel
+
+        return getattr(tracemodel, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +63,9 @@ class Scenario:
 
 
 # One field table per object of the scenario schema, checked by
-# units.check_fields: (key, kind, default, minimum).
+# units.check_fields: (key, kind, default, minimum). The tables of
+# workload.synthesize, join and cache are tracemodel.SYNTHESIZE_FIELDS,
+# joinplan.JOIN_FIELDS and cachesim.CACHE_FIELDS.
 _SCENARIO_FIELDS = (
     ("price_book", "any", REQUIRED, None),
     ("seed", "int", 0, 0),
@@ -60,14 +81,6 @@ _WORKLOAD_FIELDS = (
     ("trace", "str", None, None),
     ("synthesize", "object", None, None),
 )
-_SYNTHESIZE_FIELDS = (
-    ("records", "int", SynthSpec.records, 1),
-    ("anchors", "any", None, None),
-    ("min_bytes", "bytes", SynthSpec.min_bytes, None),
-    ("objects", "int", SynthSpec.object_universe, 1),
-    ("zipf_exponent", "number", SynthSpec.zipf_exponent, None),
-    ("duration_ms", "int", SynthSpec.duration_ms, 1),
-)
 _SCAN_FIELDS = (
     ("layout", "any", REQUIRED, None),
     ("query", "any", REQUIRED, None),
@@ -80,20 +93,6 @@ _SCAN_FLEET_FIELDS = (
     ("inflation", "number", REQUIRED, None),
     ("page_bytes", "bytes", REQUIRED, 1),
     ("pushdown", "bool", True, None),
-)
-_JOIN_FIELDS = (
-    ("queries_per_day", "int", REQUIRED, 0),
-    ("broadcast_fraction", "number", REQUIRED, None),
-    ("workers", "int", REQUIRED, 1),
-    ("build_bytes", "bytes", REQUIRED, None),
-    ("probe_bytes", "bytes", 0, None),
-    ("request_bytes", "bytes", REQUIRED, 1),
-    ("strategy", joinplan.STRATEGIES, "broadcast", None),
-    ("broadcast_threshold", "bytes", joinplan.DEFAULT_BROADCAST_THRESHOLD, None),
-)
-_CACHE_FIELDS = (
-    ("capacity_bytes", "bytes", REQUIRED, None),
-    ("block_bytes", "bytes", CacheConfig.block_bytes, 1),
 )
 
 
@@ -136,7 +135,9 @@ def _parse_anchors(raw) -> tuple[tuple[int, float], ...]:
 
 def synth_spec_from_dict(raw: dict) -> SynthSpec:
     """A ``workload.synthesize`` object as a ``SynthSpec``; errors name its fields."""
-    s = check_fields(raw, _SYNTHESIZE_FIELDS, "scenario", "workload.synthesize")
+    from .tracemodel import SYNTHESIZE_FIELDS, SynthSpec
+
+    s = check_fields(raw, SYNTHESIZE_FIELDS, "scenario", "workload.synthesize")
     return _nested(
         "workload.synthesize", SynthSpec,
         records=s["records"],
@@ -169,6 +170,8 @@ def _inline_or_file(raw, base_dir: str, key: str) -> dict:
 def _parse_scan(raw: dict, base_dir: str) -> dict:
     """The checked fields, with ``layout`` a ``TableLayout`` and ``query``
     the ``(select, predicates, pushdown)`` of ``query_from_dict``."""
+    from . import columnar
+
     f = check_fields(raw, _SCAN_FIELDS, "scenario", "scan")
     layout_spec = _inline_or_file(f["layout"], base_dir, "scan.layout")
     query_spec = _inline_or_file(f["query"], base_dir, "scan.query")
@@ -204,7 +207,9 @@ def _parse_scan_fleet(raw: dict, base_dir: str) -> dict:
 
 
 def _parse_join(raw: dict, base_dir: str) -> tuple[FleetParams, JoinSpec, int]:
-    f = check_fields(raw, _JOIN_FIELDS, "scenario", "join")
+    from .joinplan import JOIN_FIELDS, FleetParams, JoinSpec
+
+    f = check_fields(raw, JOIN_FIELDS, "scenario", "join")
     # After the table, the fraction's range is the one FleetParams check left to fail.
     params = _nested(
         "join.broadcast_fraction", FleetParams,
@@ -218,7 +223,9 @@ def _parse_join(raw: dict, base_dir: str) -> tuple[FleetParams, JoinSpec, int]:
 
 
 def _parse_cache(raw: dict, base_dir: str) -> CacheConfig:
-    return _nested("cache", CacheConfig, **check_fields(raw, _CACHE_FIELDS, "scenario", "cache"))
+    from .cachesim import CACHE_FIELDS, CacheConfig
+
+    return _nested("cache", CacheConfig, **check_fields(raw, CACHE_FIELDS, "scenario", "cache"))
 
 
 def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
@@ -314,12 +321,11 @@ def _section(name: str, scenario: Scenario, sides: dict, chosen: str, details: d
 
 
 def _run_scan(section: dict, scenario: Scenario, workload) -> SectionResult:
+    from . import columnar
+
     layout, data, gap = section["layout"], section["data"], section["coalesce_gap"]
     select, predicates, pushdown = section["query"]
-    if data is not None:
-        columns = {name: np.array(values, dtype=np.int64) for name, values in data.items()}
-    else:
-        columns = columnar.synthesize_column_data(layout, scenario.seed)
+    columns = columnar.synthesize_column_data(layout, scenario.seed) if data is None else data
     plans = {}
     for name, mode_pushdown in (("pushdown", True), ("full_scan", False)):
         plan = columnar.plan_scan(layout, columns, select, predicates, pushdown=mode_pushdown)
@@ -332,13 +338,15 @@ def _run_scan(section: dict, scenario: Scenario, workload) -> SectionResult:
         "table": layout.table,
         "rows": layout.rows,
         "mode": mode,
-        "survivors": int(np.count_nonzero(plans[mode].mask)),
+        "survivors": plans[mode].survivor_count,
         "coalesce_gap": gap,
         "data_source": "supplied" if data is not None else "synthesized",
     })
 
 
 def _run_scan_fleet(section: dict, scenario: Scenario, workload) -> SectionResult:
+    from . import columnar
+
     details = {key: value for key, value in section.items() if key != "pushdown"}
     comp = columnar.fleet_scan_projection(**details)
     sides = {
@@ -350,6 +358,8 @@ def _run_scan_fleet(section: dict, scenario: Scenario, workload) -> SectionResul
 
 
 def _run_join(section: tuple, scenario: Scenario, workload) -> SectionResult:
+    from . import joinplan
+
     params, spec, request_bytes = section
     per_query = joinplan.plan_join(spec, request_bytes)
     sides = {}
@@ -375,6 +385,8 @@ def _run_join(section: tuple, scenario: Scenario, workload) -> SectionResult:
 
 
 def _run_cache(config: CacheConfig, scenario: Scenario, workload: tuple[Trace, dict]) -> SectionResult:
+    from . import cachesim
+
     trace, note = workload
     report = cachesim.simulate(trace, config)
     sides = {
@@ -402,11 +414,13 @@ _SECTIONS = {
 
 
 def _materialize_workload(scenario: Scenario) -> tuple[Trace, dict]:
+    from . import tracemodel
+
     if isinstance(scenario.workload, str):
-        trace = read_trace(scenario.workload)
+        trace = tracemodel.read_trace(scenario.workload)
         note = {"source": "trace", "path": scenario.echo["workload"]["trace"], "records": len(trace)}
     else:
-        trace = synthesize_trace(scenario.workload, scenario.seed)
+        trace = tracemodel.synthesize_trace(scenario.workload, scenario.seed)
         note = {"source": "synthesized", "records": len(trace), "seed": scenario.seed}
     return trace, note
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .units import KB, MB
+from .units import KB, MAX_TRACE_INT, MB
 
 TRACE_KINDS = ("get", "put", "post", "copy", "list", "head")
 
@@ -47,10 +47,6 @@ DEFAULT_ZIPF_EXPONENT = 1.2
 
 DEFAULT_OBJECT_UNIVERSE = 1_000_000
 DEFAULT_DURATION_MS = 86_400_000  # one day
-
-# Largest timestamp, offset, length and end offset a record may carry:
-# the cache simulation expands byte ranges into int64 block indices.
-MAX_TRACE_INT = 2**63 - 1
 
 # Synthesis holds one float64 array of the universe's length: 80 MB at the cap.
 MAX_OBJECT_UNIVERSE = 10**7
@@ -555,6 +551,19 @@ class SynthSpec:
             raise ValueError(f"zipf exponent must be finite and > 0, got {self.zipf_exponent}")
         if self.duration_ms < 1:
             raise ValueError(f"duration must be >= 1 ms, got {self.duration_ms}")
+
+
+# A scenario's ``workload.synthesize`` object, checked by
+# units.check_fields: (key, kind, default, minimum). Each default is
+# SynthSpec's; "anchors" defaults to its ``size_anchors``.
+SYNTHESIZE_FIELDS = (
+    ("records", "int", SynthSpec.records, 1),
+    ("anchors", "any", None, None),
+    ("min_bytes", "bytes", SynthSpec.min_bytes, None),
+    ("objects", "int", SynthSpec.object_universe, 1),
+    ("zipf_exponent", "number", SynthSpec.zipf_exponent, None),
+    ("duration_ms", "int", SynthSpec.duration_ms, 1),
+)
 
 
 def _draw_sizes(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

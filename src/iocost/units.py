@@ -25,6 +25,11 @@ PB = 10**15
 # "1e400" is refused before it becomes an integer.
 MAX_BYTES = 10**21
 
+# Largest timestamp, offset, length and end offset a trace record or a
+# scan plan may carry: the cache simulation expands byte ranges into
+# int64 block indices, and a plan holds int64 offsets and lengths.
+MAX_TRACE_INT = 2**63 - 1
+
 # Tried in order, so "B", the end of every other suffix, comes last.
 _SUFFIXES = {
     "KB": KB,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from iocost import cachesim, columnar, scenario, tracemodel, units
+from iocost import cachesim, columnar, joinplan, tracemodel, units
 from iocost.cli import main
 
 LAYOUT = {
@@ -801,7 +801,9 @@ def test_strategy_outside_its_choices_is_refused_by_its_field(tmp_path, monkeypa
 
 def test_join_help_lists_the_strategies(capsys):
     assert main(["join", "--help"]) == 0
-    assert "--strategy {broadcast,shuffle,auto}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--strategy {broadcast,shuffle,auto}" in out
+    assert f"--strategy {{{','.join(joinplan.STRATEGIES)}}}" in out
 
 
 def _assert_flag_refused(command, flag, value, message, tmp_path, monkeypatch, capsys):
@@ -830,7 +832,7 @@ def _scenario_over_a_trace(tmp_path, monkeypatch, **sections) -> str:
     def refuse(path):
         raise AssertionError(f"trace {path} was read")
 
-    monkeypatch.setattr(scenario, "read_trace", refuse)
+    monkeypatch.setattr(tracemodel, "read_trace", refuse)
     (tmp_path / "t.jsonl").write_text(
         json.dumps({"ts_ms": 1, "obj": "a", "off": 0, "len": 1000, "kind": "get"}) + "\n"
     )
@@ -959,7 +961,6 @@ def _no_synthesis(monkeypatch):
         raise AssertionError("synthesis started")
 
     monkeypatch.setattr(tracemodel, "synthesize_trace", refuse)
-    monkeypatch.setattr(scenario, "synthesize_trace", refuse)
 
 
 @pytest.mark.parametrize(

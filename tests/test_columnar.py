@@ -24,8 +24,7 @@ from iocost.columnar import (
     synthesize_column_data,
 )
 from iocost.pricing import RequestTally, get_pricebook
-from iocost.tracemodel import MAX_TRACE_INT
-from iocost.units import KB, MB, PB, load_json
+from iocost.units import KB, MAX_TRACE_INT, MB, PB, load_json
 
 # Example table: an 8-row scan whose predicate chain narrows all rows
 # to {1,3,4,6} and then to {1,4,6}.
@@ -432,6 +431,7 @@ def test_plan_scan_equals_oracle_property(case, pushdown, max_gap):
     requests, survivors = _plan_oracle(rows, specs, data, projection, predicates, pushdown)
     assert spans_of(plan) == requests
     assert plan.survivors == survivors
+    assert plan.survivor_count == len(survivors)
     assert plan.obj == layout.table
     assert plan.total_bytes == sum(length for _, length in requests)
     merged = coalesce_requests(plan, max_gap)
