@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

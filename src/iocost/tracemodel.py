@@ -275,16 +275,13 @@ def _canonical_columns(chunk: bytes, codes: dict[str, int]):
     None if any line has another shape or fails a row check, so the
     file needs the line path; ``codes`` then stays untouched.
     """
-    # Positions are int32, so a file with a line of 2 GiB or more takes the line path.
-    if len(chunk) >= 2**31:
-        return None
     # One match a line means every line has the shape; latin-1 maps each byte to one character.
     names = _CANONICAL_LINE.findall(chunk.decode("latin-1"))
     if len(names) != chunk.count(b"\n"):
         return None
     buf = np.frombuffer(chunk, np.uint8)
     # 14 quotes a line: around the five keys, the id and the kind.
-    quotes = np.flatnonzero(buf == ord('"')).astype(np.int32).reshape(-1, 14)
+    quotes = np.flatnonzero(buf == ord('"')).reshape(-1, 14)
     # The digits of ts_ms, off and len: from two past a key's closing quote to before the next quote.
     ts, off, length = (_integers(buf, quotes[:, k] + 2, quotes[:, k + 1] - 1) for k in (1, 7, 9))
     kind = _KIND_BY_PREFIX[buf[quotes[:, 12] + 1], buf[quotes[:, 12] + 2]]
@@ -478,9 +475,9 @@ def reuse_intervals(
     A record's block is (object id, offset // granularity). Intervals
     are listed in the trace order of their second access.
     """
-    order, new = _get_pairs(trace, granularity)
     if threshold_ms <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold_ms}")
+    order, new = _get_pairs(trace, granularity)
     ts = trace.ts_ms[trace.kind == GET]
     again = ~new[1:]
     later = order[1:][again]
@@ -497,9 +494,9 @@ def reuse_intervals(
 
 def popularity_share(trace: Trace, granularity: int = DEFAULT_BLOCK_BYTES, k: int = 10_000) -> float:
     """Fraction of get requests landing on the k most-accessed blocks."""
-    _, new = _get_pairs(trace, granularity)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    _, new = _get_pairs(trace, granularity)
     total = len(new)
     if total == 0:
         return 0.0
@@ -549,8 +546,9 @@ class SynthSpec:
             raise ValueError(f"object universe must be in [1, 10**7], got {self.object_universe}")
         if not (math.isfinite(self.zipf_exponent) and self.zipf_exponent > 0):
             raise ValueError(f"zipf exponent must be finite and > 0, got {self.zipf_exponent}")
-        if self.duration_ms < 1:
-            raise ValueError(f"duration must be >= 1 ms, got {self.duration_ms}")
+        # Timestamps are drawn in [0, duration), so each fits int64.
+        if not 1 <= self.duration_ms <= 2**63:
+            raise ValueError(f"duration must be in [1, 2**63] ms, got {self.duration_ms}")
 
 
 # A scenario's ``workload.synthesize`` object, checked by

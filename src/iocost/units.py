@@ -44,18 +44,12 @@ _SUFFIXES = {
 def parse_bytes(text: str | int) -> int:
     """Parse a byte count such as ``"64KB"``, ``"1.5MB"`` or ``"1048576"``.
 
-    Suffixes are decimal and case-insensitive. Fractional values are
-    allowed as long as the result is a whole number of bytes. Counts
+    Every value is read through its text, ``str(text)``, which must be
+    ASCII without ``_``: an int takes a string's checks, and a bool is
+    refused. Suffixes are decimal and case-insensitive. Fractional values
+    are allowed as long as the result is a whole number of bytes. Counts
     above ``MAX_BYTES`` are rejected.
     """
-    if isinstance(text, bool):
-        raise ValueError(f"not a byte count: {text!r}")
-    if isinstance(text, int):
-        if text < 0:
-            raise ValueError(f"byte count must be >= 0, got {text}")
-        if text > MAX_BYTES:
-            raise ValueError(f"byte count must be <= 10**21, got {text}")
-        return text
     raw = str(text).strip()
     s = raw.upper()
     for suffix, multiplier in _SUFFIXES.items():
@@ -64,7 +58,8 @@ def parse_bytes(text: str | int) -> int:
             break
     else:
         multiplier = 1
-    if not s:
+    # Decimal also reads "1_000" and non-ASCII digits; a byte count holds neither.
+    if not s or not raw.isascii() or "_" in raw:
         raise ValueError(f"not a byte count: {raw!r}")
     try:
         number = Decimal(s)
@@ -92,17 +87,13 @@ def parse_bytes(text: str | int) -> int:
 
 
 def exact_fraction(value: int | float | str | Fraction) -> Fraction:
-    """Convert ``value`` to an exact rational.
+    """``value`` as an exact rational, read through its text: ``Fraction(str(value))``.
 
-    Floats are converted through their shortest decimal repr, so 0.2
-    becomes exactly 1/5 rather than the nearest binary float. Scenario
-    inputs are written as decimals and should behave like decimals.
+    A float's text is its shortest decimal repr, so 0.2 becomes exactly
+    1/5 rather than the nearest binary float: scenario inputs are written
+    as decimals and should behave like decimals. A bool is refused.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+    return Fraction(str(value))
 
 
 def ceil_div(numerator: int, denominator: int) -> int:

@@ -474,6 +474,7 @@ def test_sweep_errors():
         miss_ratio_curve(trace, CacheConfig(0, B), [-1, 0])
     with pytest.raises(ValueError, match="empty trace"):
         sweep(Trace(()), CacheConfig(0, B), [0])
+    assert sweep(Trace(()), CacheConfig(0, B), []) == []  # no capacity, no work
     with pytest.raises(ValueError, match="empty trace"):
         miss_ratio_curve(Trace(()), CacheConfig(0, B), [0])
     with pytest.raises(ValueError, match="block bytes must be > 0"):

@@ -287,6 +287,17 @@ def test_unbounded_byte_flag_exits_2(value, capsys):
     assert "scenario field 'join.build_bytes'" in capsys.readouterr().err
 
 
+def test_runtime_fault_exits_3(monkeypatch, capsys):
+    def fault(*args, **kwargs):
+        raise RuntimeError("planner fault")
+
+    monkeypatch.setattr(joinplan, "plan_join", fault)
+    assert main(JOIN_ARGS) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "runtime error: planner fault\n"
+
+
 def test_cache_over_trace_file(tmp_path, capsys):
     lines = [
         json.dumps({"ts_ms": i, "obj": "x", "off": 0, "len": 1000, "kind": "get"})
@@ -969,8 +980,10 @@ def _no_synthesis(monkeypatch):
         (["--records", "5", "--max", "1e19"], "anchor sizes must be <= 2**63 - 1"),
         (["--records", str(10**8 + 1)], "record count must be in [1, 10**8]"),
         (["--seed", "-1"], "scenario field 'seed': must be >= 0, got -1"),
+        (["--records", "10", "--duration-ms", str(10**20)],
+         "scenario field 'workload.synthesize': duration must be in [1, 2**63] ms"),
     ],
-    ids=["anchor", "records", "negative-seed"],
+    ids=["anchor", "records", "negative-seed", "duration"],
 )
 def test_synth_past_the_trace_limits_exits_2(flags, problem, tmp_path, monkeypatch, capsys):
     _no_synthesis(monkeypatch)
@@ -985,8 +998,9 @@ def test_synth_past_the_trace_limits_exits_2(flags, problem, tmp_path, monkeypat
     [
         ({"anchors": [["10KB", 0.5], ["1e19", 1.0]]}, "anchor sizes must be <= 2**63 - 1"),
         ({"records": 10**8 + 1}, "record count must be in [1, 10**8]"),
+        ({"duration_ms": 10**20}, "duration must be in [1, 2**63] ms"),
     ],
-    ids=["anchor", "records"],
+    ids=["anchor", "records", "duration"],
 )
 def test_scenario_synthesis_past_the_trace_limits_exits_2(
     synthesize, problem, tmp_path, monkeypatch, capsys

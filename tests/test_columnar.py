@@ -187,6 +187,7 @@ def test_build_layout_geometry_invariants():
         (10**9, [(n, 10**9, 4) for n in "ABC"]),
         (MAX_LAYOUT_PAGES + 1, [("A", 4, 4)]),  # too many pages
         (MAX_LAYOUT_PAGES // 2 + 1, [("A", 4, 4), ("B", 8, 8)]),
+        (5, [("", 16, 4)]),  # empty name
     ],
 )
 def test_build_layout_validation(rows, cols):

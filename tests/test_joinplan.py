@@ -95,6 +95,8 @@ def test_join_validation():
     with pytest.raises(ValueError):
         JoinSpec(0, 0, 1, strategy="merge")
     with pytest.raises(ValueError):
+        JoinSpec(0, 0, 1, broadcast_threshold=-1)
+    with pytest.raises(ValueError):
         plan_join(JoinSpec(0, 0, 1), 0)
 
 
@@ -156,6 +158,8 @@ def test_fleet_params_validation():
         FleetParams(-1, 0.5, 1, 1)
     with pytest.raises(ValueError):
         FleetParams(1, 0.5, 0, 1)
+    with pytest.raises(ValueError):
+        FleetParams(1, 0.5, 1, -1)
 
 
 def test_fleet_api_calls():

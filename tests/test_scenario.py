@@ -397,6 +397,10 @@ BAD_SCENARIOS = [
     ({"price_book": "s3-standard",
       "scan": {**SCAN_RAW["scan"], "data": {**SCAN_RAW["scan"]["data"], "B": [1, 2]}}},
      "scenario field 'scan.data.B': has 2 values for 8 rows"),
+    ({"price_book": "s3-standard",
+      "workload": {"synthesize": {"anchors": [[1]]}},
+      "cache": {"capacity_bytes": 0}},
+     "must be an array of [size, fraction] pairs"),
 ]
 
 

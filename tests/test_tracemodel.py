@@ -74,6 +74,8 @@ def test_parse_errors_carry_line_numbers():
         parse_trace([_line(0), json.dumps({"ts_ms": 1, "obj": "a", "kind": "head", "offset": 5})])
     with pytest.raises(ValueError, match="line 1: unknown field 'lenght'"):
         parse_trace([json.dumps({**json.loads(_line(1)), "lenght": 99})])
+    with pytest.raises(ValueError, match="line 1: record must be a JSON object"):
+        parse_trace(["[1]"])
 
 
 def test_non_ranged_kinds_default_off_len():
@@ -341,6 +343,9 @@ _FAULTS = [
     b'{"ts_ms":01,"obj":"a","off":0,"len":1,"kind":"get"}',
     b'{"ts_ms":1,"obj":"a","off":-1,"len":1,"kind":"get"}',
     b'{"ts_ms":1,"obj":"a","off":0,"len":1,"kind":"get","x":1}',
+    b'[1]',
+    b'{"ts_ms":-1,"obj":"a","off":0,"len":1,"kind":"get"}',
+    b'{"ts_ms":1,"obj":"a","off":0,"len":-1,"kind":"head"}',
     b'\xef\xbb\xbf{"ts_ms":1,"obj":"a","off":0,"len":1,"kind":"get"}',
     b"[" * 5000,
     b'{"ts_ms":1,"obj":"a\xff","off":0,"len":1,"kind":"get"}',
@@ -413,6 +418,8 @@ def test_size_cdf_ignores_non_gets_and_requires_gets():
     lines = [json.dumps({"ts_ms": 0, "obj": "a", "kind": "list"})]
     with pytest.raises(ValueError, match="no get records"):
         size_cdf(parse_trace(lines))
+    with pytest.raises(ValueError, match="no sizes"):
+        SizeCdf.from_sizes([])
 
 
 def test_quantile_step_semantics():
@@ -503,6 +510,20 @@ def test_popularity_share_basics():
         popularity_share(uniform, MB, 0)
 
 
+def test_statistics_refuse_their_arguments_before_grouping(monkeypatch):
+    def no_grouping(*args, **kwargs):
+        raise AssertionError("gets were grouped")
+
+    trace = parse_trace([_line(i, f"o{i % 3}") for i in range(10)])
+    monkeypatch.setattr(tracemodel, "group_pairs", no_grouping)
+    with pytest.raises(ValueError, match="granularity must be > 0"):
+        reuse_intervals(trace, granularity=0)
+    with pytest.raises(ValueError, match="threshold must be > 0"):
+        reuse_intervals(trace, threshold_ms=0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        popularity_share(trace, k=0)
+
+
 def test_popularity_share_monotone_in_k():
     trace = synthesize_trace(SynthSpec(records=5000, object_universe=500), seed=5)
     shares = [popularity_share(trace, MB, k) for k in (1, 5, 25, 125, 500)]
@@ -566,6 +587,7 @@ def test_synthesis_respects_max_anchor():
         {"size_anchors": ((KB, float("nan")), (MB, 1.0))},
         {"records": 10**8 + 1},
         {"size_anchors": ((10 * KB, 0.5), (10**19, 1.0))},
+        {"duration_ms": 2**63 + 1},
     ],
 )
 def test_synthesis_spec_validation(kwargs):
@@ -581,6 +603,8 @@ def test_synthesis_spec_accepts_the_largest_universe():
 def test_synthesis_spec_accepts_the_trace_limits():
     assert SynthSpec(records=10**8).records == 10**8
     assert SynthSpec(size_anchors=((2**63 - 1, 1.0),)).size_anchors[-1][0] == 2**63 - 1
+    spec = SynthSpec(records=100, object_universe=10, duration_ms=2**63)
+    assert 0 <= synthesize_trace(spec, seed=3).ts_ms.max() <= 2**63 - 1
 
 
 def test_trace_gets_filters_kinds():

@@ -41,7 +41,8 @@ def test_parse_bytes_accepts_ints():
     "bad",
     ["abc", "", "KB", "-5KB", "1.5B", "1.0001KB", -3,
      "inf", "-inf", "Infinity", "nan", "1e400", "1e22", 10**21 + 1,
-     "0.99999999999999999999999999999", "1.00000000000000000000000000001", "1e-999999999"],
+     "0.99999999999999999999999999999", "1.00000000000000000000000000001", "1e-999999999",
+     True, "1_000", "1_000MB", "\u0661\u0662\u0663KB"],
 )
 def test_parse_bytes_rejects(bad):
     with pytest.raises(ValueError):
@@ -69,6 +70,8 @@ def test_exact_fraction_decimal_semantics():
     assert exact_fraction(0.995) == Fraction(199, 200)
     assert exact_fraction(3) == Fraction(3)
     assert exact_fraction(Fraction(7, 9)) == Fraction(7, 9)
+    with pytest.raises(ValueError):
+        exact_fraction(True)
 
 
 ITEM = (("name", "str", REQUIRED, None), ("size", "bytes", REQUIRED, 1))
