@@ -17,8 +17,8 @@ from .tracemodel import GET, Trace, group_pairs
 from .units import MAX_TRACE_INT, MB, REQUIRED
 
 # Most block touches (blocks covered by the gets, counted per get) one
-# simulation expands. The sweep peaks at about 41 bytes per touch, so
-# the limit costs about 4.1 GB; being below 2**31, it also keeps every
+# simulation expands. The sweep peaks at about 37 bytes per touch, so
+# the limit costs about 3.7 GB; being below 2**31, it also keeps every
 # touch position exact in the int32 arrays of the sweep.
 MAX_TRACE_TOUCHES = 10**8
 
@@ -100,11 +100,12 @@ def _touches(trace: Trace, block_bytes: int):
     """The block touches of the trace's gets, in ``simulate``'s walk order.
 
     Records are walked in trace order and each get's blocks in ascending
-    order. Returns ``(order, new, starts, counts, requested)``:
-    ``order`` and ``new`` are ``group_pairs`` of the touches' (object,
-    block) pairs; ``starts`` and ``counts`` give each get's first touch
-    position and block count; ``requested`` is the exact byte total of
-    the gets. Positions are int32. More than ``MAX_TRACE_TOUCHES``
+    order. Returns ``(prev, starts, counts, requested)``: ``prev[t]`` is
+    the position of the previous touch of t's (object, block) pair, or
+    -1 at the pair's first touch, from one scatter over ``group_pairs``;
+    ``starts`` and ``counts`` give each get's first touch position and
+    block count; ``requested`` is the exact byte total of the gets.
+    Positions are int32. More than ``MAX_TRACE_TOUCHES``
     touches raise ValueError before any touch is expanded.
     """
     if block_bytes <= 0:
@@ -131,10 +132,13 @@ def _touches(trace: Trace, block_bytes: int):
     del first
     block += np.arange(total, dtype=np.int64)
     order, new = group_pairs(np.repeat(trace.obj[get], counts), block)
-    return order.astype(np.int32), new, starts, counts, requested
+    del block
+    prev = np.full(total, -1, dtype=np.int32)
+    prev[order[1:]] = np.where(new[1:], -1, order[:-1])
+    return prev, starts, counts, requested
 
 
-def _stack_distances(order, new, starts, counts, low: int, high: int) -> np.ndarray:
+def _stack_distances(prev, starts, counts, low: int, high: int) -> np.ndarray:
     """Each touch's LRU stack distance, exact where capacities ``low..high`` need it.
 
     The distance of a touch is the number of distinct blocks touched
@@ -145,52 +149,43 @@ def _stack_distances(order, new, starts, counts, low: int, high: int) -> np.ndar
     blocks) that ``sweep`` clamps capacities to, so it misses at every
     capacity; every other distance is below the footprint.
 
-    With ``prev``/``next`` the pair's previous and next touch positions
-    and ``r`` the request start, the distance is at most the window
-    length ``r - prev - 1`` and the distinct blocks other than its own
-    seen before ``r``, and at least the first touches inside the
-    window. A touch whose upper bound is below ``low`` (the smallest
-    nonzero capacity) hits at every capacity, and one whose lower bound
-    reaches ``high`` (the largest capacity below the footprint) misses
-    at every capacity below the footprint; each keeps that bound. Only
-    the rest are counted exactly: the distance is the number of
-    positions ``j`` in ``(prev, r)`` with ``next(j) >= r``, i.e. the
-    distinct blocks seen before ``r`` minus
-    ``#{j <= prev: next(j) >= r}``. The second count is taken offline,
-    one bit of ``prev + 1`` per level: at level ``k`` the ``next``
-    array is sorted in place within aligned chunks of ``2**k``, and a
-    binary search of one chunk answers each query whose prefix
-    ``[0, prev]`` ends with a chunk of that size.
+    With ``p = prev[t]`` and ``r`` the start of t's request, the
+    distance is at most the window length ``r - p - 1`` and the
+    distinct blocks other than its own seen before ``r``, and at least
+    the first touches inside the window. A touch whose upper bound is
+    below ``low`` (the smallest nonzero capacity) hits at every
+    capacity, and one whose lower bound reaches ``high`` (the largest
+    capacity below the footprint) misses at every capacity below the
+    footprint; each keeps that bound. Only the rest are counted
+    exactly, as ``#{j < r: prev[j] <= p} - (p + 1)``: every position
+    up to ``p`` has ``prev[j] < j <= p``, and in the window ``(p, r)``
+    only the first touch of each distinct pair has its previous touch
+    at or before ``p``. The count is taken offline, one bit of ``r``
+    per level: at level ``k``, ``prev`` itself is sorted in place
+    within aligned chunks of ``2**k``, and a binary search for the
+    first entry ``>= p + 1`` in one chunk answers each query whose
+    prefix ``[0, r)`` ends with a chunk of that size. The caller's
+    ``prev`` is left sorted in those chunks.
 
     Re-touches come in runs, and one count serves a whole run. A
     re-touch ``t`` continues the run of ``t - 1`` when ``t - 1`` is a
-    re-touch of the same request and ``prev(t) == prev(t - 1) + 1``, as
+    re-touch of the same request and ``prev[t] == prev[t - 1] + 1``, as
     when a multi-block get is read again. The window of ``t`` is then
-    the window of ``t - 1`` less position ``prev(t)``, which that window
-    counts (its next touch is ``t``, not before ``r``), so ``dist(t) =
-    dist(t - 1) - 1`` exactly. Only the head of each run holding a
-    touch the bounds leave open is counted, even where its own bounds
-    decide it (a kept bound is no distance to step down from), and each
-    touch of the run takes the head's distance less its offset; every
-    other touch keeps its bound. The runs are found over the re-touches
+    the window of ``t - 1`` less position ``prev[t]``, which that window
+    counts (its pair is touched again only at ``t``, not before ``r``),
+    so ``dist(t) = dist(t - 1) - 1`` exactly. Only the head of each run
+    holding a touch the bounds leave open is counted, even where its own
+    bounds decide it (a kept bound is no distance to step down from),
+    and each touch of the run takes the head's distance less its offset;
+    every other touch keeps its bound. The runs are found over the re-touches
     alone, so they add little memory.
     """
-    total = len(order)
-    same = ~new[1:]
-    earlier = order[:-1][same]
-    later = order[1:][same]
-    del same
-    prev = np.full(total, -1, dtype=np.int32)
-    prev[later] = earlier
-    nxt = np.full(total, total, dtype=np.int32)
-    nxt[earlier] = later
-    del earlier, later
+    total = len(prev)
     # seen[x]: distinct pairs first touched before position x.
     seen = np.zeros(total + 1, dtype=np.int32)
     np.cumsum(prev < 0, dtype=np.int32, out=seen[1:])
     query = np.flatnonzero(prev >= 0).astype(np.int32)
     before = prev[query]
-    del prev
     r = np.repeat(starts, counts)[query]
     upper = np.minimum(r - before, seen[r]) - 1
     lower = seen[r] - seen[before + 1]
@@ -206,36 +201,36 @@ def _stack_distances(order, new, starts, counts, low: int, high: int) -> np.ndar
     counted = np.zeros(len(heads), dtype=bool)
     counted[run[exact]] = True
     heads = heads[counted]
-    prefix, r = before[heads] + 1, r[heads]
+    bound, r = before[heads] + 1, r[heads]
     del head, exact, before
     found = np.zeros(len(heads), dtype=np.int32)
-    end = int(prefix.max(initial=0))
+    end = int(r.max(initial=0))
     for k in range(end.bit_length()):
         size = 1 << k
         # Each chunk is two chunks sorted at the level below; a query's
         # chunk always lies inside the whole chunks sorted here.
-        chunks = nxt[:end >> k << k].reshape(-1, size)
+        chunks = prev[:end >> k << k].reshape(-1, size)
         if k == 1:  # a pair sorts with one min/max pass
             smaller = np.minimum(chunks[:, 0], chunks[:, 1])
             np.maximum(chunks[:, 0], chunks[:, 1], out=chunks[:, 1])
             chunks[:, 0] = smaller
         elif k > 1:
             chunks.sort(axis=1)
-        sel = np.flatnonzero(prefix & size)
-        bound = r[sel]
-        chunk_end = prefix[sel] >> k << k
-        # The first entry >= r in each query's chunk.
-        at = chunk_end - size
+        sel = np.flatnonzero(r & size)
+        least = bound[sel]
+        chunk = (r[sel] >> k << k) - size
+        # The first entry >= prev + 1 in each query's chunk.
+        at = chunk.copy()
         step = size
         while step > 1:
             step >>= 1
-            at += np.where(nxt[at + step - 1] < bound, step, 0)
-        at += nxt[at] < bound
-        found[sel] += chunk_end - at
+            at += np.where(prev[at + step - 1] < least, step, 0)
+        at += prev[at] < least
+        found[sel] += at - chunk
     # The query at index i of a counted run is its head's distance less i - head.
     base = np.zeros(len(counted), dtype=np.int32)
-    base[counted] = seen[r] - found + heads
-    del nxt, seen, r, found, prefix, heads
+    base[counted] = found - bound + heads
+    del prev, seen, r, found, bound, heads
     member = np.flatnonzero(counted[run])
     dist[query[member]] = base[run[member]] - member
     return dist
@@ -251,7 +246,7 @@ def sweep(trace: Trace, template: CacheConfig, capacities) -> list[CacheReport]:
     computed once and each capacity costs a few array passes. A
     capacity at or past the footprint hits every re-touch, so only the
     largest capacity below it bounds the exact counting. Memory is
-    O(block touches), about 41 bytes per touch at peak.
+    O(block touches), about 37 bytes per touch at peak.
     """
     configs = [replace(template, capacity_bytes=cap) for cap in capacities]
     if not configs:
@@ -259,14 +254,14 @@ def sweep(trace: Trace, template: CacheConfig, capacities) -> list[CacheReport]:
     if not len(trace):
         raise ValueError("empty trace")
     block = template.block_bytes
-    order, new, starts, counts, requested = _touches(trace, block)
-    total = len(order)
-    footprint = int(np.count_nonzero(new))
+    prev, starts, counts, requested = _touches(trace, block)
+    total = len(prev)
+    footprint = int(np.count_nonzero(prev < 0))
     caps = [min(config.capacity_blocks, footprint) for config in configs]
     low = min((cap for cap in caps if cap), default=0)
     high = max((cap for cap in caps if cap < footprint), default=0)
-    dist = _stack_distances(order, new, starts, counts, low, high)
-    del order, new
+    dist = _stack_distances(prev, starts, counts, low, high)
+    del prev
     first = np.zeros(total, dtype=bool)
     first[starts] = True
     reports = []
@@ -302,4 +297,4 @@ def miss_ratio_curve(trace: Trace, template: CacheConfig, capacities) -> list[tu
 
 def distinct_blocks(trace: Trace, block_bytes: int) -> int:
     """Number of distinct (object, block) pairs the trace's gets touch."""
-    return int(np.count_nonzero(_touches(trace, block_bytes)[1]))
+    return int(np.count_nonzero(_touches(trace, block_bytes)[0] < 0))

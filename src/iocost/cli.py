@@ -8,8 +8,8 @@ scenario field is stored under the field's name and handed over only
 when given, so the field's table supplies its default and checks it,
 and a refusal names the scenario field. Byte-valued flags accept
 decimal-unit suffixes (KB, MB, GB, TB, PB, all powers of 10); the other
-numeric flags are JSON numbers. Exit codes: 0 success, 2 validation
-error, 3 runtime error.
+numeric flags are JSON numbers. Exit codes: 0 success (also when the
+reader of stdout closes it early), 2 validation error, 3 runtime error.
 
 Each subcommand imports what it uses when it runs; building the parser
 loads only this module and ``units``. `price` loads ``pricing``. The
@@ -232,7 +232,14 @@ def main(argv=None) -> int:
         # argparse already printed its message; fold --help into success
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # A reader that stops reading is no fault of the input or of the
+        # program; fd 1 goes to devnull so the exit flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 """LRU block-cache simulation against hand oracles, an LRU walk and LRU laws."""
 
 import random
+import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
 from unittest import mock
@@ -19,7 +20,7 @@ from iocost.cachesim import (
     simulate,
     sweep,
 )
-from iocost.tracemodel import AccessRecord, Trace
+from iocost.tracemodel import AccessRecord, SynthSpec, Trace, synthesize_trace
 from iocost.units import KB, MB
 
 B = 1000  # block size used throughout these tests
@@ -330,9 +331,10 @@ def test_simulate_equals_oracle_property(recs, capacity):
 
 def _retouch_distances(trace, capacity_blocks):
     """(position, distance) of every re-touch as the engine keeps it."""
-    order, new, starts, counts, _ = cachesim._touches(trace, B)
-    dist = cachesim._stack_distances(order, new, starts, counts, capacity_blocks, capacity_blocks)
-    return [(int(pos), int(dist[pos])) for pos in sorted(order[~new])]
+    prev, starts, counts, _ = cachesim._touches(trace, B)
+    retouches = np.flatnonzero(prev >= 0)  # read first: the kernel sorts prev
+    dist = cachesim._stack_distances(prev, starts, counts, capacity_blocks, capacity_blocks)
+    return [(int(pos), int(dist[pos])) for pos in retouches]
 
 
 def test_upper_bound_decides_every_retouch_at_the_footprint():
@@ -383,6 +385,48 @@ def test_a_run_whose_head_its_bounds_decide_is_still_counted_from_the_head():
     config = CacheConfig(3 * B, B)
     assert simulate(trace, config) == _lru_oracle(trace, config)
     assert simulate(trace, config).hits == 3
+
+
+@given(_records)
+def test_exact_distances_match_a_set_oracle_property(recs):
+    # With low = 1 and high = the footprint no bound decides a touch, so
+    # every re-touch's distance is its exact count: the distinct pairs
+    # touched after its previous touch and before its request's first.
+    # Capacities see a distance only through which side of them it
+    # falls on, so this checks what the simulate oracles cannot.
+    trace = _mixed_trace(recs)
+    pairs, request_start = [], []
+    for r in trace.gets():
+        start = len(pairs)
+        for idx in range(r.off // B, (r.off + r.length - 1) // B + 1):
+            pairs.append((r.obj, idx))
+            request_start.append(start)
+    last, want = {}, {}
+    for t, pair in enumerate(pairs):
+        if pair in last:
+            want[t] = len(set(pairs[last[pair] + 1:request_start[t]]))
+        last[pair] = t
+    prev, starts, counts, _ = cachesim._touches(trace, B)
+    retouches = np.flatnonzero(prev >= 0)  # read first: the kernel sorts prev
+    footprint = int(np.count_nonzero(prev < 0))
+    dist = cachesim._stack_distances(prev, starts, counts, 1, footprint)
+    assert {int(t): int(dist[t]) for t in retouches} == want
+
+
+def test_sweep_memory_per_touch():
+    # The kernel counts over the previous-touch array itself; the
+    # next-touch array it no longer builds took the peak to 39 bytes.
+    trace = synthesize_trace(SynthSpec(records=2 * 10**5), seed=1)
+    touches = len(cachesim._touches(trace, MB)[0])
+    assert touches == 617_843
+    capacities = [0] + [2**i * 10**9 for i in range(8)]
+    tracemalloc.start()
+    try:
+        sweep(trace, CacheConfig(0, MB), capacities)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 38 * touches
 
 
 @given(_records, _capacities)

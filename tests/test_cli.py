@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -965,6 +967,77 @@ def test_deeply_nested_json_exits_2(argv, message, tmp_path, monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message} (nesting too deep)\n"
+
+
+# Two refusals of json.load that are no JSONDecodeError: the text
+# reader's UTF-8 check, and int()'s digit limit (Python 3.11 and
+# backports) on a 5,000-digit number.
+_UNREADABLE_JSON = {
+    "non-utf8": (b'{"counts": "\xff"}\n', "'utf-8' codec can't decode byte 0xff"),
+    "5000-digits": (b'{"counts": ' + b"9" * 5000 + b"}\n", "Exceeds the limit (4300 digits)"),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("fault", sorted(_UNREADABLE_JSON))
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (["scenario", "run", "bad.json"], "scenario file bad.json"),
+        (["price", "--book-file", "bad.json", "--tally", "tally.json"], "price book file bad.json"),
+        (["price", "--book", "s3-standard", "--tally", "bad.json"], "tally file bad.json"),
+        (["scan", "--layout", "bad.json", "--query", "query.json"],
+         "scenario field 'scan.layout': file bad.json"),
+    ],
+    ids=["scenario", "price-book-file", "price-tally", "layout"],
+)
+def test_unreadable_json_exits_2_naming_its_file(argv, what, fault, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    content, reason = _UNREADABLE_JSON[fault]
+    bad = tmp_path / "bad.json"  # absolute, so every refusal names the same path
+    bad.write_bytes(content)
+    _write(tmp_path / "tally.json", {"counts": {"get": 1}})
+    _write(tmp_path / "query.json", QUERY)
+    assert main([str(bad) if arg == "bad.json" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {what.replace('bad.json', str(bad))}: invalid JSON ({reason}")
+
+
+def _with_closed_stdout(argv, env) -> subprocess.CompletedProcess:
+    """``iocost ARGV`` in a new process whose stdout is a pipe with no reader."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "iocost.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+            env=env, cwd=SCENARIOS.parent, timeout=60,
+        )
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["join", "--workers", "200", "--build-bytes", "100MB", "--queries", "500000",
+         "--broadcast-frac", "0.2", "--request-bytes", "10KB"],
+        ["scenario", "run", "scenarios/broadcast_fleet.json"],
+    ],
+    ids=["join", "scenario"],
+)
+def test_a_closed_stdout_exits_0_with_nothing_on_stderr(argv, unbuffered):
+    # A reader that stops reading is no fault of the input or of the
+    # program. Block-buffered, the write fails only in the exit flush,
+    # which used to exit 120; unbuffered, in print, which used to exit 3.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = _with_closed_stdout(argv, env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def _no_synthesis(monkeypatch):
