@@ -51,7 +51,7 @@ _TALLY_FIELDS = (("counts", "object", REQUIRED, None), ("bytes", "object", None,
 
 
 def _cmd_price(args) -> int:
-    from .pricing import RequestTally, format_usd, get_pricebook, load_pricebook
+    from .pricing import RequestTally, get_pricebook, load_pricebook
 
     book = load_pricebook(args.book_file) if args.book_file else get_pricebook(args.book)
     raw = check_fields(load_json(args.tally, "tally file"), _TALLY_FIELDS, f"tally file {args.tally}")
@@ -59,16 +59,7 @@ def _cmd_price(args) -> int:
         tally = RequestTally(counts=raw["counts"], transferred_bytes=raw["bytes"] or {})
     except ValueError as exc:
         raise FieldError(f"tally file {args.tally}", "", str(exc)) from None
-    cost = book.cost_of(tally)
-    _print_json(
-        {
-            "price_book": book.book_id,
-            "requests": tally.total_requests,
-            "bytes": tally.total_bytes,
-            "nanousd": cost,
-            "usd": format_usd(cost),
-        }
-    )
+    _print_json({"price_book": book.book_id, **book.priced(tally)})
     return 0
 
 

@@ -57,6 +57,12 @@ class PriceBook:
         """
         return sum(count * self.classify(kind).nanousd_per_request for kind, count in tally.counts.items())
 
+    def priced(self, tally: "RequestTally") -> dict:
+        """A tally's ``requests``, ``bytes``, ``nanousd`` (``cost_of``) and ``usd`` (``format_usd``)."""
+        cost = self.cost_of(tally)
+        return {"requests": tally.total_requests, "bytes": tally.total_bytes,
+                "nanousd": cost, "usd": format_usd(cost)}
+
 
 @dataclass(frozen=True)
 class RequestTally:

@@ -310,17 +310,7 @@ class CostReport:
         return out
 
 
-def _section(name: str, scenario: Scenario, sides: dict, chosen: str, details: dict) -> SectionResult:
-    """A section priced as its ``chosen`` side; ``sides`` maps each to (requests, bytes)."""
-    comparison = {}
-    for key, (requests, nbytes) in sides.items():
-        tally = RequestTally({"get": requests}, {"get": nbytes})
-        cost = scenario.price_book.cost_of(tally)
-        comparison[key] = {"requests": requests, "bytes": nbytes, "nanousd": cost, "usd": format_usd(cost)}
-    return SectionResult(name, **comparison[chosen], details=details, comparison=comparison)
-
-
-def _run_scan(section: dict, scenario: Scenario, workload) -> SectionResult:
+def _run_scan(section: dict, scenario: Scenario, workload) -> tuple[dict, str, dict]:
     from . import columnar
 
     layout, data, gap = section["layout"], section["data"], section["coalesce_gap"]
@@ -334,17 +324,17 @@ def _run_scan(section: dict, scenario: Scenario, workload) -> SectionResult:
         plans[name] = plan
     sides = {name: (plan.request_count, plan.total_bytes) for name, plan in plans.items()}
     mode = "pushdown" if pushdown else "full_scan"
-    return _section("scan", scenario, sides, mode, {
+    return sides, mode, {
         "table": layout.table,
         "rows": layout.rows,
         "mode": mode,
         "survivors": plans[mode].survivor_count,
         "coalesce_gap": gap,
         "data_source": "supplied" if data is not None else "synthesized",
-    })
+    }
 
 
-def _run_scan_fleet(section: dict, scenario: Scenario, workload) -> SectionResult:
+def _run_scan_fleet(section: dict, scenario: Scenario, workload) -> tuple[dict, str, dict]:
     from . import columnar
 
     details = {key: value for key, value in section.items() if key != "pushdown"}
@@ -354,10 +344,10 @@ def _run_scan_fleet(section: dict, scenario: Scenario, workload) -> SectionResul
         "full_scan": (comp.full_scan_requests, comp.full_scan_bytes),
     }
     mode = "pushdown" if section["pushdown"] else "full_scan"
-    return _section("scan_fleet", scenario, sides, mode, {**details, "mode": mode})
+    return sides, mode, {**details, "mode": mode}
 
 
-def _run_join(section: tuple, scenario: Scenario, workload) -> SectionResult:
+def _run_join(section: tuple, scenario: Scenario, workload) -> tuple[dict, str, dict]:
     from . import joinplan
 
     params, spec, request_bytes = section
@@ -367,7 +357,7 @@ def _run_join(section: tuple, scenario: Scenario, workload) -> SectionResult:
         nbytes = joinplan.fleet_aggregate(fleet)
         sides[strategy] = (joinplan.fleet_api_calls(nbytes, request_bytes), nbytes)
     waste = joinplan.waste_fraction(params.workers)
-    return _section("join", scenario, sides, per_query.strategy, {
+    return sides, per_query.strategy, {
         "strategy": per_query.strategy,
         "queries_per_day": params.queries_per_day,
         "broadcast_fraction": params.broadcast_fraction,
@@ -381,10 +371,12 @@ def _run_join(section: tuple, scenario: Scenario, workload) -> SectionResult:
         "per_query_network_bytes": per_query.network_bytes,
         "waste_fraction": f"{float(waste):.4f}",
         "waste_fraction_exact": f"{waste.numerator}/{waste.denominator}",
-    })
+    }
 
 
-def _run_cache(config: CacheConfig, scenario: Scenario, workload: tuple[Trace, dict]) -> SectionResult:
+def _run_cache(
+    config: CacheConfig, scenario: Scenario, workload: tuple[Trace, dict]
+) -> tuple[dict, str, dict]:
     from . import cachesim
 
     trace, note = workload
@@ -393,18 +385,21 @@ def _run_cache(config: CacheConfig, scenario: Scenario, workload: tuple[Trace, d
         "cache": (report.origin_requests, report.origin_bytes),
         "no_cache": (report.requests_served, report.requested_bytes),
     }
-    return _section("cache", scenario, sides, "cache", {
+    return sides, "cache", {
         **report.to_dict(),
         "capacity_bytes": config.capacity_bytes,
         "effective_capacity_bytes": config.effective_capacity_bytes,
         "block_bytes": config.block_bytes,
         "workload": note,
-    })
+    }
 
 
 # Each section in report order: its parser, called with the section's
 # JSON and the scenario's directory, and its runner, called with what
 # the parser returned, the scenario and the workload's (trace, note).
+# A runner returns traffic, not prices: ``sides`` maps each side to its
+# (requests, bytes), ``chosen`` names the side the section reports,
+# and ``details`` is the section's own dict.
 _SECTIONS = {
     "scan": (_parse_scan, _run_scan),
     "scan_fleet": (_parse_scan_fleet, _run_scan_fleet),
@@ -426,16 +421,21 @@ def _materialize_workload(scenario: Scenario) -> tuple[Trace, dict]:
 
 
 def run_scenario(scenario: Scenario) -> CostReport:
-    """Execute every present section and price it with the scenario's book."""
+    """Execute every present section and price each of its sides as gets with the scenario's book."""
     results: list[SectionResult] = []
     for name, section in scenario.sections.items():
         # Only the cache section, last in report order, reads the workload,
         # so no other section's fault waits for the trace to be read.
         workload = _materialize_workload(scenario) if name == "cache" else None
         try:
-            results.append(_SECTIONS[name][1](section, scenario, workload))
+            sides, chosen, details = _SECTIONS[name][1](section, scenario, workload)
+            comparison = {
+                side: scenario.price_book.priced(RequestTally({"get": requests}, {"get": nbytes}))
+                for side, (requests, nbytes) in sides.items()
+            }
         except ValueError as exc:
             raise ValueError(f"section {name!r}: {exc}") from None
+        results.append(SectionResult(name, **comparison[chosen], details=details, comparison=comparison))
     return CostReport(
         price_book_id=scenario.price_book.book_id,
         seed=scenario.seed,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from iocost import cachesim, columnar, joinplan, tracemodel, units
+from iocost import cachesim, columnar, joinplan, pricing, tracemodel, units
 from iocost.cli import main
 
 LAYOUT = {
@@ -50,6 +50,14 @@ JOIN_SCENARIO = {
     },
 }
 
+TWO_CLASS_BOOK = {
+    "id": "flat",
+    "classes": [
+        {"class": "read", "kinds": ["get"], "nanousd_per_request": 3},
+        {"class": "write", "kinds": ["put"], "nanousd_per_request": 5},
+    ],
+}
+
 
 def _write(path, payload):
     path.write_text(json.dumps(payload))
@@ -70,14 +78,7 @@ def test_price_builtin_book(tmp_path, capsys):
 
 
 def test_price_book_file(tmp_path, capsys):
-    book = {
-        "id": "flat",
-        "classes": [
-            {"class": "read", "kinds": ["get"], "nanousd_per_request": 3},
-            {"class": "write", "kinds": ["put"], "nanousd_per_request": 5},
-        ],
-    }
-    book_path = _write(tmp_path / "book.json", book)
+    book_path = _write(tmp_path / "book.json", TWO_CLASS_BOOK)
     tally = _write(tmp_path / "tally.json", {"counts": {"get": 10, "put": 2}})
     out = _run_json(capsys, ["price", "--book-file", book_path, "--tally", tally])
     assert out["price_book"] == "flat"
@@ -243,6 +244,34 @@ def test_pinned_stdout(case, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
+# Full stdout of price, one case per book source: the book's id and
+# the tally's requests, bytes and cost, and no other key.
+PINNED_PRICE = {
+    "builtin_book": (
+        ["--book", "s3-standard"],
+        {"counts": {"get": 1_000, "put": 10}, "bytes": {"get": 5_000_000, "put": 2_000}},
+        '{\n  "bytes": 5002000,\n  "nanousd": 450000,\n  "price_book": "s3-standard",\n'
+        '  "requests": 1010,\n  "usd": "0.00045"\n}\n',
+    ),
+    "book_file": (
+        ["--book-file", "book.json"],
+        {"counts": {"get": 10, "put": 2}, "bytes": {"get": 700}},
+        '{\n  "bytes": 700,\n  "nanousd": 40,\n  "price_book": "flat",\n'
+        '  "requests": 12,\n  "usd": "0.00000004"\n}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PRICE))
+def test_pinned_price_stdout(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "book.json", TWO_CLASS_BOOK)
+    flags, tally, expected = PINNED_PRICE[case]
+    _write(tmp_path / "tally.json", tally)
+    assert main(["price", *flags, "--tally", "tally.json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_scan_data_with_non_integer_value_exits_2(tmp_path, capsys):
     data = {**DATA, "A": [10, 20, 5, "x", 25, 12, 40, 8]}
     code = main([
@@ -298,6 +327,18 @@ def test_runtime_fault_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "runtime error: planner fault\n"
+
+
+def test_pricing_fault_keeps_its_section_prefix(monkeypatch, capsys):
+    def fault(self, tally):
+        raise ValueError("boom")
+
+    monkeypatch.chdir(SCENARIOS.parent)
+    monkeypatch.setattr(pricing.PriceBook, "cost_of", fault)
+    assert main(["scenario", "run", "scenarios/broadcast_fleet.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: section 'join': boom\n"
 
 
 def test_cache_over_trace_file(tmp_path, capsys):

@@ -487,6 +487,30 @@ def test_bundled_scenarios_run_clean():
         assert render_report(report).endswith("\n")
 
 
+# The side each section reports, read from its details.
+_CHOSEN = {
+    "scan": lambda details: details["mode"],
+    "scan_fleet": lambda details: details["mode"],
+    "join": lambda details: details["strategy"],
+    "cache": lambda details: "cache",
+}
+
+
+@pytest.mark.parametrize(
+    "path", sorted((pathlib.Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")),
+    ids=lambda path: path.stem,
+)
+def test_every_side_is_priced_by_the_book(path):
+    scenario = load_scenario(str(path))
+    book = scenario.price_book
+    for section in run_scenario(scenario).to_dict()["sections"]:
+        for side in section["comparison"].values():
+            tally = RequestTally({"get": side["requests"]}, {"get": side["bytes"]})
+            assert side == book.priced(tally)
+        chosen = section["comparison"][_CHOSEN[section["name"]](section["details"])]
+        assert {key: section[key] for key in ("requests", "bytes", "nanousd", "usd")} == chosen
+
+
 def test_scan_plan_matches_columnar_module():
     report = _run(SCAN_RAW)
     scan = report.sections[0]
