@@ -235,7 +235,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+        # A fault with no text, such as MemoryError(), is named by its type.
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

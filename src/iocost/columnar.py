@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -58,12 +59,17 @@ class TableLayout:
     rows: int
     columns: tuple[Column, ...]
 
+    @cached_property
+    def _by_name(self) -> dict[str, Column]:
+        # Built once, so a scan looks up each of thousands of columns in constant time.
+        return {col.name: col for col in self.columns}
+
     def column(self, name: str) -> Column:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        known = ", ".join(c.name for c in self.columns)
-        raise ValueError(f"unknown column {name!r} (table {self.table!r} has: {known})")
+        col = self._by_name.get(name)
+        if col is None:
+            known = ", ".join(c.name for c in self.columns)
+            raise ValueError(f"unknown column {name!r} (table {self.table!r} has: {known})")
+        return col
 
 
 def build_layout(rows: int, columns, table: str = "t") -> TableLayout:

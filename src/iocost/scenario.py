@@ -24,7 +24,7 @@ from decimal import Decimal
 from typing import TYPE_CHECKING
 
 from .pricing import PriceBook, RequestTally, format_usd, get_pricebook, load_pricebook
-from .units import REQUIRED, FieldError, check_fields, check_value, load_json
+from .units import REQUIRED, FieldError, check_fields, check_value, load_json, regular_file
 
 if TYPE_CHECKING:
     from .cachesim import CacheConfig
@@ -106,19 +106,13 @@ def _nested(path: str, build, *args, **kwargs):
         raise FieldError("scenario", path, str(exc)) from None
 
 
-def _check_file(path: str, key: str) -> str:
-    if not os.path.isfile(path):
-        raise FileNotFoundError(f"scenario field {key!r}: file not found: {path}")
-    return path
-
-
 def _parse_price_book(raw, base_dir: str) -> PriceBook:
     if isinstance(raw, str):
         return get_pricebook(raw)
     if not isinstance(raw, dict):
         raise FieldError("scenario", "price_book", 'must be a built-in id or {"file": path}')
     name = check_fields(raw, _PRICE_BOOK_FILE_FIELDS, "scenario", "price_book")["file"]
-    path = _check_file(os.path.join(base_dir, name), "price_book.file")
+    path = regular_file(os.path.join(base_dir, name), "scenario field 'price_book.file': file")
     return _nested("price_book.file", load_pricebook, path)
 
 
@@ -154,14 +148,13 @@ def _parse_workload(raw: dict, base_dir: str) -> str | SynthSpec:
     if (f["trace"] is None) == (f["synthesize"] is None):
         raise FieldError("scenario", "workload", "needs exactly one of 'trace' or 'synthesize'")
     if f["trace"] is not None:
-        return _check_file(os.path.join(base_dir, f["trace"]), "workload.trace")
+        return regular_file(os.path.join(base_dir, f["trace"]), "scenario field 'workload.trace': file")
     return synth_spec_from_dict(f["synthesize"])
 
 
 def _inline_or_file(raw, base_dir: str, key: str) -> dict:
     if isinstance(raw, str):
-        path = _check_file(os.path.join(base_dir, raw), key)
-        return load_json(path, f"scenario field {key!r}: file")
+        return load_json(os.path.join(base_dir, raw), f"scenario field {key!r}: file")
     if isinstance(raw, dict):
         return raw
     raise FieldError("scenario", key, "must be an inline object or a file path")
@@ -256,8 +249,6 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     """Load and validate a scenario file."""
-    if not os.path.isfile(path):
-        raise FileNotFoundError(f"scenario file not found: {path}")
     raw = load_json(path, "scenario file")
     return scenario_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 

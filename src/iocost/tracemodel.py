@@ -24,9 +24,8 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .units import KB, MAX_TRACE_INT, MB
+from .units import KB, MAX_TRACE_INT, MB, regular_file
 
 TRACE_KINDS = ("get", "put", "post", "copy", "list", "head")
 
@@ -316,9 +315,10 @@ def read_trace(path: str) -> Trace:
     A file whose every line is in the exact ``trace_lines`` shape is
     parsed in bulk with numpy, to the same trace. Any other file, a
     faulty, empty or mixed one included, goes through ``parse_trace``
-    whole, so its error text and line number are the line path's.
+    whole, so its error text and line number are the line path's. A
+    path that is not a regular file is refused (``units.regular_file``).
     """
-    trace = _read_canonical(path)
+    trace = _read_canonical(regular_file(path, "trace file"))
     if trace is not None:
         return trace
     with open(path, "r", encoding="utf-8") as fh:
@@ -352,36 +352,25 @@ def _digits(values: np.ndarray) -> np.ndarray:
     return digits
 
 
-def _quoted_ids(objects):
-    """The ids as ``json.dumps`` writes them, in one byte array: ``(ids, ends, widths)``.
-
-    Id i is the ``widths[i]`` bytes before ``ids[ends[i]]``; as many NULs
-    as the widest id has bytes lead the first.
-    """
-    quoted = list(map(encode_basestring_ascii, objects))  # json.dumps of a str
-    widths = np.fromiter(map(len, quoted), np.intp, len(quoted))
-    lead = int(widths.max(initial=0))
-    ids = np.frombuffer(b"\0" * lead + "".join(quoted).encode("ascii"), np.uint8)
-    return ids, lead + np.cumsum(widths), widths
-
-
 def _encoded(trace: Trace):
     """The canonical lines of ``trace`` as ASCII bytes, one chunk of rows at a time.
 
     Each chunk is a grid of one row a record: the line's text, its
-    integers' digits, its quoted id right-aligned and its kind, with NUL
-    in the places a shorter value leaves. Dropping the NULs leaves the
-    lines, as ``json.dumps`` escapes NUL and so no line holds one.
+    integers' digits, its quoted id and its kind, the id cast to
+    fixed-width bytes as the kind is, with NUL in the places a shorter
+    value leaves. Dropping the NULs leaves the lines, as ``json.dumps``
+    escapes NUL and so no line holds one.
     """
-    ids, ends, widths = _quoted_ids(trace.objects)
+    # Each id as json.dumps writes it, encoded once: casting str ids in every chunk is slower.
+    quoted = np.array([encode_basestring_ascii(o).encode("ascii") for o in trace.objects], object)
+    widths = np.fromiter(map(len, quoted), np.intp, len(quoted))
     start = 0
     while start < len(trace):
         obj = trace.obj[start:start + _WRITE_ROWS]
         width = int(widths[obj].max())
         obj = obj[:max(1, _WRITE_ROWS * 64 // max(width, 64))]
         rows, start = slice(start, start + len(obj)), start + len(obj)
-        cells = sliding_window_view(ids, width)[ends[obj] - width]  # each id right-aligned
-        cells *= np.arange(width) >= (width - widths[obj])[:, None]  # NUL before its first byte
+        cells = quoted[obj].astype(f"S{width}").view(np.uint8).reshape(len(obj), width)
         text = [np.broadcast_to(t, (len(obj), len(t))) for t in _LINE_TEXT]
         grid = np.concatenate([
             text[0], _digits(trace.ts_ms[rows]), text[1], cells, text[2], _digits(trace.off[rows]),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -105,14 +106,25 @@ def ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
+def regular_file(path: str, what: str) -> str:
+    """``path`` if it names a regular file, else ``FileNotFoundError("<what> not found: <path>")``.
+
+    A directory, a FIFO or a device is refused before it is opened, as
+    reading one fails, blocks or never ends.
+    """
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"{what} not found: {path}")
+    return path
+
+
 def load_json(path: str, what: str):
-    """Read one JSON document from ``path``.
+    """Read one JSON document from ``path``, a regular file (``regular_file``).
 
     Malformed, non-UTF-8 or too deeply nested JSON, or an integer past
     Python's digit limit, raises ``ValueError`` naming ``what`` and the
     path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(regular_file(path, what), "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:

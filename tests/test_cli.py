@@ -329,6 +329,17 @@ def test_runtime_fault_exits_3(monkeypatch, capsys):
     assert captured.err == "runtime error: planner fault\n"
 
 
+def test_runtime_fault_without_text_names_its_type(monkeypatch, capsys):
+    def fault(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(joinplan, "plan_join", fault)
+    assert main(JOIN_ARGS) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "runtime error: MemoryError\n"
+
+
 def test_pricing_fault_keeps_its_section_prefix(monkeypatch, capsys):
     def fault(self, tally):
         raise ValueError("boom")
@@ -751,8 +762,8 @@ def test_malformed_tally_exits_2(tally, path, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["price", "--book", "s3-standard", "--tally", "DIR"], "[Errno 21] Is a directory: 'DIR'"),
-        (["price", "--book-file", "DIR", "--tally", "tally.json"], "[Errno 21] Is a directory: 'DIR'"),
+        (["price", "--book", "s3-standard", "--tally", "DIR"], "tally file not found: DIR"),
+        (["price", "--book-file", "DIR", "--tally", "tally.json"], "price book file not found: DIR"),
         (["cache", "--trace", "DIR", "--capacity", "1MB"],
          "scenario field 'workload.trace': file not found: {cwd}/DIR"),
         (["scan", "--layout", "layout.json", "--query", "query.json", "--data", "DIR"],
@@ -778,8 +789,8 @@ NOT_A_DIRECTORY = "[Errno 20] Not a directory: 'f.json/x'"
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["price", "--book", "s3-standard", "--tally", "f.json/x"], NOT_A_DIRECTORY),
-        (["price", "--book-file", "f.json/x", "--tally", "f.json"], NOT_A_DIRECTORY),
+        (["price", "--book", "s3-standard", "--tally", "f.json/x"], "tally file not found: f.json/x"),
+        (["price", "--book-file", "f.json/x", "--tally", "f.json"], "price book file not found: f.json/x"),
         # scan.data is a file field like scan.layout: a path that is not a file is not found
         (["scan", "--layout", "layout.json", "--query", "query.json", "--data", "f.json/x"],
          "scenario field 'scan.data': file not found: {cwd}/f.json/x"),
@@ -796,6 +807,47 @@ def test_path_through_a_regular_file_exits_2(argv, message, tmp_path, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.format(cwd=os.getcwd())}\n"
+
+
+def _src_env(env) -> dict:
+    """``env`` with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+
+
+NOT_A_FILE_ARGV = {
+    "price-tally": (["price", "--book", "s3-standard", "--tally", "{path}"], "tally file not found: {path}"),
+    "price-book-file": (["price", "--book-file", "{path}", "--tally", "tally.json"],
+                        "price book file not found: {path}"),
+    "scenario": (["scenario", "run", "{path}"], "scenario file not found: {path}"),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("name", sorted(NOT_A_FILE_ARGV))
+def test_a_fifo_input_exits_2_without_opening_it(name, tmp_path):
+    # Opening a FIFO that no process writes blocks, so the run is a
+    # process with a timeout: a hang fails the test instead of stalling it.
+    os.mkfifo(tmp_path / "F")
+    _write(tmp_path / "tally.json", {"counts": {"get": 1}})
+    argv, message = NOT_A_FILE_ARGV[name]
+    proc = subprocess.run(
+        [sys.executable, "-m", "iocost.cli", *(a.format(path="F") for a in argv)],
+        capture_output=True, text=True, env=_src_env(os.environ), cwd=tmp_path, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message.format(path='F')}\n")
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_FILE_ARGV))
+def test_a_device_input_exits_2_without_reading_it(name, tmp_path, monkeypatch, capsys):
+    # /dev/null reads as an empty file, and /dev/zero would read without end.
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "tally.json", {"counts": {"get": 1}})
+    argv, message = NOT_A_FILE_ARGV[name]
+    assert main([a.format(path=os.devnull) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(path=os.devnull)}\n"
 
 
 # Every command hands its byte flags to a scenario field table as text,
@@ -1047,14 +1099,12 @@ def test_unreadable_json_exits_2_naming_its_file(argv, what, fault, tmp_path, mo
 
 def _with_closed_stdout(argv, env) -> subprocess.CompletedProcess:
     """``iocost ARGV`` in a new process whose stdout is a pipe with no reader."""
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
     read, write = os.pipe()
     os.close(read)
     try:
         return subprocess.run(
             [sys.executable, "-m", "iocost.cli", *argv], stdout=write, stderr=subprocess.PIPE,
-            env=env, cwd=SCENARIOS.parent, timeout=60,
+            env=_src_env(env), cwd=SCENARIOS.parent, timeout=60,
         )
     finally:
         os.close(write)

@@ -1,5 +1,6 @@
 """Layout packing, scan planning, pushdown equivalence, coalescing."""
 
+import dataclasses
 import json
 import random
 from collections import namedtuple
@@ -305,6 +306,27 @@ def test_plan_scan_narrow_projection_reads_fewer_pages():
     assert on.request_count == 8 + 4 + 3
     assert off.request_count == 24
     assert on.total_bytes < off.total_bytes
+
+
+class _CountedColumns(tuple):
+    """A layout's columns that count the scans over them."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_plan_scan_finds_columns_without_scanning_the_layout_per_column():
+    layout = build_layout(1, [(f"c{i}", 8, 8) for i in range(1000)])
+    names = [col.name for col in layout.columns]
+    columns = _CountedColumns(layout.columns)
+    layout = dataclasses.replace(layout, columns=columns)
+    plan = plan_scan(layout, {name: [0] for name in names}, names, [])
+    assert plan.request_count == 1000
+    # One scan builds the name index; a scan per lookup made it quadratic.
+    assert columns.scans <= 2
 
 
 def test_plan_scan_validation():

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
+import pathlib
 import random
 import statistics
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from heapq import nlargest
@@ -374,6 +378,32 @@ def test_bulk_read_errors_equal_the_line_path_property(tmp_path_factory, fault, 
     else:
         lineno = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
         assert want.startswith(f"line {lineno}: ")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_read_trace_refuses_a_fifo_without_opening_it(tmp_path):
+    # Opening a FIFO that no process writes blocks, so the read runs in a
+    # process with a timeout: a hang fails the test instead of stalling it.
+    os.mkfifo(tmp_path / "F")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "from iocost.tracemodel import read_trace\n"
+        "try:\n"
+        "    read_trace('F')\n"
+        "except FileNotFoundError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=20
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "trace file not found: F\n", "")
+
+
+def test_read_trace_refuses_a_device():
+    # /dev/null reads as an empty trace, and /dev/zero would read without end.
+    with pytest.raises(FileNotFoundError, match=f"^trace file not found: {os.devnull}$"):
+        read_trace(os.devnull)
 
 
 def test_canonical_lines_take_the_bulk_path(tmp_path, monkeypatch):
