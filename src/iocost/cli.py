@@ -11,6 +11,11 @@ decimal-unit suffixes (KB, MB, GB, TB, PB, all powers of 10); the other
 numeric flags are JSON numbers. Exit codes: 0 success (also when the
 reader of stdout closes it early), 2 validation error, 3 runtime error.
 
+`entry` is the process behind the `iocost` script and `python -m
+iocost.cli`: it handles a closed stdout and skips the interpreter's
+shutdown collection. `main` is for in-process callers and leaves the
+process alone.
+
 Each subcommand imports what it uses when it runs; building the parser
 loads only this module and ``units``. `price` loads ``pricing``. The
 other commands go through ``scenario``, which loads a section's module
@@ -21,11 +26,12 @@ only when that section appears, so `price`, `join` and a join-only
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from dataclasses import replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .units import REQUIRED, FieldError, check_fields, check_value, load_json
 
@@ -216,6 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Output is written to ``sys.stdout`` and not flushed. A write to a
+    closed stdout raises ``BrokenPipeError`` to the caller, which
+    ``entry`` handles for the process.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -223,14 +235,9 @@ def main(argv=None) -> int:
         # argparse already printed its message; fold --help into success
         return 0 if exc.code in (0, None) else 2
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
+        return args.func(args)
     except BrokenPipeError:
-        # A reader that stops reading is no fault of the input or of the
-        # program; fd 1 goes to devnull so the exit flush stays silent.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        raise
     except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -240,5 +247,29 @@ def main(argv=None) -> int:
         return 3
 
 
+def entry() -> NoReturn:
+    """The process of `python -m iocost.cli` and the `iocost` script.
+
+    Runs ``main``, flushes stdout, and exits with main's code. A reader
+    that stops reading is no fault of the input or of the program: when
+    a write or the flush meets a closed stdout, fd 1 goes to devnull so
+    the interpreter's exit flush stays silent, and a write that failed
+    inside ``main`` exits 0. ``gc.freeze()`` moves every object into the
+    permanent generation, which the collection at interpreter shutdown
+    skips; exit handlers and stream flushes still run.
+    """
+    if sys.stdout is None:
+        # Started with fd 1 closed: output goes nowhere, as to a closed pipe.
+        sys.stdout = open(os.devnull, "w")
+    code = 0
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

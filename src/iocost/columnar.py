@@ -28,7 +28,7 @@ _OPS = {
 }
 
 # Most values (rows x columns) a layout may hold, which bounds the
-# column data a scan synthesizes for it.
+# column data a scan synthesizes for it to 40 MB of int32.
 MAX_LAYOUT_VALUES = 10**7
 
 # Most pages a layout may hold, which bounds a plan to 16 MB: one int64
@@ -198,8 +198,9 @@ def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool 
     in page order: every page for the first step or a full scan,
     otherwise (pushdown) only the pages that hold a row surviving the
     predicates so far. Both modes compute identical survivor sets.
-    ``data`` maps each column the query reads to its values, an int64
-    array or a list of 64-bit integers.
+    ``data`` maps each column the query reads to its values, an integer
+    array, compared in its own dtype, or a list of 64-bit integers,
+    compared as int64.
     """
     steps = [(p.column, p) for p in predicates] + [(name, None) for name in projection]
     for name in query_columns(layout, projection, predicates):
@@ -225,7 +226,10 @@ def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool 
         offsets.append(col.offset + start_rows * col.value_bytes)
         lengths.append(np.minimum(col.rows_per_page, layout.rows - start_rows) * col.value_bytes)
         if pred is not None:
-            survivors &= _OPS[pred.op](np.asarray(data[name], dtype=np.int64), pred.literal)
+            values = data[name]
+            if not isinstance(values, np.ndarray):
+                values = np.asarray(values, dtype=np.int64)
+            survivors &= _OPS[pred.op](values, pred.literal)
     return ScanPlan(layout.table, np.concatenate(offsets), np.concatenate(lengths), survivors)
 
 
@@ -295,13 +299,14 @@ def fleet_scan_projection(
 def synthesize_column_data(layout: TableLayout, seed: int) -> dict:
     """Deterministic integer column data for a layout.
 
-    Each column is an int64 array of values uniform over [0, 100),
+    Each column is an int32 array of values uniform over [0, 100),
     drawn column by column in layout order, so predicates with literals
-    in that range have predictable selectivity.
+    in that range have predictable selectivity. The draws equal those
+    of an int64 array from the same generator.
     """
     rng = np.random.default_rng(seed)
     return {
-        col.name: rng.integers(0, 100, size=layout.rows, dtype=np.int64)
+        col.name: rng.integers(0, 100, size=layout.rows, dtype=np.int32)
         for col in layout.columns
     }
 

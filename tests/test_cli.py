@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON output, and file handling."""
 
+import gc
 import hashlib
 import json
 import os
@@ -1117,18 +1118,72 @@ def _with_closed_stdout(argv, env) -> subprocess.CompletedProcess:
         ["join", "--workers", "200", "--build-bytes", "100MB", "--queries", "500000",
          "--broadcast-frac", "0.2", "--request-bytes", "10KB"],
         ["scenario", "run", "scenarios/broadcast_fleet.json"],
+        ["--help"],
+        ["scenario", "run", "--help"],
     ],
-    ids=["join", "scenario"],
+    ids=["join", "scenario", "help", "scenario-run-help"],
 )
 def test_a_closed_stdout_exits_0_with_nothing_on_stderr(argv, unbuffered):
     # A reader that stops reading is no fault of the input or of the
     # program. Block-buffered, the write fails only in the exit flush,
-    # which used to exit 120; unbuffered, in print, which used to exit 3.
+    # which used to exit 120, also for argparse's own --help text;
+    # unbuffered, in print, which used to exit 3.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     proc = _with_closed_stdout(argv, env)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [JOIN_ARGS, ["scenario", "run", "scenarios/scan_demo.json"], ["--help"]],
+    ids=["join", "scenario", "help"],
+)
+def test_a_process_started_without_stdout_exits_0_with_nothing_on_stderr(argv):
+    # fd 1 closed at start leaves sys.stdout None: the output goes nowhere,
+    # as to a closed pipe, and no write or flush of None is a fault.
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "iocost.cli", *argv],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_src_env(os.environ),
+                          cwd=SCENARIOS.parent, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+ENTRY_CASES = {
+    "success": (JOIN_ARGS, 0),
+    "refusal": (["scenario", "run", "missing.json"], 2),
+    "runtime-fault": (["synth", "--records", "10", "--out", "/dev/full"], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_CASES))
+def test_the_process_entry_matches_main_in_process(name, tmp_path, monkeypatch, capsys):
+    argv, code = ENTRY_CASES[name]
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "iocost.cli", *argv], capture_output=True, text=True,
+                          env=_src_env(os.environ), cwd=tmp_path, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+def test_main_in_process_leaves_the_garbage_collector_alone(capsys):
+    # Only the process entry freezes objects; a caller of main keeps normal collection.
+    assert main(JOIN_ARGS) == 0
+    assert main(["--help"]) == 0
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    from iocost.cli import entry
+
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"iocost": f"{entry.__module__}:{entry.__name__}"}
 
 
 def _no_synthesis(monkeypatch):

@@ -419,6 +419,54 @@ def test_pushdown_survivors_on_int64_columns_property(rows, predicates, projecti
     assert on.total_bytes <= off.total_bytes
 
 
+# int32 values at and near both ends of int32; constants also past
+# int32, and at and past both ends of int64.
+_NEAR_INT32_ENDS = st.sampled_from([-(2**31), -(2**31) + 1, -1, 0, 1, 2**31 - 2, 2**31 - 1])
+_PAST_INT32_CONSTANTS = _NEAR_INT32_ENDS | st.sampled_from(
+    [-(2**31) - 1, 2**31, -(2**40), 2**40, -(2**63) - 1, -(2**63), 2**63 - 1, 2**63])
+
+
+@given(
+    st.lists(st.tuples(_NEAR_INT32_ENDS, _NEAR_INT32_ENDS), min_size=1, max_size=40),
+    st.lists(
+        st.builds(Predicate, st.sampled_from("AB"), st.sampled_from(["<", "<=", "=", ">=", ">"]),
+                  _PAST_INT32_CONSTANTS),
+        max_size=3,
+    ),
+    st.sampled_from([[], ["A"], ["B"], ["A", "B"]]),
+    st.integers(1, 4),
+)
+def test_pushdown_survivors_on_int32_columns_property(rows, predicates, projection, values_per_page):
+    # Synthesized columns are int32 and are compared in their own dtype.
+    if not predicates and not projection:
+        projection = ["A"]
+    layout = build_layout(len(rows), [(name, 4 * values_per_page, 4) for name in "AB"])
+    values = dict(zip("AB", (list(column) for column in zip(*rows))))
+    data = {name: np.array(column, dtype=np.int32) for name, column in values.items()}
+    on = plan_scan(layout, data, projection, predicates, pushdown=True)
+    off = plan_scan(layout, data, projection, predicates, pushdown=False)
+    oracle = {i for i in range(len(rows)) if all(p.matches(values[p.column][i]) for p in predicates)}
+    assert set(on.survivors) == set(off.survivors) == oracle
+    assert on.total_bytes <= off.total_bytes
+
+
+@pytest.mark.parametrize("literal", [-(2**63) - 1, -(2**63), -(2**40), 50, 2**40, 2**63 - 1, 2**63])
+@pytest.mark.parametrize("op", ["<", "<=", "=", ">=", ">"])
+def test_int32_columns_plan_as_their_int64_values(op, literal):
+    layout = build_layout(1000, [("A", 400, 4), ("B", 400, 4)])
+    data32 = synthesize_column_data(layout, seed=3)
+    data64 = {name: column.astype(np.int64) for name, column in data32.items()}
+    lists = {name: column.tolist() for name, column in data32.items()}
+    predicates = [Predicate("A", op, literal), Predicate("B", "<", 50)]
+    for pushdown in (True, False):
+        plans = [plan_scan(layout, data, ["B"], predicates, pushdown=pushdown)
+                 for data in (data32, data64, lists)]
+        for plan in plans[1:]:
+            assert np.array_equal(plan.mask, plans[0].mask)
+            assert np.array_equal(plan.offsets, plans[0].offsets)
+            assert np.array_equal(plan.lengths, plans[0].lengths)
+
+
 _COMPARATORS = ["<", "<=", "=", ">=", ">"]
 
 
@@ -678,6 +726,19 @@ def test_load_query(tmp_path):
     path.write_text('{"select": ["A"], "where": [], "pushdown": true}')
     select, predicates, pushdown = query_from_dict(load_json(str(path), "query file"))
     assert select == ["A"] and predicates == [] and pushdown is True
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**32 + 7])
+@pytest.mark.parametrize("rows,columns", [(1, 1), (1000, 3), (4097, 2)])
+def test_synthesize_column_data_draws_int32_equal_to_int64(seed, rows, columns):
+    # The data is drawn as int32, and its values are the int64 draws of
+    # the same generator, so every scan report is unchanged.
+    layout = build_layout(rows, [(f"c{i}", 64, 4) for i in range(columns)])
+    data = synthesize_column_data(layout, seed)
+    rng = np.random.default_rng(seed)
+    for col in layout.columns:
+        assert data[col.name].dtype == np.int32
+        assert np.array_equal(data[col.name], rng.integers(0, 100, size=rows, dtype=np.int64))
 
 
 def test_synthesize_column_data_deterministic():
