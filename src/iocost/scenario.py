@@ -225,7 +225,9 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
     """Validate a scenario's JSON form. Relative paths resolve against base_dir."""
     f = check_fields(raw, _SCENARIO_FIELDS, "scenario")
     book = _parse_price_book(f["price_book"], base_dir)
-    _nested("price_book", book.classify, "get")  # every section prices its sides as gets
+    # The book must classify every kind the runners emit (get, for all of them)
+    # before any section runs; a trace's other kinds are known once the cache reads it.
+    _nested("price_book", book.classify, "get")
     workload = None if f["workload"] is None else _parse_workload(f["workload"], base_dir)
     sections = {
         name: parse(f[name], base_dir)
@@ -307,13 +309,13 @@ def _run_scan(section: dict, scenario: Scenario, workload) -> tuple[dict, str, d
     layout, data, gap = section["layout"], section["data"], section["coalesce_gap"]
     select, predicates, pushdown = section["query"]
     columns = columnar.synthesize_column_data(layout, scenario.seed) if data is None else data
-    plans = {}
+    plans, sides = {}, {}
     for name, mode_pushdown in (("pushdown", True), ("full_scan", False)):
         plan = columnar.plan_scan(layout, columns, select, predicates, pushdown=mode_pushdown)
         if gap is not None:
             plan = columnar.coalesce_requests(plan, gap)
         plans[name] = plan
-    sides = {name: (plan.request_count, plan.total_bytes) for name, plan in plans.items()}
+        sides[name] = RequestTally({"get": plan.request_count}, {"get": plan.total_bytes})
     mode = "pushdown" if pushdown else "full_scan"
     return sides, mode, {
         "table": layout.table,
@@ -331,8 +333,8 @@ def _run_scan_fleet(section: dict, scenario: Scenario, workload) -> tuple[dict, 
     details = {key: value for key, value in section.items() if key != "pushdown"}
     comp = columnar.fleet_scan_projection(**details)
     sides = {
-        "pushdown": (comp.pushdown_requests, comp.pushdown_bytes),
-        "full_scan": (comp.full_scan_requests, comp.full_scan_bytes),
+        "pushdown": RequestTally({"get": comp.pushdown_requests}, {"get": comp.pushdown_bytes}),
+        "full_scan": RequestTally({"get": comp.full_scan_requests}, {"get": comp.full_scan_bytes}),
     }
     mode = "pushdown" if section["pushdown"] else "full_scan"
     return sides, mode, {**details, "mode": mode}
@@ -346,7 +348,8 @@ def _run_join(section: tuple, scenario: Scenario, workload) -> tuple[dict, str, 
     sides = {}
     for strategy, fleet in (("broadcast", params), ("shuffle", replace(params, workers=1))):
         nbytes = joinplan.fleet_aggregate(fleet)
-        sides[strategy] = (joinplan.fleet_api_calls(nbytes, request_bytes), nbytes)
+        calls = joinplan.fleet_api_calls(nbytes, request_bytes)
+        sides[strategy] = RequestTally({"get": calls}, {"get": nbytes})
     waste = joinplan.waste_fraction(params.workers)
     return sides, per_query.strategy, {
         "strategy": per_query.strategy,
@@ -373,8 +376,8 @@ def _run_cache(
     trace, note = workload
     report = cachesim.simulate(trace, config)
     sides = {
-        "cache": (report.origin_requests, report.origin_bytes),
-        "no_cache": (report.requests_served, report.requested_bytes),
+        "cache": RequestTally({"get": report.origin_requests}, {"get": report.origin_bytes}),
+        "no_cache": RequestTally({"get": report.requests_served}, {"get": report.requested_bytes}),
     }
     return sides, "cache", {
         **report.to_dict(),
@@ -389,8 +392,8 @@ def _run_cache(
 # JSON and the scenario's directory, and its runner, called with what
 # the parser returned, the scenario and the workload's (trace, note).
 # A runner returns traffic, not prices: ``sides`` maps each side to its
-# (requests, bytes), ``chosen`` names the side the section reports,
-# and ``details`` is the section's own dict.
+# ``RequestTally``, by the kinds of call the runner models; ``chosen``
+# names the side the section reports, and ``details`` is its own dict.
 _SECTIONS = {
     "scan": (_parse_scan, _run_scan),
     "scan_fleet": (_parse_scan_fleet, _run_scan_fleet),
@@ -412,7 +415,7 @@ def _materialize_workload(scenario: Scenario) -> tuple[Trace, dict]:
 
 
 def run_scenario(scenario: Scenario) -> CostReport:
-    """Execute every present section and price each of its sides as gets with the scenario's book."""
+    """Execute every present section and price each side's tally with the scenario's book."""
     results: list[SectionResult] = []
     for name, section in scenario.sections.items():
         # Only the cache section, last in report order, reads the workload,
@@ -420,10 +423,7 @@ def run_scenario(scenario: Scenario) -> CostReport:
         workload = _materialize_workload(scenario) if name == "cache" else None
         try:
             sides, chosen, details = _SECTIONS[name][1](section, scenario, workload)
-            comparison = {
-                side: scenario.price_book.priced(RequestTally({"get": requests}, {"get": nbytes}))
-                for side, (requests, nbytes) in sides.items()
-            }
+            comparison = {side: scenario.price_book.priced(tally) for side, tally in sides.items()}
         except ValueError as exc:
             raise ValueError(f"section {name!r}: {exc}") from None
         results.append(SectionResult(name, **comparison[chosen], details=details, comparison=comparison))

@@ -6,9 +6,9 @@ import pathlib
 
 import pytest
 
-from iocost import cachesim, columnar
+from iocost import cachesim, columnar, scenario
 from iocost.cli import main
-from iocost.pricing import RequestTally, get_pricebook
+from iocost.pricing import PriceBook, RequestTally, get_pricebook
 from iocost.scenario import (
     DAYS_PER_YEAR,
     load_scenario,
@@ -500,15 +500,41 @@ _CHOSEN = {
     "path", sorted((pathlib.Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")),
     ids=lambda path: path.stem,
 )
-def test_every_side_is_priced_by_the_book(path):
-    scenario = load_scenario(str(path))
-    book = scenario.price_book
-    for section in run_scenario(scenario).to_dict()["sections"]:
-        for side in section["comparison"].values():
-            tally = RequestTally({"get": side["requests"]}, {"get": side["bytes"]})
-            assert side == book.priced(tally)
+def test_every_side_is_priced_by_the_book(path, monkeypatch):
+    # Each tally a runner emits reaches the book as it is, and the report
+    # holds what the book priced, side by side in report order.
+    tallies, priced = [], []
+    original = PriceBook.priced
+
+    def recording(self, tally):
+        tallies.append(tally)
+        priced.append(original(self, tally))
+        return priced[-1]
+
+    monkeypatch.setattr(PriceBook, "priced", recording)
+    sections = run_scenario(load_scenario(str(path))).to_dict()["sections"]
+    assert tallies
+    for tally in tallies:
+        assert isinstance(tally, RequestTally)
+        assert set(tally.counts) == set(tally.transferred_bytes) == {"get"}
+    assert [side for section in sections for side in section["comparison"].values()] == priced
+    for section in sections:
         chosen = section["comparison"][_CHOSEN[section["name"]](section["details"])]
         assert {key: section[key] for key in ("requests", "bytes", "nanousd", "usd")} == chosen
+
+
+def test_the_bill_prices_whatever_a_runner_emits(monkeypatch):
+    parse_join, _ = scenario._SECTIONS["join"]
+
+    def mixed(section, run, workload):
+        return {"mixed": RequestTally({"get": 2, "put": 1}, {"get": 10, "put": 5})}, "mixed", {}
+
+    monkeypatch.setitem(scenario._SECTIONS, "join", (parse_join, mixed))
+    join = _run(JOIN_RAW).sections[0]
+    assert join.comparison["mixed"] == {
+        "requests": 3, "bytes": 15, "nanousd": 2 * 400 + 5_000, "usd": "0.0000058",
+    }
+    assert (join.requests, join.bytes, join.nanousd) == (3, 15, 5_800)
 
 
 def test_scan_plan_matches_columnar_module():
