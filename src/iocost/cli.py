@@ -105,34 +105,22 @@ def _run_section(name: str, section: dict, seed: int = 0,
 
 def _cmd_scan(args) -> int:
     result = _run_section("scan", _given(args), args.seed)
-    details, comp = result.details, result.comparison
-    out = {key: details[key] for key in ("table", "rows", "mode", "survivors")}
-    for mode in ("pushdown", "full_scan"):
-        out[mode] = {"requests": comp[mode]["requests"], "bytes": comp[mode]["bytes"]}
+    out = {key: result.details[key] for key in ("table", "rows", "mode", "survivors")}
+    for side, priced in result.comparison.items():
+        out[side] = {"requests": priced["requests"], "bytes": priced["bytes"]}
     _print_json(out)
     return 0
 
 
 def _cmd_join(args) -> int:
     result = _run_section("join", _given(args))
-    details, comp = result.details, result.comparison
-    fleet = {}
-    for strategy in ("broadcast", "shuffle"):
-        fleet[f"{strategy}_bytes_per_day"] = comp[strategy]["bytes"]
-        fleet[f"{strategy}_requests_per_day"] = comp[strategy]["requests"]
-    _print_json(
-        {
-            "per_query": {
-                "strategy": details["strategy"],
-                "storage_bytes": details["per_query_storage_bytes"],
-                "requests": details["per_query_requests"],
-                "duplicated_bytes": details["per_query_duplicated_bytes"],
-                "network_bytes": details["per_query_network_bytes"],
-            },
-            "fleet": fleet,
-            "waste_fraction": details["waste_fraction"],
-        }
-    )
+    details = result.details
+    per_query = {key.removeprefix("per_query_"): value
+                 for key, value in details.items() if key.startswith("per_query_")}
+    fleet = {f"{side}_{field}_per_day": priced[field]
+             for side, priced in result.comparison.items() for field in ("bytes", "requests")}
+    _print_json({"per_query": {"strategy": details["strategy"], **per_query}, "fleet": fleet,
+                 "waste_fraction": details["waste_fraction"]})
     return 0
 
 

@@ -63,19 +63,9 @@ class Scenario:
 
 
 # One field table per object of the scenario schema, checked by
-# units.check_fields: (key, kind, default, minimum). The tables of
-# workload.synthesize, join and cache are tracemodel.SYNTHESIZE_FIELDS,
-# joinplan.JOIN_FIELDS and cachesim.CACHE_FIELDS.
-_SCENARIO_FIELDS = (
-    ("price_book", "any", REQUIRED, None),
-    ("seed", "int", 0, 0),
-    ("annual", "bool", False, None),
-    ("workload", "object", None, None),
-    ("scan", "object", None, None),
-    ("scan_fleet", "object", None, None),
-    ("join", "object", None, None),
-    ("cache", "object", None, None),
-)
+# units.check_fields: (key, kind, default, minimum). _SCENARIO_FIELDS
+# follows _SECTIONS; the tables of workload.synthesize, join and cache
+# are tracemodel.SYNTHESIZE_FIELDS, joinplan.JOIN_FIELDS and cachesim.CACHE_FIELDS.
 _PRICE_BOOK_FILE_FIELDS = (("file", "str", REQUIRED, None),)
 _WORKLOAD_FIELDS = (
     ("trace", "str", None, None),
@@ -234,9 +224,8 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
         for name, (parse, _) in _SECTIONS.items() if f[name] is not None
     }
     if not sections:
-        raise ValueError(
-            "scenario needs at least one section (scan, scan_fleet, join, or cache)"
-        )
+        *names, last = _SECTIONS
+        raise ValueError(f"scenario needs at least one section ({', '.join(names)}, or {last})")
     if "cache" in sections and workload is None:
         raise ValueError("scenario section 'cache' requires a 'workload' section")
     return Scenario(
@@ -309,19 +298,19 @@ def _run_scan(section: dict, scenario: Scenario, workload) -> tuple[dict, str, d
     layout, data, gap = section["layout"], section["data"], section["coalesce_gap"]
     select, predicates, pushdown = section["query"]
     columns = columnar.synthesize_column_data(layout, scenario.seed) if data is None else data
-    plans, sides = {}, {}
+    sides = {}
     for name, mode_pushdown in (("pushdown", True), ("full_scan", False)):
         plan = columnar.plan_scan(layout, columns, select, predicates, pushdown=mode_pushdown)
         if gap is not None:
             plan = columnar.coalesce_requests(plan, gap)
-        plans[name] = plan
         sides[name] = RequestTally({"get": plan.request_count}, {"get": plan.total_bytes})
     mode = "pushdown" if pushdown else "full_scan"
     return sides, mode, {
         "table": layout.table,
         "rows": layout.rows,
         "mode": mode,
-        "survivors": plans[mode].survivor_count,
+        # Both modes keep the same rows, so either plan gives the count.
+        "survivors": plan.survivor_count,
         "coalesce_gap": gap,
         "data_source": "supplied" if data is not None else "synthesized",
     }
@@ -353,16 +342,10 @@ def _run_join(section: tuple, scenario: Scenario, workload) -> tuple[dict, str, 
     waste = joinplan.waste_fraction(params.workers)
     return sides, per_query.strategy, {
         "strategy": per_query.strategy,
-        "queries_per_day": params.queries_per_day,
-        "broadcast_fraction": params.broadcast_fraction,
-        "workers": params.workers,
-        "build_bytes": params.build_bytes,
+        **asdict(params),
         "probe_bytes": spec.probe_bytes,
         "request_bytes": request_bytes,
-        "per_query_storage_bytes": per_query.storage_bytes,
-        "per_query_requests": per_query.requests,
-        "per_query_duplicated_bytes": per_query.duplicated_bytes,
-        "per_query_network_bytes": per_query.network_bytes,
+        **{f"per_query_{key}": value for key, value in asdict(per_query).items() if key != "strategy"},
         "waste_fraction": f"{float(waste):.4f}",
         "waste_fraction_exact": f"{waste.numerator}/{waste.denominator}",
     }
@@ -394,12 +377,21 @@ def _run_cache(
 # A runner returns traffic, not prices: ``sides`` maps each side to its
 # ``RequestTally``, by the kinds of call the runner models; ``chosen``
 # names the side the section reports, and ``details`` is its own dict.
+# This is the one list of sections: _SCENARIO_FIELDS and the refusal of
+# a scenario with none read it, and the CLI prints the sides a runner returns.
 _SECTIONS = {
     "scan": (_parse_scan, _run_scan),
     "scan_fleet": (_parse_scan_fleet, _run_scan_fleet),
     "join": (_parse_join, _run_join),
     "cache": (_parse_cache, _run_cache),
 }
+_SCENARIO_FIELDS = (
+    ("price_book", "any", REQUIRED, None),
+    ("seed", "int", 0, 0),
+    ("annual", "bool", False, None),
+    ("workload", "object", None, None),
+    *((name, "object", None, None) for name in _SECTIONS),
+)
 
 
 def _materialize_workload(scenario: Scenario) -> tuple[Trace, dict]:

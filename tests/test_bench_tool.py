@@ -69,7 +69,8 @@ def test_paired_runs_alternate_which_side_runs_first(monkeypatch, tmp_path, caps
         assert [p["first"] for p in written["pairs"][workload]] == ["this", "against", "this"]
         wall = written["summary"][workload]["wall_rel"]
         assert (wall["this"]["wins"], wall["against"]["wins"], wall["this"]["median"]) == (3, 0, 1.0)
-    assert capsys.readouterr().out.endswith("BENCH_t.json\n")
+    lines = f"src/iocost/*.py lines  this {bench.src_lines(str(ROOT))['total']:,}  against 0\n"
+    assert capsys.readouterr().out.endswith(lines + "BENCH_t.json\n")
 
 
 def test_pairs_must_be_positive(capsys):

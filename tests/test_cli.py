@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -153,6 +154,46 @@ def test_join_headline(capsys):
     assert out["waste_fraction"] == "0.9950"
     assert out["per_query"]["strategy"] == "broadcast"
     assert out["per_query"]["duplicated_bytes"] == 199 * 100 * 10**6
+
+
+def _byte_flag(low):
+    """A byte flag's text, with or without a decimal suffix, at least ``low`` bytes."""
+    return st.tuples(st.integers(low, 5000).map(str), st.sampled_from(["", "KB", "MB", "GB"])).map("".join)
+
+
+# `iocost join` prints what the library's calls give for the same join:
+# the per-query plan, broadcast at the fleet's width and shuffle at one
+# worker, and the waste fraction at four places.
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    workers=st.integers(1, 500),
+    build=_byte_flag(0),
+    probe=st.none() | _byte_flag(0),
+    request=_byte_flag(1),
+    queries=st.integers(0, 10**6),
+    percent=st.integers(0, 100),
+    strategy=st.sampled_from(joinplan.STRATEGIES),
+)
+def test_join_command_is_the_library_property(workers, build, probe, request, queries, percent,
+                                              strategy, capsys):
+    argv = ["join", "--workers", str(workers), "--build-bytes", build, "--request-bytes", request,
+            "--queries", str(queries), "--broadcast-frac", str(percent / 100), "--strategy", strategy]
+    if probe is not None:
+        argv += ["--probe-bytes", probe]
+    out = _run_json(capsys, argv)
+    build_bytes, request_bytes = units.parse_bytes(build), units.parse_bytes(request)
+    probe_bytes = 0 if probe is None else units.parse_bytes(probe)
+    spec = joinplan.JoinSpec(build_bytes, probe_bytes, workers, strategy)
+    fleet = {}
+    for side, width in (("broadcast", workers), ("shuffle", 1)):
+        nbytes = joinplan.fleet_aggregate(joinplan.FleetParams(queries, percent / 100, width, build_bytes))
+        fleet[f"{side}_bytes_per_day"] = nbytes
+        fleet[f"{side}_requests_per_day"] = joinplan.fleet_api_calls(nbytes, request_bytes)
+    assert out == {
+        "per_query": asdict(joinplan.plan_join(spec, request_bytes)),
+        "fleet": fleet,
+        "waste_fraction": f"{float(joinplan.waste_fraction(workers)):.4f}",
+    }
 
 
 JOIN_ARGS = [

@@ -349,7 +349,7 @@ def test_usd_display(nanousd, expected):
 
 BAD_SCENARIOS = [
     ({}, "price_book"),
-    ({"price_book": "s3-standard"}, "at least one section"),
+    ({"price_book": "s3-standard"}, "scenario needs at least one section (scan, scan_fleet, join, or cache)"),
     ({"price_book": "nope", "join": JOIN_RAW["join"]}, "unknown price book"),
     ({"price_book": "s3-standard", "cache": {"capacity_bytes": 0}},
      "requires a 'workload' section"),

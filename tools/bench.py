@@ -21,7 +21,8 @@ of each workload instead, one run in ``--root`` ("this") and one in
 pair to the next. The file then holds every pair's end-to-end values
 and, for each workload and each end-to-end metric of ``BENCHMARK.json``,
 both sides' median and quartiles and the pairs each side won (a tie is
-won by neither); the same summary is printed as a table.
+won by neither); the same summary is printed as a table, followed by
+each side's ``src/iocost/*.py`` line total.
 
 The exit code is 1 if any run failed, else 0.
 """
@@ -178,6 +179,8 @@ def main(argv=None) -> int:
         }
         codes = [p[side]["exit_code"] for ps in pairs.values() for p in ps for side in ("this", "against")]
         print(summary_table(summary))
+        totals = (f"{side} {lines['total']:,}" for side, lines in bench["src_lines"].items())
+        print("src/iocost/*.py lines", *totals, sep="  ")
     else:
         results = {}
         for workload in workloads:
