@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from array import array
 from itertools import count, filterfalse
 from dataclasses import dataclass
@@ -225,29 +224,59 @@ def parse_trace(lines) -> Trace:
 
 
 # Bytes ``read_trace`` reads at a time, before it completes the last line.
-# A 10**5-line trace of ranged gets (7.4 MB) reads in ~165 ms at 128 KiB
-# against ~205 ms at 32 KiB (2-vCPU x86 box); 1 MiB saves only ~8 ms more
-# and raises peak RSS by ~5 MB, as larger chunks' scratch arrays no
-# longer reuse the memory the last chunk freed.
-_CHUNK_BYTES = 1 << 17
+# A warm read of a 10**5-line trace of ranged gets (7.4 MB) took a median
+# of 77-113 ms at 256 KiB against 82-125 ms at 128 KiB, over runs of 15
+# alternating calls on a shared 2-vCPU x86-64 box. 512 KiB saved up to 6%
+# more in two of three runs but raised the `iocost scenario run` process's
+# own peak RSS by ~2 MiB, where 256 KiB peaks as 128 KiB does.
+_CHUNK_BYTES = 1 << 18
 
-# One whole line in the exact shape ``trace_lines`` writes, its object
-# id captured: keys in that order, no spaces, an id of ASCII without
-# control characters below 0x20, quotes or backslashes (so no escapes),
-# integers without sign, fraction or exponent, of at most 19 digits (so
-# below 2**64). It matches only from a line start to its newline.
-_DIGITS = r"(?:0|[1-9][0-9]{0,18})"
-_CANONICAL_LINE = re.compile(
-    r'(?m)^\{"ts_ms":' + _DIGITS + r',"obj":"([\x20\x21\x23-\x5b\x5d-\x7f]+)","off":' + _DIGITS
-    + r',"len":' + _DIGITS + r',"kind":"(?:' + "|".join(TRACE_KINDS) + r')"\}\n'
-)
 
-# Kind codes by the first two bytes of a kind, which tell the kinds apart.
-_KIND_BY_PREFIX = np.zeros((256, 256), np.uint8)
-_KIND_BY_PREFIX[[ord(k[0]) for k in TRACE_KINDS], [ord(k[1]) for k in TRACE_KINDS]] = range(len(TRACE_KINDS))
+def _word(text: bytes) -> int:
+    """``text``, at most 8 bytes, as the little-endian word whose low bytes it fills."""
+    return int.from_bytes(text, "little")
+
+
+def _mask(text: bytes) -> int:
+    """The mask of the bytes of ``_word(text)``."""
+    return _word(b"\xff" * len(text))
+
+
+# A line in the exact shape ``trace_lines`` writes has 14 quotes, q0 to q13:
+#
+#   {"ts_ms":12,"obj":"o42","off":0,"len":8192,"kind":"get"}\n
+#    ^     ^    ^   ^ ^   ^ ^   ^   ^   ^      ^    ^ ^   ^
+#
+# Its key text, as (quote, offset from it, bytes): each is read as one
+# word, masked to its bytes, and fixes the quotes it spans relative to
+# the first. What is left is the id from q4 to q5, the kind from q12 to
+# q13 and the integers, each from two past q1, q7 or q9 to the comma
+# before q2, q8 or q10.
+_KEY_QUOTES, _KEY_OFFSETS, _KEY_TEXT = zip((0, -1, b'{"ts_ms"'), (1, 1, b":"), (2, -1, b',"obj":"'),
+                                           (5, 0, b'","off":'), (8, -1, b',"len":'), (10, -1, b',"kind":'),
+                                           (11, 2, b'"'))
+_KEY_WORDS, _KEY_MASKS = (np.array([f(t) for t in _KEY_TEXT], np.uint64) for f in (_word, _mask))
+# Zero bytes around a chunk's copy, so that every word read near a row's quotes lies inside it.
+_PAD = 24
+
+# Kind codes by a kind's first two bytes, which tell the kinds apart. The
+# word at a kind's first byte then holds the kind and the line's end.
+_KIND_BY_PREFIX = np.zeros(1 << 16, np.uint8)
+_KIND_BY_PREFIX[[_word(k[:2].encode()) for k in TRACE_KINDS]] = range(len(TRACE_KINDS))
+_KIND_ENDS, _KIND_END_MASKS = (np.array([f(k.encode() + b'"}\n') for k in TRACE_KINDS], np.uint64)
+                               for f in (_word, _mask))
 _RANGED_CODES = np.array([kind in RANGED_KINDS for kind in TRACE_KINDS])
 # 10**18 down to 1: a number of at most 19 digits is below 2**64.
 _POWERS_OF_TEN = 10 ** np.arange(18, -1, -1, dtype=np.uint64)
+# The least number of n digits without a leading zero, at index n from 1 to 19.
+_LEAST = np.concatenate((np.zeros(2, np.uint64), _POWERS_OF_TEN[-2::-1]))
+# An integer is read as the three words that end 0, 8 and 16 bytes before its end.
+_BACK = np.array([8, 16, 24]).reshape(3, 1, 1)
+# The mask of a word's bytes that hold digits of a run with k digits from
+# the word's first byte to the run's end, at index k + 16 for k from -16 to 19.
+_TOP_BYTES = np.array([_word(bytes(8 - n) + b"\xff" * n) for n in (min(max(k, 0), 8) for k in range(-16, 20))],
+                      np.uint64)
+_ZEROS, _PAST_NINE, _HIGH_BITS = (np.uint64(_word(bytes([b] * 8))) for b in (ord("0"), 0x76, 0x80))
 
 
 def _chunks(fh):
@@ -259,13 +288,52 @@ def _chunks(fh):
         yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
 
 
-def _integers(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """The unsigned decimals ``buf[start:end]``, 1 to 19 digits each, as uint64."""
-    width = int((end - start).max())
-    # One row of digits a number, right-aligned; places before its start read 0.
-    at = end[:, None] - np.arange(width, 0, -1, dtype=end.dtype)
-    digits = np.where(at >= start[:, None], buf[at] - ord("0"), 0)
-    return digits @ _POWERS_OF_TEN[-width:]
+def _words(chunk: bytes) -> np.ndarray:
+    """The little-endian word at each byte of ``chunk``, with ``_PAD`` zero bytes on each side.
+
+    Index ``_PAD + i`` holds the 8 bytes from ``chunk[i]``: the words
+    overlap, a view of one padded copy with a stride of one byte.
+    """
+    padded = np.zeros(len(chunk) + 2 * _PAD, np.uint8)
+    padded[_PAD:-_PAD] = np.frombuffer(chunk, np.uint8)
+    return np.ndarray((len(padded) - 7,), "<u8", padded, strides=(1,))
+
+
+def _integers(words: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """The decimals from ``start`` to ``end`` in ``words``' bytes as uint64, or None.
+
+    None unless each has 1 to 19 digits and no leading zero. Each is
+    parsed 8 digits a word: the words ending 0, 8 and 16 bytes before
+    ``end``, their bytes before ``start`` cleared, are checked to hold
+    only digits, and each word's digits combine pairwise in three
+    multiplies (Langdale and Lemire, "Parsing Gigabytes of JSON per
+    Second", 2019).
+    """
+    digits = end - start
+    longest = int(digits.max())
+    if longest > 19 or digits.min() < 1:
+        return None
+    # No more words than the longest run fills.
+    back = _BACK[:(longest + 7) // 8]
+    x = words[end - back]
+    x ^= _ZEROS
+    x &= _TOP_BYTES[digits - back + 24]
+    # A byte above 9 carries into its top bit when 0x76 is added.
+    if (((x + _PAST_NINE) | x) & _HIGH_BITS).any():
+        return None
+    # A word's earlier digits are its lower bytes: they make 2-digit, then 4-digit, then 8-digit lanes.
+    x *= np.uint64(10 << 8 | 1)
+    x >>= np.uint64(8)
+    x &= np.uint64(0x00FF00FF00FF00FF)
+    x *= np.uint64(100 << 16 | 1)
+    x >>= np.uint64(16)
+    x &= np.uint64(0x0000FFFF0000FFFF)
+    x *= np.uint64(10**4 << 32 | 1)
+    x >>= np.uint64(32)
+    values = x[0]
+    for k in range(1, len(back)):
+        values += x[k] * np.uint64(10 ** (8 * k))
+    return values if (values >= _LEAST[digits]).all() else None
 
 
 def _canonical_columns(chunk: bytes, codes: dict[str, int]):
@@ -274,20 +342,40 @@ def _canonical_columns(chunk: bytes, codes: dict[str, int]):
     None if any line has another shape or fails a row check, so the
     file needs the line path; ``codes`` then stays untouched.
     """
-    # One match a line means every line has the shape; latin-1 maps each byte to one character.
-    names = _CANONICAL_LINE.findall(chunk.decode("latin-1"))
-    if len(names) != chunk.count(b"\n"):
-        return None
     buf = np.frombuffer(chunk, np.uint8)
-    # 14 quotes a line: around the five keys, the id and the kind.
-    quotes = np.flatnonzero(buf == ord('"')).reshape(-1, 14)
-    # The digits of ts_ms, off and len: from two past a key's closing quote to before the next quote.
-    ts, off, length = (_integers(buf, quotes[:, k] + 2, quotes[:, k + 1] - 1) for k in (1, 7, 9))
-    kind = _KIND_BY_PREFIX[buf[quotes[:, 12] + 1], buf[quotes[:, 12] + 2]]
-    limit = np.uint64(MAX_TRACE_INT)
-    fits = (ts <= limit) & (off <= limit) & (length <= limit) & (off + length <= limit)
-    if not (fits & ((length > 0) | ~_RANGED_CODES[kind])).all():
+    quotes = np.flatnonzero(buf == ord('"'))
+    lines = len(quotes) // 14
+    # ASCII (DEL included) without a backslash, with 14 quotes a line and
+    # one control byte a line, which the kind's word puts at its end.
+    if buf.max() > 0x7F or b"\\" in chunk or len(quotes) != 14 * lines or np.count_nonzero(buf < 0x20) != lines:
         return None
+    # A row of quotes a line, as indices of ``words``.
+    quotes = quotes.reshape(lines, 14) + _PAD
+    first, last = quotes[:, 0], quotes[:, 13]
+    # Each line starts one byte before its first quote and ends two past its last, the first at the chunk's
+    # start and each next one where the one before ended; the newline that ends the chunk ends the last.
+    if first[0] != _PAD + 1 or (first[1:] != last[:-1] + 4).any():
+        return None
+    words = _words(chunk)
+    if ((words[quotes[:, _KEY_QUOTES] + _KEY_OFFSETS] & _KEY_MASKS) != _KEY_WORDS).any():
+        return None
+    kind_words = words[quotes[:, 12] + 1]
+    kind = _KIND_BY_PREFIX[kind_words & np.uint64(0xFFFF)]
+    # Ids are not empty; kinds are known and end their line.
+    if ((quotes[:, 5] - quotes[:, 4] < 2) | (kind_words & _KIND_END_MASKS[kind] != _KIND_ENDS[kind])).any():
+        return None
+    values = _integers(words, quotes[:, [1, 7, 9]] + 2, quotes[:, [2, 8, 10]] - 1)
+    if values is None:
+        return None
+    ts, off, length = values.T
+    limit = np.uint64(MAX_TRACE_INT)
+    # Each value first: two below 10**19 can wrap past 2**64 when added.
+    if not ((values <= limit).all() and (off + length <= limit).all()
+            and ((length > 0) | ~_RANGED_CODES[kind]).all()):
+        return None
+    text = chunk.decode("ascii")
+    ids = zip((quotes[:, 4] + 1 - _PAD).tolist(), (quotes[:, 5] - _PAD).tolist())
+    names = [text[start:end] for start, end in ids]
     # Ids not seen before take the next codes, in order of first appearance.
     fresh = list(filterfalse(codes.__contains__, dict.fromkeys(names)))
     codes.update(zip(fresh, count(len(codes))))

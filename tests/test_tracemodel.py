@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -166,7 +167,9 @@ def test_written_ids_read_back_in_bulk_unless_escaped(tmp_path):
     # Every character json.dumps writes as itself; DEL it escapes, though the bulk reader takes it raw.
     plain = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\')
     path = tmp_path / "t.jsonl"
-    trace = Trace([(1, plain, 0, 5, "get"), (2, "o1", 7, 0, "head"), (3, "o1", 9, 1, "put")])
+    # The last id is longer than the rest of its line, which ends the chunk.
+    trace = Trace([(1, plain, 0, 5, "get"), (2, "o1", 7, 0, "head"), (3, "o1", 9, 1, "put"),
+                   (4, "z" * 100, 0, 1, "get")])
     write_trace(trace, str(path))
     _assert_same_trace(tracemodel._read_canonical(str(path)), trace)
     trace = Trace([(1, "a\x7fb", 0, 5, "get"), (2, "o1", 0, 1, "get")])
@@ -198,6 +201,23 @@ def test_write_trace_memory_is_bounded(tmp_path):
     assert _write_peak(trace, path) < 8 * MB
     assert path.read_text() == "".join(line + "\n" for line in _lines_oracle(trace))
     assert len(list(tracemodel._encoded(trace))) == 2
+
+
+def test_bulk_read_memory_is_bounded(tmp_path):
+    # One 10**6-byte id among 10**4 short lines: id cells a line as wide
+    # as the widest id would take 10 GB.
+    lines = [f'{{"ts_ms":{i},"obj":"o{i}","off":0,"len":1,"kind":"get"}}\n' for i in range(10**4)]
+    lines.insert(5000, '{"ts_ms":1,"obj":"' + "x" * 10**6 + '","off":0,"len":1,"kind":"get"}\n')
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(lines))
+    tracemalloc.start()
+    try:
+        trace = tracemodel._read_canonical(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 10**4 + 1 and "x" * 10**6 in trace.objects
+    assert peak < 8 * MB
 
 
 def _written_twice(lines):
@@ -308,6 +328,19 @@ def _file_text(lines):
     return "".join(_render(record, style) + end + blank for record, style, end, blank in lines)
 
 
+# The bulk reader's oracle: one whole line in the exact shape
+# ``trace_lines`` writes, its fields captured. Keys in that order, no
+# spaces, an id of ASCII without control characters below 0x20, quotes
+# or backslashes (so no escapes), integers without sign, fraction or
+# exponent, of at most 19 digits (so below 2**64). It matches only from
+# a line start to its newline.
+_DIGITS = r"(0|[1-9][0-9]{0,18})"
+_CANONICAL_LINE = re.compile(
+    r'(?m)^\{"ts_ms":' + _DIGITS + r',"obj":"([\x20\x21\x23-\x5b\x5d-\x7f]+)","off":' + _DIGITS
+    + r',"len":' + _DIGITS + r',"kind":"(' + "|".join(TRACE_KINDS) + r')"\}\n'
+)
+
+
 @given(_lines, st.booleans(), st.integers(1, 200))
 def test_bulk_read_equals_the_line_path_property(tmp_path_factory, lines, last_newline, chunk_bytes):
     path = tmp_path_factory.getbasetemp() / "mixed.jsonl"
@@ -319,7 +352,7 @@ def test_bulk_read_equals_the_line_path_property(tmp_path_factory, lines, last_n
     assert error is None
     # Only a file whose every line has the bulk shape skips the line path.
     read = text if text.endswith("\n") else text + "\n"  # as the bulk reader completes a last line
-    canonical = all(tracemodel._CANONICAL_LINE.fullmatch(line) for line in read.splitlines(True))
+    canonical = all(_CANONICAL_LINE.fullmatch(line) for line in read.splitlines(True))
     parse = mock.Mock(wraps=tracemodel.parse_trace)
     with mock.patch.object(tracemodel, "parse_trace", parse):
         _assert_same_trace(read_trace(str(path)), want)
@@ -327,6 +360,134 @@ def test_bulk_read_equals_the_line_path_property(tmp_path_factory, lines, last_n
         with mock.patch.object(tracemodel, "_CHUNK_BYTES", chunk_bytes):
             _assert_same_trace(read_trace(str(path)), want)
     assert parse.call_count == (0 if canonical else 2)
+
+
+def _oracle_columns(chunk, codes):
+    """``_canonical_columns`` by the oracle: the shape by regex, the row checks by the line path."""
+    rows = _CANONICAL_LINE.findall(chunk.decode("latin-1"))
+    if len(rows) != chunk.count(b"\n"):
+        return None
+    try:
+        rows = [tracemodel._checked_row({"ts_ms": int(t), "obj": o, "off": int(a), "len": int(n), "kind": k})
+                for t, o, a, n, k in rows]
+    except ValueError:
+        return None
+    ts, names, off, length, kinds = zip(*rows)
+    for name in names:
+        codes.setdefault(name, len(codes))
+    return (np.array(ts, np.int64), np.array([codes[o] for o in names], np.int32), np.array(off, np.int64),
+            np.array(length, np.int64), np.array([TRACE_KINDS.index(k) for k in kinds], np.uint8))
+
+
+# Every character an id may hold in the bulk shape: printable ASCII and DEL, no quote or backslash.
+_BULK_ID_CHARS = "".join(chr(c) for c in range(0x20, 0x80) if chr(c) not in '"\\')
+_bulk_ids = st.sampled_from(["o1", "o2", "a\x7f"]) | st.text(_BULK_ID_CHARS, min_size=1, max_size=4)
+_bulk_rows = st.lists(
+    st.tuples(_valid_record(), _bulk_ids).map(lambda drawn: (*drawn[0][:1], drawn[1], *drawn[0][2:])),
+    min_size=1,
+    max_size=6,
+)
+# A near-miss of the bulk shape in one line: a byte put in or over any
+# of its bytes, a field's text in place of one of its fields, no "}", or
+# a blank line before it; or none.
+_near_misses = st.one_of(
+    st.tuples(st.just("none")),
+    st.tuples(st.just("byte"), st.sampled_from([b'"', b"\\", b" ", b"\r", b"\t", b"\x7f", b"\xe9"]),
+              st.integers(0, 100), st.booleans()),
+    st.tuples(st.just("field"), st.sampled_from([0, 2, 3]),
+              st.sampled_from(["01", "1" + "0" * 19, "9" * 19, "-1", "1e3"])),
+    st.tuples(st.just("field"), st.just(4), st.sampled_from(["gets", "ge"])),
+    st.tuples(st.just("field"), st.just(1), st.just("")),
+    st.tuples(st.just("no brace")),
+    st.tuples(st.just("blank")),
+)
+
+
+def _bulk_line(fields, end='"}\n'):
+    ts, obj, off, length, kind = fields
+    return f'{{"ts_ms":{ts},"obj":"{obj}","off":{off},"len":{length},"kind":"{kind}{end}'.encode()
+
+
+_TWO_ROWS = [(1, "a", 0, 1, "get"), (2, "b", 0, 1, "get")]
+
+
+@given(_bulk_rows, st.integers(0, 5), _near_misses)
+# One each for the checks that a near-miss drawn at random seldom reaches:
+# bytes before the first line or a later one, a space for the colon after
+# ts_ms (byte 8) or before the kind's quote (byte 44), in the id (byte 18)
+# a tab, a quote, a backslash, a non-ASCII byte or DEL, which the bulk
+# shape takes, and an offset whose sum with the length wraps past 2**64.
+@example(rows=_TWO_ROWS, at=0, miss=("byte", b" ", 0, True))
+@example(rows=_TWO_ROWS, at=1, miss=("byte", b" ", 0, True))
+@example(rows=_TWO_ROWS, at=0, miss=("byte", b" ", 8, False))
+@example(rows=_TWO_ROWS, at=1, miss=("byte", b" ", 44, True))
+@example(rows=_TWO_ROWS, at=0, miss=("byte", b"\t", 18, True))
+@example(rows=_TWO_ROWS, at=1, miss=("byte", b'"', 18, True))
+@example(rows=_TWO_ROWS, at=0, miss=("byte", b"\\", 18, False))
+@example(rows=_TWO_ROWS, at=1, miss=("byte", b"\xe9", 18, False))
+@example(rows=_TWO_ROWS, at=0, miss=("byte", b"\x7f", 18, True))
+@example(rows=_TWO_ROWS, at=1, miss=("byte", b"\r", 51, True))
+@example(rows=_TWO_ROWS, at=1, miss=("no brace",))
+@example(rows=[(1, "a", 0, MAX_TRACE_INT, "get")], at=0, miss=("field", 2, "9" * 19))
+def test_bulk_columns_equal_the_oracle_on_near_misses_property(rows, at, miss):
+    at = min(at, len(rows) - 1)
+    lines = [_bulk_line(row) for row in rows]
+    if miss[0] == "byte":
+        _, byte, where, insert = miss
+        where %= len(lines[at])
+        lines[at] = lines[at][:where] + byte + lines[at][where + (not insert):]
+    elif miss[0] == "field":
+        fields = list(rows[at])
+        fields[miss[1]] = miss[2]
+        lines[at] = _bulk_line(fields)
+    elif miss[0] == "no brace":
+        lines[at] = _bulk_line(rows[at], '"\n')
+    elif miss[0] == "blank":
+        lines.insert(at, b"\n")
+    chunk = b"".join(lines)
+    chunk += b"" if chunk.endswith(b"\n") else b"\n"  # as _chunks hands a last line over
+    codes, want_codes = {"o1": 0}, {"o1": 0}
+    got, want = tracemodel._canonical_columns(chunk, codes), _oracle_columns(chunk, want_codes)
+    assert (got is None) == (want is None)
+    assert codes == want_codes
+    for a, b in zip(got or (), want or ()):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+_runs = st.sampled_from(["0", "1" + "0" * 18, str(MAX_TRACE_INT), "9" * 19]) | st.integers(0, 10**19 - 1).map(str)
+# Runs the parse refuses: a leading zero, 20 digits, or a byte that is no digit.
+_refused_runs = st.one_of(
+    st.integers(0, 10**18 - 1).map(lambda n: f"0{n}"),
+    st.integers(10**19, 10**20 - 1).map(str),
+    st.sampled_from(["-1", "1e3", "12a", "/", ":", "9 9"]),
+)
+
+
+@given(st.lists(st.tuples(_runs, _runs), min_size=1, max_size=4),
+       st.none() | st.tuples(st.integers(0, 7), _refused_runs))
+@example(runs=[("0", "9999999999999999999"), (str(10**18), str(MAX_TRACE_INT))], refused=None)
+@example(runs=[("1", "1")], refused=(0, "1" + "0" * 19))
+@example(runs=[("1", "1")], refused=(1, "01"))
+def test_word_parse_equals_int_property(runs, refused):
+    runs = list(runs)
+    if refused is not None:
+        # The refused run replaces one of the drawn ones.
+        at, run = refused[0] % (2 * len(runs)), refused[1]
+        runs[at // 2] = (run, runs[at // 2][1]) if at % 2 == 0 else (runs[at // 2][0], run)
+    # Runs in each line's ts_ms, which starts 9 bytes into the chunk, and len, which ends near the end.
+    lines = [f'{{"ts_ms":{a},"obj":"o","off":0,"len":{b},"kind":"get"}}\n' for a, b in runs]
+    start, end, at = [], [], 0
+    for line in lines:
+        for key in ('"ts_ms":', '"len":'):
+            start.append(at + line.index(key) + len(key))
+            end.append(at + line.index(',"', start[-1] - at))
+        at += len(line)
+    words = tracemodel._words("".join(lines).encode())
+    got = tracemodel._integers(words, *(np.reshape(x, (-1, 2)) + tracemodel._PAD for x in (start, end)))
+    if refused is None:
+        assert got.dtype == np.uint64 and got.tolist() == [[int(a), int(b)] for a, b in runs]
+    else:
+        assert got is None
 
 
 # One bad line each, as bytes: integers past the limits and failed row
