@@ -259,21 +259,19 @@ class SectionResult:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Priced totals for one scenario run."""
+    """A run's scenario and its priced sections. ``to_dict`` reads the
+    book id, seed, annual flag and echo from the scenario, not copies."""
 
-    price_book_id: str
-    seed: int
-    annual: bool
+    scenario: Scenario
     sections: tuple[SectionResult, ...]
-    echo: dict
 
     def to_dict(self) -> dict:
         """The report's one dict: both formats of ``render_report`` render it."""
         sections = [asdict(s) for s in self.sections]
         total = sum(s["nanousd"] for s in sections)
         out = {
-            "price_book": self.price_book_id,
-            "seed": self.seed,
+            "price_book": self.scenario.price_book.book_id,
+            "seed": self.scenario.seed,
             "sections": sections,
             "totals": {
                 "requests": sum(s["requests"] for s in sections),
@@ -281,9 +279,9 @@ class CostReport:
                 "nanousd": total,
                 "usd": format_usd(total),
             },
-            "scenario": self.echo,
+            "scenario": self.scenario.echo,
         }
-        if self.annual:
+        if self.scenario.annual:
             for s in sections:
                 s["annual_nanousd"] = s["nanousd"] * DAYS_PER_YEAR
                 s["annual_usd"] = format_usd(s["annual_nanousd"])
@@ -407,7 +405,7 @@ def _materialize_workload(scenario: Scenario) -> tuple[Trace, dict]:
 
 
 def run_scenario(scenario: Scenario) -> CostReport:
-    """Execute every present section and price each side's tally with the scenario's book."""
+    """Run and price every present section under the scenario's book; the report holds the scenario."""
     results: list[SectionResult] = []
     for name, section in scenario.sections.items():
         # Only the cache section, last in report order, reads the workload,
@@ -419,13 +417,7 @@ def run_scenario(scenario: Scenario) -> CostReport:
         except ValueError as exc:
             raise ValueError(f"section {name!r}: {exc}") from None
         results.append(SectionResult(name, **comparison[chosen], details=details, comparison=comparison))
-    return CostReport(
-        price_book_id=scenario.price_book.book_id,
-        seed=scenario.seed,
-        annual=scenario.annual,
-        sections=tuple(results),
-        echo=scenario.echo,
-    )
+    return CostReport(scenario, tuple(results))
 
 
 def usd_display(nanousd: int) -> str:

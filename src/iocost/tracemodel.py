@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from itertools import count, filterfalse
+from collections import defaultdict
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -79,11 +79,11 @@ class Trace:
     """
 
     def __init__(self, rows=()) -> None:
-        codes: dict[str, int] = {}
+        codes = _id_codes()
         ts, obj, off, length, kind = columns = _row_buffers()
         for t, o, a, n, k in rows:
             ts.append(t)
-            obj.append(codes.setdefault(o, len(codes)))  # coded by first appearance
+            obj.append(codes[o])
             off.append(a)
             length.append(n)
             kind.append(_KIND_CODES[k])
@@ -109,6 +109,13 @@ class Trace:
         get = self.kind == GET
         cols = [c[get].tolist() for c in (self.ts_ms, self.obj, self.off, self.length)]
         return [AccessRecord(t, self.objects[o], a, n, "get") for t, o, a, n in zip(*cols)]
+
+
+def _id_codes() -> defaultdict[str, int]:
+    """An empty id → code map in which an id not seen before takes the next code, by first appearance."""
+    codes = defaultdict()
+    codes.default_factory = codes.__len__
+    return codes
 
 
 def _row_buffers() -> list[array]:
@@ -336,11 +343,11 @@ def _integers(words: np.ndarray, start: np.ndarray, end: np.ndarray):
     return values if (values >= _LEAST[digits]).all() else None
 
 
-def _canonical_columns(chunk: bytes, codes: dict[str, int]):
+def _canonical_columns(chunk: bytes, codes: defaultdict[str, int]):
     """The typed columns of a chunk of ``trace_lines``-shaped lines, or None.
 
-    None if any line has another shape or fails a row check, so the
-    file needs the line path; ``codes`` then stays untouched.
+    None if any line has another shape or fails a row check, so the file needs
+    the line path; ``codes``, an ``_id_codes`` map coded last, then stays untouched.
     """
     buf = np.frombuffer(chunk, np.uint8)
     quotes = np.flatnonzero(buf == ord('"'))
@@ -376,16 +383,13 @@ def _canonical_columns(chunk: bytes, codes: dict[str, int]):
     text = chunk.decode("ascii")
     ids = zip((quotes[:, 4] + 1 - _PAD).tolist(), (quotes[:, 5] - _PAD).tolist())
     names = [text[start:end] for start, end in ids]
-    # Ids not seen before take the next codes, in order of first appearance.
-    fresh = list(filterfalse(codes.__contains__, dict.fromkeys(names)))
-    codes.update(zip(fresh, count(len(codes))))
     obj = np.fromiter(map(codes.__getitem__, names), np.int32, len(names))
     return ts.astype(np.int64), obj, off.astype(np.int64), length.astype(np.int64), kind
 
 
 def _read_canonical(path: str) -> Trace | None:
     """The trace of a non-empty file of ``trace_lines``-shaped lines, or None at the first other chunk."""
-    codes: dict[str, int] = {}
+    codes = _id_codes()
     columns = _row_buffers()
     with open(path, "rb") as fh:
         for chunk in _chunks(fh):

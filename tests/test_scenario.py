@@ -3,6 +3,7 @@
 import copy
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -80,8 +81,8 @@ def _run(raw):
 
 def test_join_scenario_headline_numbers():
     report = _run(JOIN_RAW)
-    assert report.price_book_id == "s3-standard"
-    assert report.seed == 0
+    assert report.to_dict()["price_book"] == "s3-standard"
+    assert report.to_dict()["seed"] == 0
     assert [s.name for s in report.sections] == ["join"]
     join = report.sections[0]
     assert join.bytes == 2 * 10**15
@@ -252,8 +253,23 @@ def test_custom_price_book_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
     report = run_scenario(load_scenario(str(path)))
-    assert report.price_book_id == "flat-book"
+    assert report.to_dict()["price_book"] == "flat-book"
     assert report.sections[0].nanousd == 2 * 10**11 * 7
+
+
+def test_a_report_holds_the_scenario_it_ran(tmp_path):
+    book = {"id": "flat-book", "classes": [{"class": "read", "kinds": ["get"], "nanousd_per_request": 7}]}
+    (tmp_path / "book.json").write_text(json.dumps(book))
+    raw = {**copy.deepcopy(SCAN_RAW), "price_book": {"file": "book.json"}, "seed": 5}
+    (tmp_path / "scenario.json").write_text(json.dumps(raw))
+    s = load_scenario(str(tmp_path / "scenario.json"))
+    report = run_scenario(replace(s, annual=True))
+    assert report.scenario.annual
+    assert report.scenario.echo is s.echo
+    out = report.to_dict()
+    assert (out["price_book"], out["seed"], out["scenario"]) == (s.price_book.book_id, s.seed, s.echo)
+    assert (out["price_book"], out["seed"]) == ("flat-book", 5)
+    assert "annual_totals" in out
 
 
 def test_price_book_file_errors_name_the_scenario_field(tmp_path):
