@@ -347,7 +347,7 @@ def _canonical_columns(chunk: bytes, codes: defaultdict[str, int]):
     """The typed columns of a chunk of ``trace_lines``-shaped lines, or None.
 
     None if any line has another shape or fails a row check, so the file needs
-    the line path; ``codes``, an ``_id_codes`` map coded last, then stays untouched.
+    the line path; ``codes``, an ``_id_codes`` map filled last, then stays untouched.
     """
     buf = np.frombuffer(chunk, np.uint8)
     quotes = np.flatnonzero(buf == ord('"'))
