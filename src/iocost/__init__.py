@@ -1,9 +1,9 @@
 """Cost modeling of cloud object-storage API calls for analytics I/O.
 
-The package is organized as one module per concern: pricing (price
-books, nanoUSD arithmetic), tracemodel (traces, statistics,
-synthesis), columnar (scan planning with predicate pushdown), joinplan
-(broadcast vs shuffle I/O), cachesim (LRU block cache), and scenario
+The package is organized as one module per concern: pricing (price books,
+nanoUSD arithmetic), trace (requests as one table), tracemodel (trace files,
+statistics, synthesis), columnar (scan planning with predicate pushdown),
+joinplan (broadcast vs shuffle I/O), cachesim (LRU block cache), and scenario
 (end-to-end runs and reports). The `iocost` CLI fronts all of them.
 
 Importing the package loads none of them: each public name below, and
@@ -29,9 +29,10 @@ _EXPORTS = {
         "load_pricebook",
     ),
     "scenario": ("CostReport", "Scenario", "load_scenario", "render_report", "run_scenario"),
+    "trace": ("AccessRecord", "Trace"),
     "tracemodel": (
-        "AccessRecord", "SizeCdf", "SynthSpec", "Trace", "parse_trace", "popularity_share",
-        "read_trace", "reuse_intervals", "size_cdf", "synthesize_trace", "write_trace",
+        "SizeCdf", "SynthSpec", "parse_trace", "popularity_share", "read_trace", "reuse_intervals",
+        "size_cdf", "synthesize_trace", "write_trace",
     ),
     "units": ("GB", "KB", "MB", "PB", "TB", "parse_bytes"),
 }

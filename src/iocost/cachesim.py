@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .tracemodel import GET, Trace, group_pairs
+from .trace import GET, Trace, exact_sum
+from .tracemodel import group_pairs
 from .units import MAX_TRACE_INT, MB, REQUIRED
 
 # Most block touches (blocks covered by the gets, counted per get) one
@@ -123,8 +124,7 @@ def _touches(trace: Trace, block_bytes: int):
             f"the trace's gets touch more than {MAX_TRACE_TOUCHES:,} blocks of "
             f"{block_bytes} bytes; use a larger block size"
         )
-    # Summed in 32-bit halves: exact in int64 below 2**31 gets, as the limit ensures.
-    requested = (int((length >> 32).sum()) << 32) + int((length & 0xFFFFFFFF).sum())
+    requested = exact_sum(length)  # exact: the limit keeps the gets below 2**31
     counts = counts.astype(np.int32)
     starts = np.cumsum(counts, dtype=np.int32) - counts
     total = int(counts.sum())

@@ -138,7 +138,7 @@ def _cmd_scenario_run(args) -> int:
 
     s = scenario.load_scenario(args.file)
     if args.annual:
-        s = replace(s, annual=True)
+        s = replace(s, annual=True, echo={**s.echo, "annual": True})
     report = scenario.run_scenario(s)
     sys.stdout.write(scenario.render_report(report, args.format))
     return 0

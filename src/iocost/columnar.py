@@ -2,9 +2,9 @@
 
 A table is laid out as one object whose columns are stored as runs of
 fixed-size pages, so a page's rows and bytes are arithmetic on its
-index. A scan turns into one ranged read per needed page, held as int64
-offset and length arrays; with pushdown enabled, later predicate
-columns and the projection only read pages that still contain
+index. A scan turns into one ranged read per needed page, held as the
+gets of a ``Trace`` on the table's object; with pushdown enabled, later
+predicate columns and the projection only read pages that still contain
 surviving rows.
 """
 
@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .trace import Trace, exact_sum
 from .units import MAX_TRACE_INT, REQUIRED, ceil_div, check_fields, exact_fraction
 
 _OPS = {
@@ -31,8 +32,8 @@ _OPS = {
 # column data a scan synthesizes for it to 40 MB of int32.
 MAX_LAYOUT_VALUES = 10**7
 
-# Most pages a layout may hold, which bounds a plan to 16 MB: one int64
-# offset and one int64 length a page. A layout's file bytes (rows x
+# Most pages a layout may hold, which bounds a plan's reads to 29 MB: one
+# ``Trace`` row of 29 bytes a page. A layout's file bytes (rows x
 # value_bytes over its columns) must also fit int64 (MAX_TRACE_INT), so
 # every offset, length and coalesced end does.
 MAX_LAYOUT_PAGES = 10**6
@@ -148,18 +149,16 @@ def apply_predicate(values, pred: Predicate, candidates) -> set[int]:
 
 @dataclass(frozen=True, eq=False)
 class ScanPlan:
-    """The ranged reads a scan issues on object ``obj``, and the surviving rows.
+    """The ranged reads a scan issues, and the surviving rows.
 
-    Read ``i`` is ``lengths[i]`` bytes from ``offsets[i]``; both are
-    int64 arrays in issue order, and every ``offset + length`` fits
-    int64. The request count and byte total are derived from the reads,
-    so a plan cannot disagree with itself. ``mask`` is a boolean array,
-    true at each surviving row.
+    ``reads`` holds gets on one object, the table's, each at ``ts_ms`` 0
+    so that they stay in issue order; every ``off + length`` fits int64.
+    The request count and byte total are derived from the reads, so a
+    plan cannot disagree with itself. ``mask`` is a boolean array, true
+    at each surviving row.
     """
 
-    obj: str
-    offsets: np.ndarray
-    lengths: np.ndarray
+    reads: Trace
     mask: np.ndarray
 
     @property
@@ -173,11 +172,11 @@ class ScanPlan:
 
     @property
     def request_count(self) -> int:
-        return len(self.offsets)
+        return len(self.reads)
 
     @property
     def total_bytes(self) -> int:
-        return sum(self.lengths.tolist())
+        return exact_sum(self.reads.length)
 
 
 def query_columns(layout: TableLayout, projection, predicates) -> list[str]:
@@ -230,7 +229,7 @@ def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool 
             if not isinstance(values, np.ndarray):
                 values = np.asarray(values, dtype=np.int64)
             survivors &= _OPS[pred.op](values, pred.literal)
-    return ScanPlan(layout.table, np.concatenate(offsets), np.concatenate(lengths), survivors)
+    return ScanPlan(Trace._gets_on(layout.table, np.concatenate(offsets), np.concatenate(lengths)), survivors)
 
 
 def coalesce_requests(plan: ScanPlan, max_gap: int) -> ScanPlan:
@@ -243,16 +242,16 @@ def coalesce_requests(plan: ScanPlan, max_gap: int) -> ScanPlan:
     """
     if max_gap < 0:
         raise ValueError(f"max gap must be >= 0, got {max_gap}")
-    order = np.argsort(plan.offsets, kind="stable")
-    offsets = plan.offsets[order]
+    order = np.argsort(plan.reads.off, kind="stable")
+    offsets = plan.reads.off[order]
     # The furthest end of each read and every read sorted before it.
-    ends = np.maximum.accumulate(offsets + plan.lengths[order])
+    ends = np.maximum.accumulate(offsets + plan.reads.length[order])
     # A read starts a new request when it begins more than max_gap past
     # that end; no gap between int64 offsets exceeds MAX_TRACE_INT.
     first = np.ones(len(offsets), dtype=bool)
     first[1:] = offsets[1:] - ends[:-1] > min(max_gap, MAX_TRACE_INT)
     last = np.roll(first, -1)
-    return ScanPlan(plan.obj, offsets[first], ends[last] - offsets[first], plan.mask)
+    return ScanPlan(Trace._gets_on(plan.reads.objects[0], offsets[first], ends[last] - offsets[first]), plan.mask)
 
 
 @dataclass(frozen=True)

@@ -301,7 +301,7 @@ def _run_scan(section: dict, scenario: Scenario, workload) -> tuple[dict, str, d
         plan = columnar.plan_scan(layout, columns, select, predicates, pushdown=mode_pushdown)
         if gap is not None:
             plan = columnar.coalesce_requests(plan, gap)
-        sides[name] = RequestTally({"get": plan.request_count}, {"get": plan.total_bytes})
+        sides[name] = plan.reads.tally()
     mode = "pushdown" if pushdown else "full_scan"
     return sides, mode, {
         "table": layout.table,

@@ -16,17 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
-from collections import defaultdict
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 import numpy as np
 
+# The request table lives in ``trace``; its names stay importable from here.
+from .trace import GET, TRACE_KINDS, AccessRecord, Trace, _id_codes, _row_buffers
 from .units import KB, MAX_TRACE_INT, MB, regular_file
-
-TRACE_KINDS = ("get", "put", "post", "copy", "list", "head")
 
 # Kinds that carry a byte range and therefore need len > 0.
 RANGED_KINDS = frozenset({"get", "put"})
@@ -53,74 +50,6 @@ MAX_OBJECT_UNIVERSE = 10**7
 # longer trace could not be simulated (cachesim.MAX_TRACE_TOUCHES).
 # Synthesis peaks at about 72 bytes per record (measured from 10**6 to 3*10**6).
 MAX_SYNTH_RECORDS = 10**8
-
-
-class AccessRecord(NamedTuple):
-    """One storage request: a row of a ``Trace``, unchecked."""
-
-    ts_ms: int
-    obj: str
-    off: int
-    length: int
-    kind: str
-
-
-# Kind codes of the ``kind`` column index TRACE_KINDS.
-_KIND_CODES = {kind: code for code, kind in enumerate(TRACE_KINDS)}
-GET = _KIND_CODES["get"]
-
-
-class Trace:
-    """Access records as typed columns, stably sorted by timestamp.
-
-    ``ts_ms``, ``off`` and ``length`` are int64, ``obj`` int32 codes into
-    ``objects`` and ``kind`` uint8 codes into ``TRACE_KINDS``. Rows are
-    taken unchecked: trace files are checked line by line at ingest.
-    """
-
-    def __init__(self, rows=()) -> None:
-        codes = _id_codes()
-        ts, obj, off, length, kind = columns = _row_buffers()
-        for t, o, a, n, k in rows:
-            ts.append(t)
-            obj.append(codes[o])
-            off.append(a)
-            length.append(n)
-            kind.append(_KIND_CODES[k])
-        self._set_columns(tuple(codes), *columns)
-
-    @classmethod
-    def _from_columns(cls, objects, ts_ms, obj, off, length, kind) -> "Trace":
-        """A trace of equal-length typed columns, unchecked, as ``Trace(rows)`` builds them."""
-        trace = cls.__new__(cls)
-        trace._set_columns(objects, ts_ms, obj, off, length, kind)
-        return trace
-
-    def _set_columns(self, objects, *columns) -> None:
-        order = np.argsort(np.asarray(columns[0]), kind="stable")
-        self.ts_ms, self.obj, self.off, self.length, self.kind = (np.asarray(c)[order] for c in columns)
-        self.objects = objects
-
-    def __len__(self) -> int:
-        return len(self.ts_ms)
-
-    def gets(self) -> list[AccessRecord]:
-        """The get rows, in trace order."""
-        get = self.kind == GET
-        cols = [c[get].tolist() for c in (self.ts_ms, self.obj, self.off, self.length)]
-        return [AccessRecord(t, self.objects[o], a, n, "get") for t, o, a, n in zip(*cols)]
-
-
-def _id_codes() -> defaultdict[str, int]:
-    """An empty id → code map in which an id not seen before takes the next code, by first appearance."""
-    codes = defaultdict()
-    codes.default_factory = codes.__len__
-    return codes
-
-
-def _row_buffers() -> list[array]:
-    """Empty ``array`` buffers for the five columns, in ``Trace`` order and dtypes."""
-    return [array(t) for t in ("q", "i", "q", "q", "B")]
 
 
 def group_pairs(obj, block):
@@ -343,7 +272,7 @@ def _integers(words: np.ndarray, start: np.ndarray, end: np.ndarray):
     return values if (values >= _LEAST[digits]).all() else None
 
 
-def _canonical_columns(chunk: bytes, codes: defaultdict[str, int]):
+def _canonical_columns(chunk: bytes, codes: dict[str, int]):
     """The typed columns of a chunk of ``trace_lines``-shaped lines, or None.
 
     None if any line has another shape or fails a row check, so the file needs

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from iocost import cachesim, columnar, joinplan, pricing, tracemodel, units
 from iocost.cli import main
+from iocost.scenario import render_report, run_scenario, scenario_from_dict
 
 LAYOUT = {
     "table": "events",
@@ -658,6 +659,17 @@ def test_bundled_reports_are_pinned(name, fmt, capsys):
 
 def test_bundled_reports_cover_every_scenario():
     assert {name for name, _ in REPORT_DIGESTS} == {p.name for p in SCENARIOS.glob("*.json")}
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in REPORT_DIGESTS}))
+def test_an_annual_run_echoes_the_scenario_it_ran(name, capsys):
+    # --annual on a file without "annual": true: the echo alone must reproduce the report.
+    assert main(["scenario", "run", str(SCENARIOS / name), "--annual"]) == 0
+    stdout = capsys.readouterr().out
+    echo = json.loads(stdout)["scenario"]
+    assert echo["annual"] is True
+    rerun = run_scenario(scenario_from_dict(echo, base_dir=str(SCENARIOS)))
+    assert render_report(rerun, "json") == stdout
 
 
 SCAN_SCENARIO = {"price_book": "s3-standard", "scan": {"layout": LAYOUT, "query": QUERY}}

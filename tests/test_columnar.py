@@ -25,6 +25,8 @@ from iocost.columnar import (
     synthesize_column_data,
 )
 from iocost.pricing import RequestTally, get_pricebook
+from iocost.trace import Trace
+from iocost.tracemodel import read_trace, write_trace
 from iocost.units import KB, MAX_TRACE_INT, MB, PB, load_json
 
 # Example table: an 8-row scan whose predicate chain narrows all rows
@@ -48,7 +50,7 @@ def pages_read(layout, plan):
         for col in layout.columns
         for pid in range(col.pages)
     }
-    return [by_offset[offset] for offset in plan.offsets.tolist()]
+    return [by_offset[offset] for offset in plan.reads.off.tolist()]
 
 
 def full_scan(layout):
@@ -63,11 +65,12 @@ def spans_plan(spans, survivors=frozenset()):
     offsets, lengths = zip(*spans) if spans else ((), ())
     mask = np.zeros(max(survivors, default=-1) + 1, dtype=bool)
     mask[list(survivors)] = True
-    return ScanPlan("o", np.array(offsets, dtype=np.int64), np.array(lengths, dtype=np.int64), mask)
+    reads = Trace._gets_on("o", np.array(offsets, dtype=np.int64), np.array(lengths, dtype=np.int64))
+    return ScanPlan(reads, mask)
 
 
 def spans_of(plan):
-    return list(zip(plan.offsets.tolist(), plan.lengths.tolist()))
+    return list(zip(plan.reads.off.tolist(), plan.reads.length.tolist()))
 
 
 # Offsets near 0 and near the int64 end, each read ending at or before
@@ -135,16 +138,16 @@ def test_build_layout_packing():
     col = layout.column("A")
     assert (col.offset, col.rows_per_page, col.pages) == (0, 4, 2)
     plan = full_scan(layout)
-    assert plan.offsets.tolist() == [0, 16] and plan.lengths.tolist() == [16, 16]
+    assert plan.reads.off.tolist() == [0, 16] and plan.reads.length.tolist() == [16, 16]
     one = build_layout(8, [("A", 400, 4)])
     assert (one.column("A").pages, one.column("A").rows_per_page) == (1, 8)
-    assert full_scan(one).lengths.tolist() == [32]
+    assert full_scan(one).reads.length.tolist() == [32]
     # the last page of a column is partial, and the next column follows it
     two = build_layout(10, [("A", 16, 4), ("B", 8, 4)])
     assert two.column("B").offset == 40
     plan = full_scan(two)
-    assert plan.offsets.tolist() == [0, 16, 32, 40, 48, 56, 64, 72]
-    assert plan.lengths.tolist() == [16, 16, 8] + [8] * 5
+    assert plan.reads.off.tolist() == [0, 16, 32, 40, 48, 56, 64, 72]
+    assert plan.reads.length.tolist() == [16, 16, 8] + [8] * 5
 
 
 def test_build_layout_million_rows():
@@ -152,7 +155,7 @@ def test_build_layout_million_rows():
     col = layout.column("x")
     assert (col.pages, col.rows_per_page) == (8, 125_000)
     plan = full_scan(layout)
-    assert plan.lengths.tolist() == [MB] * 8
+    assert plan.reads.length.tolist() == [MB] * 8
     assert plan.total_bytes == 8 * 10**6
 
 
@@ -206,9 +209,9 @@ def test_build_layout_byte_limit():
     half = MAX_TRACE_INT // 2
     layout = build_layout(1, [("A", half, half), ("B", 10**30, half + 1)])
     plan = full_scan(layout)
-    assert plan.offsets.tolist() == [0, half] and plan.lengths.tolist() == [half, half + 1]
+    assert plan.reads.off.tolist() == [0, half] and plan.reads.length.tolist() == [half, half + 1]
     assert plan.total_bytes == MAX_TRACE_INT
-    assert coalesce_requests(plan, 0).lengths.tolist() == [MAX_TRACE_INT]
+    assert coalesce_requests(plan, 0).reads.length.tolist() == [MAX_TRACE_INT]
     with pytest.raises(ValueError, match="bytes, more than the limit of 9223372036854775807"):
         build_layout(1, [("A", half, half), ("B", half + 2, half + 2)])
     with pytest.raises(ValueError, match="20000000000000000000 bytes"):
@@ -345,11 +348,13 @@ def test_plan_tally_self_consistency_and_no_overlap():
     layout = demo_layout(page_values=2)
     for pushdown in (True, False):
         plan = plan_scan(layout, DEMO_DATA, ["B", "C"], demo_predicates(), pushdown=pushdown)
-        assert plan.offsets.dtype == plan.lengths.dtype == np.int64
-        assert plan.request_count == len(plan.offsets) == len(plan.lengths)
-        assert plan.total_bytes == sum(plan.lengths.tolist())
+        assert plan.reads.off.dtype == plan.reads.length.dtype == np.int64
+        assert plan.request_count == len(plan.reads.off) == len(plan.reads.length)
+        assert plan.total_bytes == sum(plan.reads.length.tolist())
         assert type(plan.total_bytes) is int and type(plan.request_count) is int
-        spans = sorted(zip(plan.offsets.tolist(), (plan.offsets + plan.lengths).tolist()))
+        lengths = sum(plan.reads.length.tolist())
+        assert plan.reads.tally() == RequestTally({"get": plan.request_count}, {"get": lengths})
+        spans = sorted(zip(plan.reads.off.tolist(), (plan.reads.off + plan.reads.length).tolist()))
         for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
             assert a1 <= b0
 
@@ -367,6 +372,23 @@ def _random_case(rng):
     if not projection and not predicates:
         projection = [names[0]]
     return layout, data, projection, predicates
+
+
+def test_plan_reads_round_trip_through_a_trace_file(tmp_path):
+    # A plan's reads are a trace: write_trace then read_trace gives the same columns.
+    rng = random.Random(15)
+    path = tmp_path / "reads.jsonl"
+    for _ in range(40):
+        layout, data, projection, predicates = _random_case(rng)
+        plan = plan_scan(layout, data, projection, predicates, pushdown=rng.random() < 0.5)
+        if rng.random() < 0.5:
+            plan = coalesce_requests(plan, rng.randint(0, 64))
+        write_trace(plan.reads, str(path))
+        back = read_trace(str(path))
+        assert back.objects == plan.reads.objects == (layout.table,)
+        for name in ("ts_ms", "obj", "off", "length", "kind"):
+            assert np.array_equal(getattr(back, name), getattr(plan.reads, name)), name
+            assert getattr(back, name).dtype == getattr(plan.reads, name).dtype, name
 
 
 def _brute_force_survivors(data, predicates, rows):
@@ -463,8 +485,8 @@ def test_int32_columns_plan_as_their_int64_values(op, literal):
                  for data in (data32, data64, lists)]
         for plan in plans[1:]:
             assert np.array_equal(plan.mask, plans[0].mask)
-            assert np.array_equal(plan.offsets, plans[0].offsets)
-            assert np.array_equal(plan.lengths, plans[0].lengths)
+            assert np.array_equal(plan.reads.off, plans[0].reads.off)
+            assert np.array_equal(plan.reads.length, plans[0].reads.length)
 
 
 _COMPARATORS = ["<", "<=", "=", ">=", ">"]
@@ -503,7 +525,7 @@ def test_plan_scan_equals_oracle_property(case, pushdown, max_gap):
     assert spans_of(plan) == requests
     assert plan.survivors == survivors
     assert plan.survivor_count == len(survivors)
-    assert plan.obj == layout.table
+    assert plan.reads.objects[0] == layout.table
     assert plan.total_bytes == sum(length for _, length in requests)
     merged = coalesce_requests(plan, max_gap)
     assert spans_of(merged) == _coalesce_oracle(requests, max_gap)
@@ -551,7 +573,7 @@ def test_coalesce_examples():
 
 def test_coalesce_respects_gap():
     merged = coalesce_requests(spans_plan([(0, 100), (100, 100)]), 0)
-    assert merged.obj == "o"
+    assert merged.reads.objects[0] == "o"
     assert spans_of(merged) == [(0, 200)]
 
     gapped = spans_plan([(150, 100), (0, 100)])
@@ -606,7 +628,7 @@ def test_coalesce_exhaustive_small_cases():
                 if gap > max_gap:
                     expected += 1
             assert merged.request_count == expected
-            assert merged.total_bytes == sum(merged.lengths.tolist())
+            assert merged.total_bytes == sum(merged.reads.length.tolist())
 
 
 @given(_SPANS, _GAPS)
@@ -621,8 +643,8 @@ def test_coalesce_laws_property(spans, max_gap, survivors):
     merged = coalesce_requests(plan, max_gap)
     assert merged.request_count <= plan.request_count
     assert merged.survivors == plan.survivors
-    assert merged.obj == plan.obj
-    assert merged.offsets.dtype == merged.lengths.dtype == np.int64
+    assert merged.reads.objects[0] == plan.reads.objects[0]
+    assert merged.reads.off.dtype == merged.reads.length.dtype == np.int64
     runs = [(offset, offset + length) for offset, length in spans_of(merged)]
     # sorted, disjoint, and more than max_gap apart
     assert all(b0 - a1 > max_gap for (_, a1), (b0, _) in zip(runs, runs[1:]))
