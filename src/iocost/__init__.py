@@ -2,9 +2,9 @@
 
 The package is organized as one module per concern: pricing (price books,
 nanoUSD arithmetic), trace (requests as one table), tracemodel (trace files,
-statistics, synthesis), columnar (scan planning with predicate pushdown),
-joinplan (broadcast vs shuffle I/O), cachesim (LRU block cache), and scenario
-(end-to-end runs and reports). The `iocost` CLI fronts all of them.
+statistics, synthesis), columnar (scan planning with pushdown), joinplan
+(the numpy-free fleet calculators), cachesim (LRU block cache), and
+scenario (end-to-end runs and reports). The `iocost` CLI fronts all of them.
 
 Importing the package loads none of them: each public name below, and
 each submodule, loads its module on first use (PEP 562), so a caller
@@ -16,13 +16,10 @@ import importlib
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
     "cachesim": ("CacheConfig", "CacheReport", "miss_ratio_curve", "simulate", "sweep"),
-    "columnar": (
-        "Predicate", "ScanPlan", "TableLayout", "build_layout", "coalesce_requests",
-        "fleet_scan_projection", "plan_scan",
-    ),
+    "columnar": ("Predicate", "ScanPlan", "TableLayout", "build_layout", "coalesce_requests", "plan_scan"),
     "joinplan": (
         "FleetParams", "JoinIoPlan", "JoinSpec", "fleet_aggregate", "fleet_api_calls",
-        "plan_join", "waste_fraction",
+        "fleet_scan_projection", "plan_join", "waste_fraction",
     ),
     "pricing": (
         "PriceBook", "RequestTally", "builtin_pricebooks", "format_usd", "get_pricebook",

@@ -13,8 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .trace import GET, Trace, exact_sum
-from .tracemodel import group_pairs
+from .trace import GET, Trace, exact_sum, group_pairs
 from .units import MAX_TRACE_INT, MB, REQUIRED
 
 # Most block touches (blocks covered by the gets, counted per get) one

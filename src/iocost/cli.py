@@ -17,10 +17,10 @@ shutdown collection. `main` is for in-process callers and leaves the
 process alone.
 
 Each subcommand imports what it uses when it runs; building the parser
-loads only this module and ``units``. `price` loads ``pricing``. The
-other commands go through ``scenario``, which loads a section's module
-only when that section appears, so `price`, `join` and a join-only
-`scenario run` never load numpy.
+loads only this module and ``units``. `price` loads ``pricing``, `synth`
+``tracemodel``. The others go through ``scenario``, which loads a
+section's module only when that section appears, so `price`, `join` and
+a join- or `scan_fleet`-only `scenario run` never load numpy.
 """
 
 from __future__ import annotations
@@ -75,14 +75,14 @@ def _given(args) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    from . import scenario, tracemodel
+    from . import tracemodel
 
     check_value(args.seed, "int", "scenario", "seed", 0)
     # --p50, --p90 and --max replace the sizes of SynthSpec's anchors at 0.5, 0.9 and 1.0.
     flags = (args.p50, args.p90, args.max)
     anchors = [[size if flag is None else flag, frac]
                for flag, (size, frac) in zip(flags, tracemodel.SynthSpec.size_anchors)]
-    spec = scenario.synth_spec_from_dict({**_given(args), "anchors": anchors})
+    spec = tracemodel.synth_spec_from_dict({**_given(args), "anchors": anchors})
     trace = tracemodel.synthesize_trace(spec, args.seed)
     tracemodel.write_trace(trace, args.out)
     _print_json({"out": args.out, "records": len(trace), "seed": args.seed})

@@ -5,20 +5,21 @@ fixed-size pages, so a page's rows and bytes are arithmetic on its
 index. A scan turns into one ranged read per needed page, held as the
 gets of a ``Trace`` on the table's object; with pushdown enabled, later
 predicate columns and the projection only read pages that still contain
-surviving rows.
+surviving rows. A fleet of scans is projected by ``joinplan``, without
+numpy; its ``fleet_scan_projection`` stays importable from here.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
+from .joinplan import fleet_scan_projection
 from .trace import Trace, exact_sum
-from .units import MAX_TRACE_INT, REQUIRED, ceil_div, check_fields, exact_fraction
+from .units import MAX_TRACE_INT, REQUIRED, ceil_div, check_fields
 
 _OPS = {
     "<": operator.lt,
@@ -252,47 +253,6 @@ def coalesce_requests(plan: ScanPlan, max_gap: int) -> ScanPlan:
     first[1:] = offsets[1:] - ends[:-1] > min(max_gap, MAX_TRACE_INT)
     last = np.roll(first, -1)
     return ScanPlan(Trace._gets_on(plan.reads.objects[0], offsets[first], ends[last] - offsets[first]), plan.mask)
-
-
-@dataclass(frozen=True)
-class FleetScanComparison:
-    """Daily fleet-level request and byte totals, pushdown vs. full scan."""
-
-    pushdown_bytes: int
-    pushdown_requests: int
-    full_scan_bytes: int
-    full_scan_requests: int
-
-
-def fleet_scan_projection(
-    daily_bytes: int,
-    avg_request_bytes: int,
-    inflation: float | int | Fraction,
-    page_bytes: int,
-) -> FleetScanComparison:
-    """Fleet-level projection of scan traffic with and without pushdown.
-
-    With pushdown the fleet moves ``daily_bytes`` in reads averaging
-    ``avg_request_bytes``. Without it, scans read ``inflation`` times
-    as many bytes, but in full pages, so requests are counted at
-    ``page_bytes`` apiece.
-    """
-    if daily_bytes <= 0:
-        raise ValueError(f"daily bytes must be > 0, got {daily_bytes}")
-    if avg_request_bytes <= 0:
-        raise ValueError(f"average request bytes must be > 0, got {avg_request_bytes}")
-    if page_bytes <= 0:
-        raise ValueError(f"page bytes must be > 0, got {page_bytes}")
-    factor = exact_fraction(inflation)
-    if factor <= 0:
-        raise ValueError(f"inflation factor must be > 0, got {inflation}")
-    full_bytes = int(factor * daily_bytes)
-    return FleetScanComparison(
-        pushdown_bytes=daily_bytes,
-        pushdown_requests=ceil_div(daily_bytes, avg_request_bytes),
-        full_scan_bytes=full_bytes,
-        full_scan_requests=ceil_div(full_bytes, page_bytes),
-    )
 
 
 def synthesize_column_data(layout: TableLayout, seed: int) -> dict:

@@ -1,9 +1,11 @@
-"""Storage I/O implied by broadcast versus shuffle joins.
+"""Fleet calculators: broadcast versus shuffle joins, and scans with and without pushdown.
 
 A broadcast join ships the build table to every worker, so fleet-wide
-storage reads scale as N x build bytes. A shuffle join reads each
-table once and repartitions over the network instead. These are pure
-byte and request calculators, no join is ever executed.
+storage reads scale as N x build bytes; a shuffle join reads each table
+once and repartitions over the network instead. Without pushdown a fleet
+of scans reads ``inflation`` times its bytes. These are exact integer
+calculators without numpy, and no join or scan is ever executed; both
+per-day models floor bytes at the decimal face value of their fraction.
 """
 
 from __future__ import annotations
@@ -148,3 +150,45 @@ def fleet_api_calls(bytes_per_day: int, request_bytes: int) -> int:
     if request_bytes <= 0:
         raise ValueError(f"request bytes must be > 0, got {request_bytes}")
     return ceil_div(bytes_per_day, request_bytes)
+
+
+@dataclass(frozen=True)
+class FleetScanComparison:
+    """Daily fleet-level request and byte totals, pushdown vs. full scan."""
+
+    pushdown_bytes: int
+    pushdown_requests: int
+    full_scan_bytes: int
+    full_scan_requests: int
+
+
+def fleet_scan_projection(
+    daily_bytes: int,
+    avg_request_bytes: int,
+    inflation: float | int | Fraction,
+    page_bytes: int,
+) -> FleetScanComparison:
+    """Fleet-level projection of scan traffic with and without pushdown.
+
+    With pushdown the fleet moves ``daily_bytes`` in reads averaging
+    ``avg_request_bytes``. Without it, scans read ``inflation`` times
+    as many bytes, but in full pages, so requests are counted at
+    ``page_bytes`` apiece. The full-scan bytes are rounded down, as in
+    ``fleet_aggregate``, and then the requests up.
+    """
+    if daily_bytes <= 0:
+        raise ValueError(f"daily bytes must be > 0, got {daily_bytes}")
+    if avg_request_bytes <= 0:
+        raise ValueError(f"average request bytes must be > 0, got {avg_request_bytes}")
+    if page_bytes <= 0:
+        raise ValueError(f"page bytes must be > 0, got {page_bytes}")
+    factor = exact_fraction(inflation)
+    if factor <= 0:
+        raise ValueError(f"inflation factor must be > 0, got {inflation}")
+    full_bytes = int(factor * daily_bytes)
+    return FleetScanComparison(
+        pushdown_bytes=daily_bytes,
+        pushdown_requests=ceil_div(daily_bytes, avg_request_bytes),
+        full_scan_bytes=full_bytes,
+        full_scan_requests=ceil_div(full_bytes, page_bytes),
+    )

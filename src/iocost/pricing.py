@@ -16,7 +16,7 @@ from .units import REQUIRED, check_fields, load_json
 
 NANOUSD_PER_USD = 10**9
 
-# Request kinds every price book must be able to classify.
+# Request kinds every built-in price book classifies; a loaded book need not.
 CORE_KINDS = ("get", "put", "post", "copy", "list", "head", "select")
 
 

@@ -8,11 +8,11 @@ price book and emits a deterministic report.
 
 Loading this module loads no section module and no numpy. A section's
 parser and runner import the module that models it (``columnar`` for
-``scan`` and ``scan_fleet``, ``joinplan`` for ``join``, ``cachesim``
+``scan``, ``joinplan`` for ``scan_fleet`` and ``join``, ``cachesim``
 for ``cache``) when that section first appears, and a workload loads
-``tracemodel`` when it is synthesized or read, so a run loads only
-what its sections use. Each of those modules holds the field table of
-its section next to the class whose defaults the table reads.
+``tracemodel`` when its spec is parsed or its file read, so a run loads
+only what its sections use. Each of those modules holds the field
+table of its section next to the class whose defaults the table reads.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from decimal import Decimal
 from typing import TYPE_CHECKING
 
 from .pricing import PriceBook, RequestTally, format_usd, get_pricebook, load_pricebook
-from .units import REQUIRED, FieldError, check_fields, check_value, load_json, regular_file
+from .units import REQUIRED, FieldError, _nested, check_fields, load_json, regular_file
 
 if TYPE_CHECKING:
     from .cachesim import CacheConfig
@@ -86,16 +86,6 @@ _SCAN_FLEET_FIELDS = (
 )
 
 
-def _nested(path: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, its errors reported as scenario field ``path``."""
-    try:
-        return build(*args, **kwargs)
-    except FieldError as exc:
-        raise FieldError("scenario", f"{path}.{exc.path}" if exc.path else path, exc.problem) from None
-    except ValueError as exc:
-        raise FieldError("scenario", path, str(exc)) from None
-
-
 def _parse_price_book(raw, base_dir: str) -> PriceBook:
     if isinstance(raw, str):
         return get_pricebook(raw)
@@ -106,39 +96,14 @@ def _parse_price_book(raw, base_dir: str) -> PriceBook:
     return _nested("price_book.file", load_pricebook, path)
 
 
-def _parse_anchors(raw) -> tuple[tuple[int, float], ...]:
-    path = "workload.synthesize.anchors"
-    if not isinstance(raw, list) or not all(isinstance(a, list) and len(a) == 2 for a in raw):
-        raise FieldError("scenario", path, "must be an array of [size, fraction] pairs")
-    return tuple(
-        (check_value(size, "bytes", "scenario", f"{path}[{i}][0]"),
-         float(check_value(frac, "number", "scenario", f"{path}[{i}][1]")))
-        for i, (size, frac) in enumerate(raw)
-    )
-
-
-def synth_spec_from_dict(raw: dict) -> SynthSpec:
-    """A ``workload.synthesize`` object as a ``SynthSpec``; errors name its fields."""
-    from .tracemodel import SYNTHESIZE_FIELDS, SynthSpec
-
-    s = check_fields(raw, SYNTHESIZE_FIELDS, "scenario", "workload.synthesize")
-    return _nested(
-        "workload.synthesize", SynthSpec,
-        records=s["records"],
-        size_anchors=SynthSpec.size_anchors if s["anchors"] is None else _parse_anchors(s["anchors"]),
-        min_bytes=s["min_bytes"],
-        object_universe=s["objects"],
-        zipf_exponent=float(s["zipf_exponent"]),
-        duration_ms=s["duration_ms"],
-    )
-
-
 def _parse_workload(raw: dict, base_dir: str) -> str | SynthSpec:
     f = check_fields(raw, _WORKLOAD_FIELDS, "scenario", "workload")
     if (f["trace"] is None) == (f["synthesize"] is None):
         raise FieldError("scenario", "workload", "needs exactly one of 'trace' or 'synthesize'")
     if f["trace"] is not None:
         return regular_file(os.path.join(base_dir, f["trace"]), "scenario field 'workload.trace': file")
+    from .tracemodel import synth_spec_from_dict
+
     return synth_spec_from_dict(f["synthesize"])
 
 
@@ -315,10 +280,10 @@ def _run_scan(section: dict, scenario: Scenario, workload) -> tuple[dict, str, d
 
 
 def _run_scan_fleet(section: dict, scenario: Scenario, workload) -> tuple[dict, str, dict]:
-    from . import columnar
+    from .joinplan import fleet_scan_projection
 
     details = {key: value for key, value in section.items() if key != "pushdown"}
-    comp = columnar.fleet_scan_projection(**details)
+    comp = fleet_scan_projection(**details)
     sides = {
         "pushdown": RequestTally({"get": comp.pushdown_requests}, {"get": comp.pushdown_bytes}),
         "full_scan": RequestTally({"get": comp.full_scan_requests}, {"get": comp.full_scan_bytes}),

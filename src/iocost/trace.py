@@ -1,5 +1,5 @@
-"""The request table: a ``Trace`` holds a workload's requests and a scan plan's reads
-alike, and ``Trace.tally`` counts either for a price book. It loads no other iocost module."""
+"""The request table: a ``Trace`` holds a workload's requests or a scan plan's reads, ``Trace.tally``
+counts them for a price book, ``group_pairs`` groups them by (object, block); it loads no other iocost module."""
 
 from __future__ import annotations
 
@@ -91,6 +91,42 @@ class Trace:
 def exact_sum(values: np.ndarray) -> int:
     """The sum of non-negative int64 ``values`` as an int, in 32-bit halves: exact below 2**31 values."""
     return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
+
+
+def group_pairs(obj, block):
+    """Positions grouped by (object, block) pair: ``(order, new)``.
+
+    ``order`` lists the positions by object, then block, then position,
+    so ascending within a pair; ``new[i]`` is True where ``order[i]`` is
+    its pair's first position. When the object and block, each less its
+    minimum, and the position pack into one int64 key of at most 63 bits,
+    this is one sort of those keys; otherwise a stable lexsort.
+    """
+    n = len(obj)
+    if n:
+        obj_min, block_min = int(obj.min()), int(block.min())
+        pos_bits = (n - 1).bit_length()
+        block_bits = (int(block.max()) - block_min).bit_length()
+        if (int(obj.max()) - obj_min).bit_length() + block_bits + pos_bits <= 63:
+            key = np.subtract(obj, obj_min, dtype=np.int64)
+            key <<= block_bits
+            key |= np.subtract(block, block_min, dtype=np.int64)
+            key <<= pos_bits
+            key |= np.arange(n, dtype=np.int64)
+            key.sort()
+            order = key & ((1 << pos_bits) - 1)
+            key >>= pos_bits  # the pair part alone
+            new = np.ones(n, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            return order, new
+    order = np.lexsort((block, obj))
+    new = np.ones(len(order), dtype=bool)
+    # One sorted key at a time keeps the peak at one extra key array.
+    key = obj[order]
+    new[1:] = key[1:] != key[:-1]
+    key = block[order]
+    new[1:] |= key[1:] != key[:-1]
+    return order, new
 
 
 def _id_codes() -> defaultdict[str, int]:

@@ -1,4 +1,4 @@
-"""Storage access traces: ingestion, workload statistics, synthesis.
+"""Storage access traces: ingestion, workload statistics, synthesis, and its spec from JSON.
 
 Traces are JSON-lines, one request per line:
 
@@ -22,8 +22,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 # The request table lives in ``trace``; its names stay importable from here.
-from .trace import GET, TRACE_KINDS, AccessRecord, Trace, _id_codes, _row_buffers
-from .units import KB, MAX_TRACE_INT, MB, regular_file
+from .trace import GET, TRACE_KINDS, AccessRecord, Trace, _id_codes, _row_buffers, group_pairs
+from .units import KB, MAX_TRACE_INT, MB, FieldError, _nested, check_fields, check_value, regular_file
 
 # Kinds that carry a byte range and therefore need len > 0.
 RANGED_KINDS = frozenset({"get", "put"})
@@ -50,42 +50,6 @@ MAX_OBJECT_UNIVERSE = 10**7
 # longer trace could not be simulated (cachesim.MAX_TRACE_TOUCHES).
 # Synthesis peaks at about 72 bytes per record (measured from 10**6 to 3*10**6).
 MAX_SYNTH_RECORDS = 10**8
-
-
-def group_pairs(obj, block):
-    """Positions grouped by (object, block) pair: ``(order, new)``.
-
-    ``order`` lists the positions by object, then block, then position,
-    so ascending within a pair; ``new[i]`` is True where ``order[i]`` is
-    its pair's first position. When the object and block, each less its
-    minimum, and the position pack into one int64 key of at most 63 bits,
-    this is one sort of those keys; otherwise a stable lexsort.
-    """
-    n = len(obj)
-    if n:
-        obj_min, block_min = int(obj.min()), int(block.min())
-        pos_bits = (n - 1).bit_length()
-        block_bits = (int(block.max()) - block_min).bit_length()
-        if (int(obj.max()) - obj_min).bit_length() + block_bits + pos_bits <= 63:
-            key = np.subtract(obj, obj_min, dtype=np.int64)
-            key <<= block_bits
-            key |= np.subtract(block, block_min, dtype=np.int64)
-            key <<= pos_bits
-            key |= np.arange(n, dtype=np.int64)
-            key.sort()
-            order = key & ((1 << pos_bits) - 1)
-            key >>= pos_bits  # the pair part alone
-            new = np.ones(n, dtype=bool)
-            np.not_equal(key[1:], key[:-1], out=new[1:])
-            return order, new
-    order = np.lexsort((block, obj))
-    new = np.ones(len(order), dtype=bool)
-    # One sorted key at a time keeps the peak at one extra key array.
-    key = obj[order]
-    new[1:] = key[1:] != key[:-1]
-    key = block[order]
-    new[1:] |= key[1:] != key[:-1]
-    return order, new
 
 
 # The keys of a trace line, as ``trace_lines`` writes them.
@@ -572,6 +536,31 @@ SYNTHESIZE_FIELDS = (
     ("zipf_exponent", "number", SynthSpec.zipf_exponent, None),
     ("duration_ms", "int", SynthSpec.duration_ms, 1),
 )
+
+
+def _parse_anchors(raw) -> tuple[tuple[int, float], ...]:
+    path = "workload.synthesize.anchors"
+    if not isinstance(raw, list) or not all(isinstance(a, list) and len(a) == 2 for a in raw):
+        raise FieldError("scenario", path, "must be an array of [size, fraction] pairs")
+    return tuple(
+        (check_value(size, "bytes", "scenario", f"{path}[{i}][0]"),
+         float(check_value(frac, "number", "scenario", f"{path}[{i}][1]")))
+        for i, (size, frac) in enumerate(raw)
+    )
+
+
+def synth_spec_from_dict(raw: dict) -> SynthSpec:
+    """A ``workload.synthesize`` object as a ``SynthSpec``; errors name its fields."""
+    s = check_fields(raw, SYNTHESIZE_FIELDS, "scenario", "workload.synthesize")
+    return _nested(
+        "workload.synthesize", SynthSpec,
+        records=s["records"],
+        size_anchors=SynthSpec.size_anchors if s["anchors"] is None else _parse_anchors(s["anchors"]),
+        min_bytes=s["min_bytes"],
+        object_universe=s["objects"],
+        zipf_exponent=float(s["zipf_exponent"]),
+        duration_ms=s["duration_ms"],
+    )
 
 
 def _draw_sizes(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

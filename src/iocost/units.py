@@ -172,6 +172,16 @@ class FieldError(ValueError):
         self.problem = problem
 
 
+def _nested(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its errors reported as scenario field ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except FieldError as exc:
+        raise FieldError("scenario", f"{path}.{exc.path}" if exc.path else path, exc.problem) from None
+    except ValueError as exc:
+        raise FieldError("scenario", path, str(exc)) from None
+
+
 def check_fields(obj, table, noun: str, path: str = "") -> dict:
     """Check the JSON object ``obj`` against a field table; return values by key.
 

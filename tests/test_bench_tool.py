@@ -73,6 +73,34 @@ def test_paired_runs_alternate_which_side_runs_first(monkeypatch, tmp_path, caps
     assert capsys.readouterr().out.endswith(lines + "BENCH_t.json\n")
 
 
+def _fake_root(root, counts: dict) -> str:
+    """A checkout whose ``src/iocost`` holds a file of ``n`` lines for each ``name: n`` of ``counts``."""
+    package = root / "src" / "iocost"
+    package.mkdir(parents=True)
+    for name, n in counts.items():
+        (package / name).write_text("x\n" * n)
+    return str(root)
+
+
+def test_paired_runs_print_each_file_whose_line_count_differs(monkeypatch, tmp_path, capsys):
+    this = _fake_root(tmp_path / "this", {"a.py": 10, "b.py": 1200, "c.py": 5})
+    against = _fake_root(tmp_path / "against", {"a.py": 10, "b.py": 1000, "d.py": 3})
+    (tmp_path / "this" / "perfbench").mkdir()
+    (tmp_path / "this" / "perfbench" / "spec.json").write_text(json.dumps({"workloads": {"w": {}}}))
+    (tmp_path / "this" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "wall_rel", "better": "lower"}]}))
+    monkeypatch.setattr(bench, "run", lambda *args: {"exit_code": 0, "metrics": {}})
+    monkeypatch.chdir(tmp_path)
+    assert bench.main(["t", "--root", this, "--against", against, "--pairs", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-5:] == [
+        "src/iocost/b.py  this 1,200  against 1,000  +200",
+        "src/iocost/c.py  this 5  against 0  +5",
+        "src/iocost/d.py  this 0  against 3  -3",
+        "src/iocost/*.py lines  this 1,215  against 1,013",
+        "BENCH_t.json",
+    ]
+
+
 def test_pairs_must_be_positive(capsys):
     with pytest.raises(SystemExit) as excinfo:
         bench.main(["t", "--against", ".", "--pairs", "0"])

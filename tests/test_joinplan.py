@@ -11,6 +11,7 @@ from iocost.joinplan import (
     JoinSpec,
     fleet_aggregate,
     fleet_api_calls,
+    fleet_scan_projection,
     plan_join,
     waste_fraction,
 )
@@ -147,6 +148,17 @@ def test_fleet_aggregate_rounds_down_partial_bytes():
     assert fleet_aggregate(FleetParams(1, Fraction(1, 3), 1, 1)) == 0
     assert fleet_aggregate(FleetParams(2, Fraction(1, 3), 1, 1)) == 0
     assert fleet_aggregate(FleetParams(3, Fraction(1, 3), 1, 1)) == 1
+
+
+def test_fleet_scan_projection_rounds_bytes_down_then_requests_up():
+    # 10 x 1/3 floors to 3 bytes, as in fleet_aggregate, and 10 x 0.3 is 3 at 0.3's decimal face
+    # value (its binary value would floor to 2); 3 bytes in 2-byte pages are 2 requests.
+    for inflation in (Fraction(1, 3), 0.3):
+        comp = fleet_scan_projection(10, 3, inflation, 2)
+        assert (comp.full_scan_bytes, comp.full_scan_requests) == (3, 2)
+        assert (comp.pushdown_bytes, comp.pushdown_requests) == (10, 4)
+    comp = fleet_scan_projection(7, 2, 2.5, 4)
+    assert (comp.full_scan_bytes, comp.full_scan_requests) == (17, 5)
 
 
 def test_fleet_params_validation():

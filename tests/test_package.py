@@ -37,6 +37,18 @@ def test_naming_two_modules_loads_only_them_and_what_they_import():
     ]
 
 
+def test_the_cache_loads_only_the_request_table_and_units():
+    code = (
+        "import sys\n"
+        "import iocost.cachesim\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'iocost')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["iocost", "iocost.cachesim", "iocost.trace", "iocost.units"]
+
+
 @pytest.mark.parametrize("name", sorted(iocost._MODULE_OF))
 def test_every_public_name_is_its_modules_object(name):
     module = importlib.import_module(f"iocost.{iocost._MODULE_OF[name]}")
@@ -97,11 +109,13 @@ JOIN = ["join", "--workers", "200", "--build-bytes", "100MB", "--queries", "5000
         (["scenario", "run", str(SCENARIOS / "scan_demo.json")],
          {"iocost.tracemodel", "iocost.cachesim", "numpy.ma"}),
         (["scenario", "run", str(SCENARIOS / "scan_fleet.json")],
-         {"iocost.tracemodel", "iocost.cachesim", "iocost.joinplan", "numpy.ma"}),
+         {"numpy", "iocost.columnar", "iocost.trace", "iocost.tracemodel", "iocost.cachesim", "numpy.ma"}),
         (["scenario", "run", str(SCENARIOS / "cache_demo.json")],
          {"iocost.columnar", "iocost.joinplan", "numpy.ma"}),
+        (["synth", "--records", "50", "--out", "t.jsonl"],
+         {"iocost.scenario", "iocost.pricing", "iocost.columnar", "iocost.joinplan", "iocost.cachesim"}),
     ],
-    ids=["price", "join", "broadcast_fleet", "scan_demo", "scan_fleet", "cache_demo"],
+    ids=["price", "join", "broadcast_fleet", "scan_demo", "scan_fleet", "cache_demo", "synth"],
 )
 def test_a_command_loads_only_the_modules_it_uses(argv, absent, tmp_path):
     (tmp_path / "tally.json").write_text(json.dumps({"counts": {"get": 10}}))

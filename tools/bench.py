@@ -22,7 +22,8 @@ pair to the next. The file then holds every pair's end-to-end values
 and, for each workload and each end-to-end metric of ``BENCHMARK.json``,
 both sides' median and quartiles and the pairs each side won (a tie is
 won by neither); the same summary is printed as a table, followed by
-each side's ``src/iocost/*.py`` line total.
+each ``src/iocost/*.py`` file whose line count differs between the two
+sides, with its delta, and each side's line total.
 
 The exit code is 1 if any run failed, else 0.
 """
@@ -49,6 +50,19 @@ def src_lines(root: str) -> dict:
             counts[os.path.relpath(path, root)] = fh.read().count(b"\n")
     counts["total"] = sum(counts.values())
     return counts
+
+
+def line_deltas(this: dict, against: dict) -> list[str]:
+    """A line for each file whose count differs between two ``src_lines`` results, with its delta.
+
+    A file on one side only counts 0 lines on the other.
+    """
+    lines = []
+    for path in sorted((this.keys() | against.keys()) - {"total"}):
+        mine, theirs = this.get(path, 0), against.get(path, 0)
+        if mine != theirs:
+            lines.append(f"{path}  this {mine:,}  against {theirs:,}  {mine - theirs:+,}")
+    return lines
 
 
 def git_commit(root: str) -> str | None:
@@ -179,6 +193,8 @@ def main(argv=None) -> int:
         }
         codes = [p[side]["exit_code"] for ps in pairs.values() for p in ps for side in ("this", "against")]
         print(summary_table(summary))
+        for line in line_deltas(bench["src_lines"]["this"], bench["src_lines"]["against"]):
+            print(line)
         totals = (f"{side} {lines['total']:,}" for side, lines in bench["src_lines"].items())
         print("src/iocost/*.py lines", *totals, sep="  ")
     else:
