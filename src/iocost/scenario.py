@@ -1,18 +1,18 @@
 """Scenario files, end-to-end orchestration, and cost reporting.
 
 A scenario is one JSON file naming a price book, an optional workload
-(trace file or synthesis parameters), and any of four sections: a
-table-level scan, a fleet-level scan projection, a fleet join model,
-and a cache simulation. Running it prices every section with the one
-price book and emits a deterministic report.
+(trace file or synthesis parameters) and any of four sections: a scan,
+a scan fleet projection, a fleet join model and a cache simulation. A
+run prices the traffic each section's ``runner(section, scenario)``
+returns with the one price book and emits a deterministic report.
 
 Loading this module loads no section module and no numpy. A section's
 parser and runner import the module that models it (``columnar`` for
-``scan``, ``joinplan`` for ``scan_fleet`` and ``join``, ``cachesim``
-for ``cache``) when that section first appears, and a workload loads
-``tracemodel`` when its spec is parsed or its file read, so a run loads
-only what its sections use. Each of those modules holds the field
-table of its section next to the class whose defaults the table reads.
+``scan``, ``joinplan`` for ``scan_fleet`` and ``join``, ``cachesim`` for
+``cache``) when that section first appears, and a workload, read only by
+the cache runner, loads ``tracemodel`` when its spec is parsed or its file
+read, so a run loads only what its sections use. Each of those modules
+keeps its section's field table next to the class whose defaults it reads.
 """
 
 from __future__ import annotations
@@ -183,6 +183,8 @@ def scenario_from_dict(raw: dict, base_dir: str = ".") -> Scenario:
     # The book must classify every kind the runners emit (get, for all of them)
     # before any section runs; a trace's other kinds are known once the cache reads it.
     _nested("price_book", book.classify, "get")
+    if f["workload"] is not None and f["cache"] is None:
+        raise FieldError("scenario", "workload", "only a 'cache' section reads a workload, and there is none")
     workload = None if f["workload"] is None else _parse_workload(f["workload"], base_dir)
     sections = {
         name: parse(f[name], base_dir)
@@ -255,7 +257,7 @@ class CostReport:
         return out
 
 
-def _run_scan(section: dict, scenario: Scenario, workload) -> tuple[dict, str, dict]:
+def _run_scan(section: dict, scenario: Scenario) -> tuple[dict, str, dict]:
     from . import columnar
 
     layout, data, gap = section["layout"], section["data"], section["coalesce_gap"]
@@ -279,7 +281,7 @@ def _run_scan(section: dict, scenario: Scenario, workload) -> tuple[dict, str, d
     }
 
 
-def _run_scan_fleet(section: dict, scenario: Scenario, workload) -> tuple[dict, str, dict]:
+def _run_scan_fleet(section: dict, scenario: Scenario) -> tuple[dict, str, dict]:
     from .joinplan import fleet_scan_projection
 
     details = {key: value for key, value in section.items() if key != "pushdown"}
@@ -292,7 +294,7 @@ def _run_scan_fleet(section: dict, scenario: Scenario, workload) -> tuple[dict, 
     return sides, mode, {**details, "mode": mode}
 
 
-def _run_join(section: tuple, scenario: Scenario, workload) -> tuple[dict, str, dict]:
+def _run_join(section: tuple, scenario: Scenario) -> tuple[dict, str, dict]:
     from . import joinplan
 
     params, spec, request_bytes = section
@@ -314,12 +316,22 @@ def _run_join(section: tuple, scenario: Scenario, workload) -> tuple[dict, str, 
     }
 
 
-def _run_cache(
-    config: CacheConfig, scenario: Scenario, workload: tuple[Trace, dict]
-) -> tuple[dict, str, dict]:
+def _materialize_workload(scenario: Scenario) -> tuple[Trace, dict]:
+    from . import tracemodel
+
+    if isinstance(scenario.workload, str):
+        trace = tracemodel.read_trace(scenario.workload)
+        note = {"source": "trace", "path": scenario.echo["workload"]["trace"], "records": len(trace)}
+    else:
+        trace = tracemodel.synthesize_trace(scenario.workload, scenario.seed)
+        note = {"source": "synthesized", "records": len(trace), "seed": scenario.seed}
+    return trace, note
+
+
+def _run_cache(config: CacheConfig, scenario: Scenario) -> tuple[dict, str, dict]:
     from . import cachesim
 
-    trace, note = workload
+    trace, note = _materialize_workload(scenario)
     report = cachesim.simulate(trace, config)
     sides = {
         "cache": RequestTally({"get": report.origin_requests}, {"get": report.origin_bytes}),
@@ -336,12 +348,12 @@ def _run_cache(
 
 # Each section in report order: its parser, called with the section's
 # JSON and the scenario's directory, and its runner, called with what
-# the parser returned, the scenario and the workload's (trace, note).
+# the parser returned and the scenario. Only the cache runner, last,
+# reads the workload, so no other section's fault waits for the trace.
 # A runner returns traffic, not prices: ``sides`` maps each side to its
-# ``RequestTally``, by the kinds of call the runner models; ``chosen``
-# names the side the section reports, and ``details`` is its own dict.
-# This is the one list of sections: _SCENARIO_FIELDS and the refusal of
-# a scenario with none read it, and the CLI prints the sides a runner returns.
+# ``RequestTally`` by the kinds of call it models, ``chosen`` names the
+# side the section reports, and ``details`` is its own dict. The CLI,
+# _SCENARIO_FIELDS and the refusal of a scenario with no section read it.
 _SECTIONS = {
     "scan": (_parse_scan, _run_scan),
     "scan_fleet": (_parse_scan_fleet, _run_scan_fleet),
@@ -357,27 +369,12 @@ _SCENARIO_FIELDS = (
 )
 
 
-def _materialize_workload(scenario: Scenario) -> tuple[Trace, dict]:
-    from . import tracemodel
-
-    if isinstance(scenario.workload, str):
-        trace = tracemodel.read_trace(scenario.workload)
-        note = {"source": "trace", "path": scenario.echo["workload"]["trace"], "records": len(trace)}
-    else:
-        trace = tracemodel.synthesize_trace(scenario.workload, scenario.seed)
-        note = {"source": "synthesized", "records": len(trace), "seed": scenario.seed}
-    return trace, note
-
-
 def run_scenario(scenario: Scenario) -> CostReport:
     """Run and price every present section under the scenario's book; the report holds the scenario."""
     results: list[SectionResult] = []
     for name, section in scenario.sections.items():
-        # Only the cache section, last in report order, reads the workload,
-        # so no other section's fault waits for the trace to be read.
-        workload = _materialize_workload(scenario) if name == "cache" else None
         try:
-            sides, chosen, details = _SECTIONS[name][1](section, scenario, workload)
+            sides, chosen, details = _SECTIONS[name][1](section, scenario)
             comparison = {side: scenario.price_book.priced(tally) for side, tally in sides.items()}
         except ValueError as exc:
             raise ValueError(f"section {name!r}: {exc}") from None

@@ -1090,13 +1090,13 @@ def test_trace_line_with_array_or_object_value_exits_2(field, value, problem, tm
     assert main(["cache", "--trace", str(trace), "--capacity", "1MB"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: line 2: {problem}\n"
+    assert captured.err == f"error: section 'cache': line 2: {problem}\n"
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["cache", "--trace", "deep.jsonl", "--capacity", "1MB"], "line 2: invalid JSON"),
+        (["cache", "--trace", "deep.jsonl", "--capacity", "1MB"], "section 'cache': line 2: invalid JSON"),
         (["scenario", "run", "deep.json"], "scenario file deep.json: invalid JSON"),
         (["price", "--book-file", "deep.json", "--tally", "tally.json"], "price book file deep.json: invalid JSON"),
         (["price", "--book", "s3-standard", "--tally", "deep.json"], "tally file deep.json: invalid JSON"),

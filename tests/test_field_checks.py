@@ -123,7 +123,7 @@ CASES = {
                                       "page_bytes")),
         *(f"join.{k}" for k in ("queries_per_day", "broadcast_fraction", "workers",
                                 "build_bytes", "request_bytes")),
-        "cache.capacity_bytes",
+        "cache", "cache.capacity_bytes",
     }),
     "layout": (LAYOUT, _library(layout_from_dict), {
         "table", "rows", "columns",

@@ -78,8 +78,8 @@ def test_an_unknown_name_raises_attribute_error():
         from iocost import simulat  # noqa: F401
 
 
-def _fresh_run(argv, cwd) -> tuple[str, set]:
-    """``iocost ARGV`` in a new process: its stdout and the modules it loaded."""
+def _fresh_run(argv, cwd, status=0) -> tuple[str, set]:
+    """``iocost ARGV`` in a new process that exits ``status``: its stdout and the modules it loaded."""
     code = (
         "import sys\n"
         "from iocost.cli import main\n"
@@ -89,8 +89,8 @@ def _fresh_run(argv, cwd) -> tuple[str, set]:
     )
     out = subprocess.run(
         [sys.executable, "-c", code, *argv], cwd=cwd, env=_env(), capture_output=True, text=True,
-        check=True,
     )
+    assert out.returncode == status, out.stderr
     return out.stdout, set(out.stderr.split())
 
 
@@ -122,6 +122,14 @@ def test_a_command_loads_only_the_modules_it_uses(argv, absent, tmp_path):
     stdout, loaded = _fresh_run(argv, tmp_path)
     assert json.loads(stdout)
     assert not absent & loaded, sorted(absent & loaded)
+
+
+def test_a_workload_without_a_cache_section_is_refused_before_it_is_read(tmp_path):
+    doc = json.loads((SCENARIOS / "broadcast_fleet.json").read_text())
+    (tmp_path / "s.json").write_text(json.dumps({**doc, "workload": {"synthesize": {"records": 10}}}))
+    stdout, loaded = _fresh_run(["scenario", "run", "s.json"], tmp_path, status=2)
+    assert stdout == ""
+    assert not {"iocost.tracemodel", "numpy"} & loaded
 
 
 def test_a_table_renders_in_a_fresh_process(tmp_path):

@@ -417,6 +417,8 @@ BAD_SCENARIOS = [
       "workload": {"synthesize": {"anchors": [[1]]}},
       "cache": {"capacity_bytes": 0}},
      "must be an array of [size, fraction] pairs"),
+    ({**JOIN_RAW, "workload": {"synthesize": {"records": 10}}},
+     "scenario field 'workload': only a 'cache' section reads a workload"),
 ]
 
 
@@ -542,7 +544,7 @@ def test_every_side_is_priced_by_the_book(path, monkeypatch):
 def test_the_bill_prices_whatever_a_runner_emits(monkeypatch):
     parse_join, _ = scenario._SECTIONS["join"]
 
-    def mixed(section, run, workload):
+    def mixed(section, run):
         return {"mixed": RequestTally({"get": 2, "put": 1}, {"get": 10, "put": 5})}, "mixed", {}
 
     monkeypatch.setitem(scenario._SECTIONS, "join", (parse_join, mixed))

@@ -23,7 +23,11 @@ and, for each workload and each end-to-end metric of ``BENCHMARK.json``,
 both sides' median and quartiles and the pairs each side won (a tie is
 won by neither); the same summary is printed as a table, followed by
 each ``src/iocost/*.py`` file whose line count differs between the two
-sides, with its delta, and each side's line total.
+sides, with its delta, and each side's line total. Each line of the
+table also gives the change of the median as a share of the "against"
+median, positive when worse, and the metric's ``bound`` from
+``BENCHMARK.json`` when it has one, marked "beyond bound" when the
+change is worse by more than that.
 
 The exit code is 1 if any run failed, else 0.
 """
@@ -146,17 +150,30 @@ def summarize(pairs: list, better: dict) -> dict:
     return out
 
 
-def summary_table(summary: dict) -> str:
-    """``summarize``'s results for every workload, one line per metric."""
+def summary_table(summary: dict, metrics: dict) -> str:
+    """``summarize``'s results for every workload, one line per metric.
+
+    ``metrics`` maps each metric to its ``BENCHMARK.json`` entry. A line
+    also gives the change of the "this" median as a share of the "against"
+    median, signed by the entry's ``better`` so that worse is positive,
+    unless that median is 0, and the entry's ``bound``, if it has one.
+    """
     lines = []
-    for workload, metrics in summary.items():
-        for metric, s in metrics.items():
+    for workload, results in summary.items():
+        for metric, s in results.items():
             sides = "  ".join(
                 f"{side} {s[side]['median']:.4g} [{s[side]['q1']:.4g}, {s[side]['q3']:.4g}] "
                 f"won {s[side]['wins']}/{s['pairs']}"
                 for side in ("this", "against")
             )
-            lines.append(f"{workload:<13} {metric:<12} {sides}")
+            line = f"{workload:<13} {metric:<12} {sides}"
+            spec, base = metrics[metric], s["against"]["median"]
+            if base:
+                change = (s["this"]["median"] - base) / abs(base) * (1 if spec["better"] == "lower" else -1)
+                line += f"  worse by {change:+.1%}"
+                if "bound" in spec:
+                    line += f"  bound {spec['bound']:.1%}" + ("  beyond bound" if change > spec["bound"] else "")
+            lines.append(line)
     return "\n".join(lines)
 
 
@@ -180,7 +197,8 @@ def main(argv=None) -> int:
     if args.against:
         against = os.path.abspath(args.against)
         with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-            better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+            metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+        better = {name: m["better"] for name, m in metrics.items()}
         pairs = paired({"this": root, "against": against}, workloads, args.seed, args.seconds, args.pairs)
         summary = {workload: summarize(p, better) for workload, p in pairs.items()}
         bench = {
@@ -192,7 +210,7 @@ def main(argv=None) -> int:
             "src_lines": {"this": src_lines(root), "against": src_lines(against)},
         }
         codes = [p[side]["exit_code"] for ps in pairs.values() for p in ps for side in ("this", "against")]
-        print(summary_table(summary))
+        print(summary_table(summary, metrics))
         for line in line_deltas(bench["src_lines"]["this"], bench["src_lines"]["against"]):
             print(line)
         totals = (f"{side} {lines['total']:,}" for side, lines in bench["src_lines"].items())
