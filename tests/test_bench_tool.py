@@ -47,7 +47,7 @@ def test_summary_wins_follow_the_better_direction():
     }
 
 
-def _sides(this: float, against: float) -> dict:
+def _medians(this: float, against: float) -> dict:
     """A ``summarize`` result for one metric whose two sides have the given medians."""
     return {"pairs": 10, **{side: {"q1": median, "median": median, "q3": median, "wins": 5}
                             for side, median in (("this", this), ("against", against))}}
@@ -61,20 +61,21 @@ def test_summary_table_shows_each_change_against_its_bound():
         "setup_s": {"name": "setup_s", "better": "lower"},
     }
     summary = {
-        "a": {"wall_rel": _sides(1.5, 1.0), "peak_rss_mb": _sides(99.0, 100.0)},
-        "b": {"rate": _sides(70.0, 100.0), "setup_s": _sides(2.0, 1.0), "wall_rel": _sides(1.0, 0.0)},
+        "a": {"wall_rel": _medians(1.5, 1.0), "peak_rss_mb": _medians(99.0, 100.0)},
+        "b": {"rate": _medians(70.0, 100.0), "setup_s": _medians(2.0, 1.0), "wall_rel": _medians(1.0, 0.0)},
     }
-    def sides(this, against):
+
+    def shown(this, against):
         return f"this {this} [{this}, {this}] won 5/10  against {against} [{against}, {against}] won 5/10"
 
     assert bench.summary_table(summary, metrics).splitlines() == [
-        f"a             wall_rel     {sides(1.5, 1)}  worse by +50.0%  bound 25.0%  beyond bound",
-        f"a             peak_rss_mb  {sides(99, 100)}  worse by -1.0%  bound 10.0%",
+        f"a             wall_rel     {shown(1.5, 1)}  worse by +50.0%  bound 25.0%  beyond bound",
+        f"a             peak_rss_mb  {shown(99, 100)}  worse by -1.0%  bound 10.0%",
         # Higher is better here, so a lower median is the worse one.
-        f"b             rate         {sides(70, 100)}  worse by +30.0%  bound 25.0%  beyond bound",
+        f"b             rate         {shown(70, 100)}  worse by +30.0%  bound 25.0%  beyond bound",
         # No bound in BENCHMARK.json prints none, and a zero "against" median gives no share.
-        f"b             setup_s      {sides(2, 1)}  worse by +100.0%",
-        f"b             wall_rel     {sides(1, 0)}",
+        f"b             setup_s      {shown(2, 1)}  worse by +100.0%",
+        f"b             wall_rel     {shown(1, 0)}",
     ]
 
 
