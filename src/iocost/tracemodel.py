@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 # The request table lives in ``trace``; its names stay importable from here.
-from .trace import GET, TRACE_KINDS, AccessRecord, Trace, _id_codes, _row_buffers, group_pairs
+from .trace import GET, TRACE_KINDS, AccessRecord, Trace, _row_buffers, group_pairs
 from .units import KB, MAX_TRACE_INT, MB, FieldError, _nested, check_fields, check_value, regular_file
 
 # Kinds that carry a byte range and therefore need len > 0.
@@ -236,11 +237,13 @@ def _integers(words: np.ndarray, start: np.ndarray, end: np.ndarray):
     return values if (values >= _LEAST[digits]).all() else None
 
 
-def _canonical_columns(chunk: bytes, codes: dict[str, int]):
-    """The typed columns of a chunk of ``trace_lines``-shaped lines, or None.
+def _canonical_columns(chunk: bytes):
+    """The typed columns of a chunk of ``trace_lines``-shaped lines and its ids' keys, or None.
 
-    None if any line has another shape or fails a row check, so the file needs
-    the line path; ``codes``, an ``_id_codes`` map filled last, then stays untouched.
+    None if any line has another shape or fails a row check, so the file
+    needs the line path. Else ``(columns, keys)``, as ``_id_keys`` gives
+    them: each id's word count is in the place of the ``obj`` column,
+    which ``_coded`` makes from the keys once the file is read.
     """
     buf = np.frombuffer(chunk, np.uint8)
     quotes = np.flatnonzero(buf == ord('"'))
@@ -273,25 +276,111 @@ def _canonical_columns(chunk: bytes, codes: dict[str, int]):
     if not ((values <= limit).all() and (off + length <= limit).all()
             and ((length > 0) | ~_RANGED_CODES[kind]).all()):
         return None
-    text = chunk.decode("ascii")
-    ids = zip((quotes[:, 4] + 1 - _PAD).tolist(), (quotes[:, 5] - _PAD).tolist())
-    names = [text[start:end] for start, end in ids]
-    obj = np.fromiter(map(codes.__getitem__, names), np.int32, len(names))
-    return ts.astype(np.int64), obj, off.astype(np.int64), length.astype(np.int64), kind
+    count, keys = _id_keys(words, quotes[:, 4] + 1, quotes[:, 5] - quotes[:, 4] - 1)
+    return (ts.astype(np.int64), count, off.astype(np.int64), length.astype(np.int64), kind), keys
+
+
+# The mask of a word's first n bytes, at index n from 0 to 8.
+_BYTE_MASKS = np.array([_mask(bytes(n)) for n in range(9)], np.uint64)
+
+
+def _id_keys(words: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """The ids of ``length`` bytes from ``start`` in ``words``' bytes as keys: ``(count, keys)``.
+
+    ``count[i]`` is id i's number of words, ⌈length / 8⌉, and ``keys[k]``
+    holds a row of k words for each id of k words, in order, its last
+    word masked to the id's bytes. An id in the bulk shape holds no NUL,
+    so two ids of k words are equal exactly when their rows are; each
+    row is as wide as its own id.
+    """
+    count = (length + 7) // 8
+    keys = {}
+    for k in np.flatnonzero(np.bincount(count)).tolist():
+        rows = np.flatnonzero(count == k)
+        key = words[start[rows, None] + np.arange(0, 8 * k, 8)]
+        key[:, -1] &= _BYTE_MASKS[length[rows] - 8 * (k - 1)]
+        keys[k] = key
+    return count, keys
+
+
+# An id's hash is the sum of its k words times the first k powers of this odd number, mod 2**64.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _grouped(key: np.ndarray):
+    """The rows of ``key`` grouped by value, each group in row order: ``(order, new, distinct)``.
+
+    ``new[i]`` is True where ``order[i]`` is its group's first row, and
+    ``distinct`` holds those rows' keys. The rows are sorted once by the
+    high bits of their hash, with each row's index in the low bits, and
+    then compared word by word: only if two rows of one hash differ are
+    they sorted again, by a lexsort of their words.
+    """
+    n, k = key.shape
+    bits = np.uint64((n - 1).bit_length())
+    hashes = key @ np.full(k, _MIX).cumprod()
+    hashes >>= bits
+    hashes <<= bits
+    hashes |= np.arange(n, dtype=np.uint64)
+    hashes.sort()
+    order = (hashes & ((np.uint64(1) << bits) - np.uint64(1))).view(np.int64)
+    hashes >>= bits
+    grouped = key[order]
+    new = np.ones(n, bool)
+    np.any(grouped[1:] != grouped[:-1], axis=1, out=new[1:])
+    if (new[1:] & (hashes[1:] == hashes[:-1])).any():
+        order = np.lexsort(key.T)
+        grouped = key[order]
+        np.any(grouped[1:] != grouped[:-1], axis=1, out=new[1:])
+    return order, new, grouped[new]
+
+
+def _coded(count: np.ndarray, keys: dict):
+    """The ids of ``_id_keys`` keys, in order of first appearance, and each line's code: ``(objects, obj)``.
+
+    Each word count's keys are grouped (``_grouped``), and the groups of
+    every count are ranked by their first line, so the codes are those
+    that ``_id_codes`` gives line by line. Only the first key of each
+    group is decoded to ``str``.
+    """
+    obj = np.empty(len(count), np.int32)  # the group of each line, then its code
+    firsts, names = [], []
+    for k, key in keys.items():
+        order, new, distinct = _grouped(key)
+        # With one word count, the keys' rows are the lines.
+        rows = order if len(keys) == 1 else np.flatnonzero(count == k)[order]
+        firsts.append(rows[new])
+        groups = np.cumsum(new, dtype=np.int32)
+        groups += len(names) - 1
+        obj[rows] = groups
+        # A bytes value of a fixed-width array drops the NULs at its end.
+        names += map(bytes.decode, distinct.view(f"S{8 * k}").ravel().tolist())
+    rank = np.concatenate(firsts).argsort()
+    codes = np.empty(len(rank), np.int32)
+    codes[rank] = np.arange(len(rank))
+    return tuple(map(names.__getitem__, rank.tolist())), codes[obj]
 
 
 def _read_canonical(path: str) -> Trace | None:
     """The trace of a non-empty file of ``trace_lines``-shaped lines, or None at the first other chunk."""
-    codes = _id_codes()
-    columns = _row_buffers()
+    ts, _, off, length, kind = _row_buffers()
+    count, keys = array("q"), {}
     with open(path, "rb") as fh:
         for chunk in _chunks(fh):
-            parsed = _canonical_columns(chunk, codes)
+            parsed = _canonical_columns(chunk)
             if parsed is None:
                 return None
-            for buffer, column in zip(columns, parsed):
+            columns, chunk_keys = parsed
+            for buffer, column in zip((ts, count, off, length, kind), columns):
                 buffer.frombytes(memoryview(column).cast("B"))
-    return Trace._from_columns(tuple(codes), *columns) if codes else None
+            for k, key in chunk_keys.items():
+                keys.setdefault(k, array("Q")).frombytes(memoryview(key).cast("B"))
+    if not count:
+        return None
+    objects, obj = _coded(np.frombuffer(count, np.int64),
+                          {k: np.frombuffer(key, np.uint64).reshape(-1, k) for k, key in keys.items()})
+    del count, keys  # freed before the sort by time copies the columns
+    return Trace._from_columns(objects, ts, obj, off, length, kind)
 
 
 def read_trace(path: str) -> Trace:

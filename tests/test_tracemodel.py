@@ -220,6 +220,23 @@ def test_bulk_read_memory_is_bounded(tmp_path):
     assert peak < 8 * MB
 
 
+@pytest.mark.parametrize("mix", [tracemodel._MIX, np.uint64(0)])
+@pytest.mark.parametrize("chunk_bytes", [1, 120, 300])
+def test_bulk_ids_are_coded_across_chunks_as_the_line_path_codes_them(tmp_path, mix, chunk_bytes):
+    # Ids of 1, 2 and 4 words, most first seen in a later chunk than the first line's and seen again
+    # in a later one still; chunks of one, about two and about four lines. A zero multiplier gives
+    # every id one hash, so that the ids are grouped by the lexsort of their words.
+    ids = ["abcdefghX", "a", "warehouse/tbl/part-00017.orc", "abcdefghX", "b", "warehouse/tbl/part-00018.orc",
+           "a", "abcdefgh", "b", "warehouse/tbl/part-00017.orc", "abcdefgh"]
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(f'{{"ts_ms":{len(ids) - i},"obj":"{o}","off":0,"len":1,"kind":"get"}}\n'
+                            for i, o in enumerate(ids)))
+    want, _ = _line_path(path)
+    with mock.patch.object(tracemodel, "_CHUNK_BYTES", chunk_bytes), mock.patch.object(tracemodel, "_MIX", mix):
+        _assert_same_trace(tracemodel._read_canonical(str(path)), want)
+    assert want.objects == tuple(dict.fromkeys(ids))
+
+
 def _written_twice(lines):
     once = list(trace_lines(parse_trace(lines)))
     assert list(trace_lines(parse_trace(once))) == once
@@ -362,8 +379,8 @@ def test_bulk_read_equals_the_line_path_property(tmp_path_factory, lines, last_n
     assert parse.call_count == (0 if canonical else 2)
 
 
-def _oracle_columns(chunk, codes):
-    """``_canonical_columns`` by the oracle: the shape by regex, the row checks by the line path."""
+def _oracle_columns(chunk):
+    """``_canonical_columns``' columns by the oracle, with each line's id in the place of its word count."""
     rows = _CANONICAL_LINE.findall(chunk.decode("latin-1"))
     if len(rows) != chunk.count(b"\n"):
         return None
@@ -373,15 +390,13 @@ def _oracle_columns(chunk, codes):
     except ValueError:
         return None
     ts, names, off, length, kinds = zip(*rows)
-    for name in names:
-        codes.setdefault(name, len(codes))
-    return (np.array(ts, np.int64), np.array([codes[o] for o in names], np.int32), np.array(off, np.int64),
+    return (np.array(ts, np.int64), list(names), np.array(off, np.int64),
             np.array(length, np.int64), np.array([TRACE_KINDS.index(k) for k in kinds], np.uint8))
 
 
 # Every character an id may hold in the bulk shape: printable ASCII and DEL, no quote or backslash.
 _BULK_ID_CHARS = "".join(chr(c) for c in range(0x20, 0x80) if chr(c) not in '"\\')
-_bulk_ids = st.sampled_from(["o1", "o2", "a\x7f"]) | st.text(_BULK_ID_CHARS, min_size=1, max_size=4)
+_bulk_ids = st.sampled_from(["o1", "o2", "a\x7f"]) | st.text(_BULK_ID_CHARS, min_size=1, max_size=20)
 _bulk_rows = st.lists(
     st.tuples(_valid_record(), _bulk_ids).map(lambda drawn: (*drawn[0][:1], drawn[1], *drawn[0][2:])),
     min_size=1,
@@ -429,6 +444,11 @@ _TWO_ROWS = [(1, "a", 0, 1, "get"), (2, "b", 0, 1, "get")]
 @example(rows=_TWO_ROWS, at=1, miss=("byte", b"\r", 51, True))
 @example(rows=_TWO_ROWS, at=1, miss=("no brace",))
 @example(rows=[(1, "a", 0, MAX_TRACE_INT, "get")], at=0, miss=("field", 2, "9" * 19))
+# Ids of 8 and 9, 16 and 17 bytes, one word apart, and ids that share their first word.
+@example(rows=[(1, "abcdefgh", 0, 1, "get"), (2, "abcdefghX", 0, 1, "get"), (3, "abcdefgh", 0, 1, "get")],
+         at=0, miss=("none",))
+@example(rows=[(1, "p" * 17, 0, 1, "get"), (2, "p" * 16, 0, 1, "get"), (3, "p" * 16 + "q", 0, 1, "get"),
+               (4, "p" * 17, 0, 1, "get")], at=0, miss=("none",))
 def test_bulk_columns_equal_the_oracle_on_near_misses_property(rows, at, miss):
     at = min(at, len(rows) - 1)
     lines = [_bulk_line(row) for row in rows]
@@ -446,12 +466,15 @@ def test_bulk_columns_equal_the_oracle_on_near_misses_property(rows, at, miss):
         lines.insert(at, b"\n")
     chunk = b"".join(lines)
     chunk += b"" if chunk.endswith(b"\n") else b"\n"  # as _chunks hands a last line over
-    codes, want_codes = tracemodel._id_codes(), {"o1": 0}
-    codes["o1"]  # o1 takes code 0 before the chunk, as in the oracle's map
-    got, want = tracemodel._canonical_columns(chunk, codes), _oracle_columns(chunk, want_codes)
+    got, want = tracemodel._canonical_columns(chunk), _oracle_columns(chunk)
     assert (got is None) == (want is None)
-    assert codes == want_codes
-    for a, b in zip(got or (), want or ()):
+    if got is None:
+        return
+    got, keys = got
+    objects, obj = tracemodel._coded(got[1], keys)
+    assert obj.dtype == np.int32 and [objects[code] for code in obj.tolist()] == want[1]
+    assert objects == tuple(dict.fromkeys(want[1]))  # codes by first appearance
+    for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
