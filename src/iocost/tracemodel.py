@@ -125,11 +125,10 @@ def parse_trace(lines) -> Trace:
 
 
 # Bytes ``read_trace`` reads at a time, before it completes the last line.
-# A warm read of a 10**5-line trace of ranged gets (7.4 MB) took a median
-# of 77-113 ms at 256 KiB against 82-125 ms at 128 KiB, over runs of 15
-# alternating calls on a shared 2-vCPU x86-64 box. 512 KiB saved up to 6%
-# more in two of three runs but raised the `iocost scenario run` process's
-# own peak RSS by ~2 MiB, where 256 KiB peaks as 128 KiB does.
+# Warm reads of a 10**5-line trace of ranged gets (7.4 MB), in three runs
+# of 15 alternating calls on a shared 2-vCPU x86-64 box, took a median of
+# 54-77 ms at 256 KiB, 57-81 ms at 128 KiB and 55-76 ms at 512 KiB, which
+# is no faster for twice the bytes a chunk.
 _CHUNK_BYTES = 1 << 18
 
 
