@@ -13,12 +13,12 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .trace import GET, Trace, exact_sum, group_pairs
+from .trace import GET, Trace, exact_sum, group_keys, group_pairs, pair_bits
 from .units import MAX_TRACE_INT, MB, REQUIRED
 
 # Most block touches (blocks covered by the gets, counted per get) one
-# simulation expands. The sweep peaks at about 37 bytes per touch, so
-# the limit costs about 3.7 GB; being below 2**31, it also keeps every
+# simulation expands. The sweep peaks at about 33 bytes per touch, so
+# the limit costs about 3.3 GB; being below 2**31, it also keeps every
 # touch position exact in the int32 arrays of the sweep.
 MAX_TRACE_TOUCHES = 10**8
 
@@ -102,7 +102,10 @@ def _touches(trace: Trace, block_bytes: int):
     Records are walked in trace order and each get's blocks in ascending
     order. Returns ``(prev, starts, counts, requested)``: ``prev[t]`` is
     the position of the previous touch of t's (object, block) pair, or
-    -1 at the pair's first touch, from one scatter over ``group_pairs``;
+    -1 at the pair's first touch, from one scatter over the touches
+    grouped by pair: ``group_pairs``' packed key is built from per-get
+    values with one ``np.repeat`` and grouped by ``group_keys``, and
+    past 63 bits the expanded touches take ``group_pairs``' lexsort;
     ``starts`` and ``counts`` give each get's first touch position and
     block count; ``requested`` is the exact byte total of the gets.
     Positions are int32. More than ``MAX_TRACE_TOUCHES``
@@ -115,8 +118,8 @@ def _touches(trace: Trace, block_bytes: int):
     # and a larger block puts every get in block 0.
     off, length = trace.off[get], trace.length[get]
     divisor = min(block_bytes, MAX_TRACE_INT)
-    first = off // divisor
-    counts = (off + length - 1) // divisor - first + 1
+    first, last = off // divisor, (off + length - 1) // divisor
+    counts = last - first + 1
     # Clipped, the sum stays exact in int64 for any trace under 2**32 gets.
     if np.minimum(counts, MAX_TRACE_TOUCHES + 1).sum() > MAX_TRACE_TOUCHES:
         raise ValueError(
@@ -124,14 +127,32 @@ def _touches(trace: Trace, block_bytes: int):
             f"{block_bytes} bytes; use a larger block size"
         )
     requested = exact_sum(length)  # exact: the limit keeps the gets below 2**31
+    del off, length
     counts = counts.astype(np.int32)
     starts = np.cumsum(counts, dtype=np.int32) - counts
     total = int(counts.sum())
-    block = np.repeat(first - starts, counts)
-    del first
-    block += np.arange(total, dtype=np.int64)
-    order, new = group_pairs(np.repeat(trace.obj[get], counts), block)
-    del block
+    obj = trace.obj[get]
+    bits = total and pair_bits(int(obj.max() - obj.min()), int(last.max() - first.min()), total)
+    del last
+    if bits:
+        # group_pairs' packed (object, block, position) key of touch t of
+        # get g is c[g] + t * (2**pos_bits + 1).
+        block_bits, pos_bits = bits
+        c = np.subtract(obj, obj.min(), dtype=np.int64)
+        c <<= block_bits
+        c += first - first.min() - starts
+        c *= 1 << pos_bits
+        del first, obj
+        key = np.arange(total, dtype=np.int64)
+        key *= (1 << pos_bits) + 1
+        key += np.repeat(c, counts)
+        del c
+        order, new = group_keys(key, pos_bits)
+    else:  # over 63 bits: group_pairs' lexsort of the expanded touches
+        block = np.repeat(first - starts, counts)
+        block += np.arange(total, dtype=np.int64)
+        order, new = group_pairs(np.repeat(obj, counts), block)
+        del block
     prev = np.full(total, -1, dtype=np.int32)
     prev[order[1:]] = np.where(new[1:], -1, order[:-1])
     return prev, starts, counts, requested
@@ -155,16 +176,14 @@ def _stack_distances(prev, starts, counts, low: int, high: int) -> np.ndarray:
     below ``low`` (the smallest nonzero capacity) hits at every
     capacity, and one whose lower bound reaches ``high`` (the largest
     capacity below the footprint) misses at every capacity below the
-    footprint; each keeps that bound. Only the rest are counted
-    exactly, as ``#{j < r: prev[j] <= p} - (p + 1)``: every position
-    up to ``p`` has ``prev[j] < j <= p``, and in the window ``(p, r)``
-    only the first touch of each distinct pair has its previous touch
-    at or before ``p``. The count is taken offline, one bit of ``r``
-    per level: at level ``k``, ``prev`` itself is sorted in place
-    within aligned chunks of ``2**k``, and a binary search for the
-    first entry ``>= p + 1`` in one chunk answers each query whose
-    prefix ``[0, r)`` ends with a chunk of that size. The caller's
-    ``prev`` is left sorted in those chunks.
+    footprint; each keeps that bound. The rest are counted. Every
+    position up to ``p`` has ``prev[j] < j <= p``, and in the window
+    ``(p, r)`` only the first touch of each distinct pair has its
+    previous touch at or before ``p``, so the distance is
+    ``seen[r] - (p + 1) + #{i < rho: q[i] <= p}``, where ``seen[r]``
+    counts the first touches before ``r``, ``q`` lists the re-touches'
+    ``prev`` in touch order and ``rho = r - seen[r]`` is the number of
+    re-touches before ``r``: only re-touches are points.
 
     Re-touches come in runs, and one count serves a whole run. A
     re-touch ``t`` continues the run of ``t - 1`` when ``t - 1`` is a
@@ -175,61 +194,100 @@ def _stack_distances(prev, starts, counts, low: int, high: int) -> np.ndarray:
     so ``dist(t) = dist(t - 1) - 1`` exactly. Only the head of each run
     holding a touch the bounds leave open is counted, even where its own
     bounds decide it (a kept bound is no distance to step down from),
-    and each touch of the run takes the head's distance less its offset;
-    every other touch keeps its bound. The runs are found over the re-touches
-    alone, so they add little memory.
+    and each touch of the run takes the head's kept distance less its
+    offset; every other touch keeps its bound.
+
+    The count walks ``[0, rho)`` top-down, largest aligned chunk first:
+    at level ``k`` every open head with bit ``k`` of ``rho`` set counts
+    the values ``<= p`` of ``q``'s chunk of ``2**k`` just below
+    ``rho >> k << k``, by a binary search in a sorted copy of that
+    chunk, or whole when the chunk holds only re-touches up to ``p``.
+    After level ``k`` a head's distance lies in ``[lo, lo + rem]``
+    with ``lo`` the count so far and ``rem = rho % 2**k``, and its run's
+    distances are that less 0 to ``span``, the run's touches after the
+    head. A head stops as soon as its whole run is decided. If
+    ``lo + rem < low`` every touch of the run hits at every nonzero
+    capacity, and the head keeps ``lo + rem``: an upper bound, so no
+    kept value of the run goes below its distance, nor below 0, and
+    each misses at capacity 0. If ``lo - span >= high`` every touch
+    misses at every capacity up to ``high``, and the head keeps ``lo``:
+    a lower bound, so each kept value stays below the footprint. A
+    distance is thus exact wherever a capacity in ``low..high``
+    separates it from its bound. ``prev``'s storage is the sort
+    buffer: each level copies the chunks its open heads search into
+    it, so the caller's ``prev`` is spent.
     """
     total = len(prev)
     # seen[x]: distinct pairs first touched before position x.
     seen = np.zeros(total + 1, dtype=np.int32)
     np.cumsum(prev < 0, dtype=np.int32, out=seen[1:])
     query = np.flatnonzero(prev >= 0).astype(np.int32)
-    before = prev[query]
+    q = prev[query]
     r = np.repeat(starts, counts)[query]
-    upper = np.minimum(r - before, seen[r]) - 1
-    lower = seen[r] - seen[before + 1]
-    dist = np.full(total, total, dtype=np.int32)
-    dist[query] = np.where(upper < low, upper, lower)
+    seen_r = seen[r]
+    upper = np.minimum(r - q, seen_r) - 1
+    lower = seen_r - seen[q + 1]
+    del seen_r
     exact = (upper >= low) & (lower < high)
+    np.copyto(lower, upper, where=upper < low)  # the bound each touch keeps
+    dist = np.full(total, total, dtype=np.int32)
+    dist[query] = lower
     del upper, lower
     # The runs over the queries, and which of them hold an open touch.
     head = np.ones(len(query), dtype=bool)
-    head[1:] = (np.diff(query) != 1) | (np.diff(r) != 0) | (np.diff(before) != 1)
+    head[1:] = (np.diff(query) != 1) | (np.diff(r) != 0) | (np.diff(q) != 1)
     run = np.cumsum(head, dtype=np.int32) - 1
     heads = np.flatnonzero(head).astype(np.int32)
     counted = np.zeros(len(heads), dtype=bool)
     counted[run[exact]] = True
+    span = np.diff(heads, append=np.int32(len(query)))[counted] - 1
     heads = heads[counted]
-    bound, r = before[heads] + 1, r[heads]
-    del head, exact, before
-    found = np.zeros(len(heads), dtype=np.int32)
-    end = int(r.max(initial=0))
-    for k in range(end.bit_length()):
+    bound, r = q[heads] + 1, r[heads]
+    rho = r - seen[r]
+    lo = seen[r] - bound  # the distance less the count still to take
+    inside = bound - seen[bound]  # the re-touches up to p, whose q all count
+    del head, exact, r, seen
+    kept = np.empty(len(heads), dtype=np.int32)
+    live = np.arange(len(heads), dtype=np.int32)  # the open heads' indices in heads
+    for k in reversed(range(int(rho.max(initial=0)).bit_length())):
         size = 1 << k
-        # Each chunk is two chunks sorted at the level below; a query's
-        # chunk always lies inside the whole chunks sorted here.
-        chunks = prev[:end >> k << k].reshape(-1, size)
-        if k == 1:  # a pair sorts with one min/max pass
-            smaller = np.minimum(chunks[:, 0], chunks[:, 1])
-            np.maximum(chunks[:, 0], chunks[:, 1], out=chunks[:, 1])
-            chunks[:, 0] = smaller
-        elif k > 1:
-            chunks.sort(axis=1)
-        sel = np.flatnonzero(r & size)
-        least = bound[sel]
-        chunk = (r[sel] >> k << k) - size
-        # The first entry >= prev + 1 in each query's chunk.
-        at = chunk.copy()
-        step = size
-        while step > 1:
-            step >>= 1
-            at += np.where(prev[at + step - 1] < least, step, 0)
-        at += prev[at] < least
-        found[sel] += at - chunk
-    # The query at index i of a counted run is its head's distance less i - head.
+        sel = (rho & size) != 0
+        # A chunk of re-touches up to p counts whole.
+        whole = sel & (rho >> k << k <= inside)
+        lo[whole] += size
+        sel = np.flatnonzero(sel ^ whole)
+        if len(sel):
+            # rho is ascending, so each distinct chunk is one run of sel.
+            chunk = rho[sel] >> k
+            new = np.ones(len(sel), dtype=bool)
+            np.not_equal(chunk[1:], chunk[:-1], out=new[1:])
+            rows = chunk[new] - 1
+            buffer = prev[:len(rows) << k].reshape(-1, size)
+            np.take(q[:int(rows[-1] + 1) << k].reshape(-1, size), rows, axis=0, out=buffer)
+            if k:
+                buffer.sort(axis=1)
+            # The first entry >= p + 1 in each head's sorted chunk.
+            first = (np.cumsum(new, dtype=np.int32) - 1) << k
+            at = first.copy()
+            least = bound[sel]
+            step = size
+            while step > 1:
+                step >>= 1
+                at += np.where(prev[at + step - 1] < least, step, 0)
+            at += prev[at] < least
+            lo[sel] += at - first
+        rem = rho & (size - 1)
+        below = lo + rem < low
+        done = below | (lo - span >= high)
+        if done.any():
+            kept[live[done]] = (lo + rem * below)[done]
+            keep = ~done
+            live, rho, lo, bound, span, inside = (a[keep] for a in (live, rho, lo, bound, span, inside))
+    kept[live] = lo
+    # The query at index i of a counted run is its head's kept distance less i - head.
     base = np.zeros(len(counted), dtype=np.int32)
-    base[counted] = found - bound + heads
-    del prev, seen, r, found, bound, heads
+    base[counted] = kept + heads
+    del prev, q, kept, heads
     member = np.flatnonzero(counted[run])
     dist[query[member]] = base[run[member]] - member
     return dist
@@ -245,7 +303,7 @@ def sweep(trace: Trace, template: CacheConfig, capacities) -> list[CacheReport]:
     computed once and each capacity costs a few array passes. A
     capacity at or past the footprint hits every re-touch, so only the
     largest capacity below it bounds the exact counting. Memory is
-    O(block touches), about 37 bytes per touch at peak.
+    O(block touches), about 33 bytes per touch at peak.
     """
     configs = [replace(template, capacity_bytes=cap) for cap in capacities]
     if not configs:

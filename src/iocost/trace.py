@@ -93,32 +93,52 @@ def exact_sum(values: np.ndarray) -> int:
     return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
 
 
+def pair_bits(obj_span: int, block_span: int, n: int) -> tuple[int, int] | None:
+    """``(block_bits, pos_bits)`` of the packed key of ``group_pairs``, or None past 63 bits.
+
+    The key of position ``t`` is ``obj << (block_bits + pos_bits) |
+    block << pos_bits | t``, each of the object and the block less its
+    minimum; ``obj_span`` and ``block_span`` are their largest values.
+    """
+    pos_bits = (n - 1).bit_length()
+    block_bits = block_span.bit_length()
+    if obj_span.bit_length() + block_bits + pos_bits <= 63:
+        return block_bits, pos_bits
+    return None
+
+
+def group_keys(key, pos_bits: int):
+    """``group_pairs``' ``(order, new)`` from its packed int64 keys; ``order`` is ``key``'s storage."""
+    key.sort()
+    pair = key >> pos_bits
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(pair[1:], pair[:-1], out=new[1:])
+    key &= (1 << pos_bits) - 1
+    return key, new
+
+
 def group_pairs(obj, block):
     """Positions grouped by (object, block) pair: ``(order, new)``.
 
     ``order`` lists the positions by object, then block, then position,
     so ascending within a pair; ``new[i]`` is True where ``order[i]`` is
     its pair's first position. When the object and block, each less its
-    minimum, and the position pack into one int64 key of at most 63 bits,
-    this is one sort of those keys; otherwise a stable lexsort.
+    minimum, and the position pack into one int64 key of at most 63 bits
+    (``pair_bits``), this is one sort of those keys (``group_keys``);
+    otherwise a stable lexsort.
     """
     n = len(obj)
     if n:
         obj_min, block_min = int(obj.min()), int(block.min())
-        pos_bits = (n - 1).bit_length()
-        block_bits = (int(block.max()) - block_min).bit_length()
-        if (int(obj.max()) - obj_min).bit_length() + block_bits + pos_bits <= 63:
+        bits = pair_bits(int(obj.max()) - obj_min, int(block.max()) - block_min, n)
+        if bits:
+            block_bits, pos_bits = bits
             key = np.subtract(obj, obj_min, dtype=np.int64)
             key <<= block_bits
             key |= np.subtract(block, block_min, dtype=np.int64)
             key <<= pos_bits
             key |= np.arange(n, dtype=np.int64)
-            key.sort()
-            order = key & ((1 << pos_bits) - 1)
-            key >>= pos_bits  # the pair part alone
-            new = np.ones(n, dtype=bool)
-            np.not_equal(key[1:], key[:-1], out=new[1:])
-            return order, new
+            return group_keys(key, pos_bits)
     order = np.lexsort((block, obj))
     new = np.ones(len(order), dtype=bool)
     # One sorted key at a time keeps the peak at one extra key array.

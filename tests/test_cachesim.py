@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from iocost import cachesim
@@ -20,6 +20,7 @@ from iocost.cachesim import (
     simulate,
     sweep,
 )
+from iocost.trace import GET
 from iocost.tracemodel import AccessRecord, SynthSpec, Trace, synthesize_trace
 from iocost.units import KB, MB
 
@@ -411,6 +412,103 @@ def test_exact_distances_match_a_set_oracle_property(recs):
     footprint = int(np.count_nonzero(prev < 0))
     dist = cachesim._stack_distances(prev, starts, counts, 1, footprint)
     assert {int(t): int(dist[t]) for t in retouches} == want
+
+
+def _exact_distances(trace, block=B):
+    """Each re-touch's exact distance by a set walk: {position: distinct pairs in its window}."""
+    pairs, request_start = [], []
+    for r in trace.gets():
+        start = len(pairs)
+        for idx in range(r.off // block, (r.off + r.length - 1) // block + 1):
+            pairs.append((r.obj, idx))
+            request_start.append(start)
+    last, want = {}, {}
+    for t, pair in enumerate(pairs):
+        if pair in last:
+            want[t] = len(set(pairs[last[pair] + 1:request_start[t]]))
+        last[pair] = t
+    return want
+
+
+@given(_records, st.data())
+def test_kept_distances_decide_every_capacity_property(recs, data):
+    # The kernel's contract for any low <= high: each re-touch's kept
+    # distance falls on the same side as its exact distance of capacity
+    # 0, of every capacity in low..high and of the footprint, and it is
+    # exact wherever the exact distance lies in [low, high).
+    trace = _mixed_trace(recs)
+    prev, starts, counts, _ = cachesim._touches(trace, B)
+    footprint = int(np.count_nonzero(prev < 0))
+    low = data.draw(st.integers(0, footprint), label="low")
+    high = data.draw(st.integers(low, footprint), label="high")
+    dist = cachesim._stack_distances(prev, starts, counts, low, high)
+    want = _exact_distances(trace)
+    caps = {0, footprint, *range(low, high + 1)}
+    for t, exact in want.items():
+        kept = int(dist[t])
+        assert [kept < cap for cap in sorted(caps)] == [exact < cap for cap in sorted(caps)], (t, kept, exact)
+        if low <= exact < high:
+            assert kept == exact, (t, kept, exact)
+    first = np.setdiff1d(np.arange(len(dist)), list(want))
+    assert (dist[first] >= footprint).all()  # a first touch misses at every capacity
+
+
+def test_a_run_that_stops_below_low_keeps_the_upper_end_of_its_count():
+    # C D [A B] E E E E [A B] C at 4 blocks. The re-read [A B] is one
+    # run, and A's bounds 2 and 4 leave it open. Before its request come
+    # 3 re-touches, all of E; the top level, of 2, finds none of them
+    # at or before A's previous touch, so A's distance lies in [2, 3]
+    # and the run's in [1, 3]: below 4, the run stops there. A keeps the
+    # upper end 3 and B 2, each at least its distance (2 and 1), so no
+    # kept value goes below 0, and both miss at capacity 0.
+    trace = _trace([
+        _block_read(2), _block_read(3), ("o", 0, 2 * B), _block_read(4), _block_read(4),
+        _block_read(4), _block_read(4), ("o", 0, 2 * B), _block_read(2),
+    ])
+    kept = _retouch_distances(trace, 4)
+    assert kept == [(5, 0), (6, 0), (7, 0), (8, 3), (9, 2), (10, 4)]
+    exact = _exact_distances(trace)
+    assert all(d >= exact[t] >= 0 for t, d in kept)
+    capacities = [0, 4 * B]
+    assert sweep(trace, CacheConfig(0, B), capacities) == _walked(trace, capacities)
+
+
+def _prev_oracle(trace, block):
+    """Each block touch's previous touch of its (object, block) pair, or -1, by a dict walk."""
+    last, prev = {}, []
+    for rec in trace.gets():
+        for idx in range(rec.off // block, (rec.off + rec.length - 1) // block + 1):
+            prev.append(last.get((rec.obj, idx), -1))
+            last[(rec.obj, idx)] = len(prev) - 1
+    return prev
+
+
+# At 1-byte blocks a record takes its offset and length in whole B-byte
+# units, so a get still touches at most 8 blocks. Gets on the shifted
+# objects move by whole blocks near 2**61: at 1-byte blocks a trace
+# mixing shifted and unshifted gets spans 62 bits of blocks, so with
+# its objects and positions the packed key passes 63 bits and the
+# grouping takes the lexsort; at B-byte blocks the span is 51 bits.
+@example([("get", "a", 0, 3 * B), ("get", "b", 0, 3 * B)], {"a"}, 1)
+@example([("get", "a", 0, 3 * B), ("get", "b", 0, 3 * B)], {"a"}, B)
+@given(_records, st.sets(st.sampled_from(["a", "b", "c"])), st.sampled_from([1, B]))
+def test_touches_prev_matches_a_dict_walk_property(recs, shifted, block):
+    if block == 1:
+        recs = [(kind, obj, off // B, -(-length // B)) for kind, obj, off, length in recs]
+    shift = 2**61 // block * block
+    trace = _mixed_trace([
+        (kind, obj, off + shift if kind == "get" and obj in shifted else off, length)
+        for kind, obj, off, length in recs
+    ])
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        prev, starts, counts, _ = cachesim._touches(trace, block)
+    assert prev.tolist() == _prev_oracle(trace, block)
+    assert counts.sum() == len(prev) and starts.tolist() == (np.cumsum(counts) - counts).tolist()
+    get = trace.kind == GET
+    if len(prev):
+        off, length, obj = trace.off[get], trace.length[get], trace.obj[get]
+        spans = (obj.max() - obj.min(), (off + length - 1).max() // block - off.min() // block, len(prev) - 1)
+        assert lexsort.called == (sum(int(x).bit_length() for x in spans) > 63)
 
 
 def test_sweep_memory_per_touch():
