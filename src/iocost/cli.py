@@ -12,8 +12,9 @@ numeric flags are JSON numbers. Exit codes: 0 success (also when the
 reader of stdout closes it early), 2 validation error, 3 runtime error.
 
 `entry` is the process behind the `iocost` script and `python -m
-iocost.cli`: it handles a closed stdout and skips the interpreter's
-shutdown collection. `main` is for in-process callers and leaves the
+iocost.cli`: it handles a closed stdout and runs with the cyclic
+garbage collector off from entry to exit, the interpreter's shutdown
+collection included. `main` is for in-process callers and leaves the
 process alone.
 
 Each subcommand imports what it uses when it runs; building the parser
@@ -242,10 +243,14 @@ def entry() -> NoReturn:
     that stops reading is no fault of the input or of the program: when
     a write or the flush meets a closed stdout, fd 1 goes to devnull so
     the interpreter's exit flush stays silent, and a write that failed
-    inside ``main`` exits 0. ``gc.freeze()`` moves every object into the
-    permanent generation, which the collection at interpreter shutdown
-    skips; exit handlers and stream flushes still run.
+    inside ``main`` exits 0. The cyclic collector is off while ``main``
+    runs: a run keeps its data in numpy arrays and makes no reference
+    cycles, so its collections would only walk the objects left from
+    imports. The collection at interpreter shutdown runs even so, and
+    ``gc.freeze()`` moves every object into the permanent generation,
+    which it skips; exit handlers and stream flushes still run.
     """
+    gc.disable()
     if sys.stdout is None:
         # Started with fd 1 closed: output goes nowhere, as to a closed pipe.
         sys.stdout = open(os.devnull, "w")
