@@ -12,10 +12,10 @@ numeric flags are JSON numbers. Exit codes: 0 success (also when the
 reader of stdout closes it early), 2 validation error, 3 runtime error.
 
 `entry` is the process behind the `iocost` script and `python -m
-iocost.cli`: it handles a closed stdout and runs with the cyclic
-garbage collector off from entry to exit, the interpreter's shutdown
-collection included. `main` is for in-process callers and leaves the
-process alone.
+iocost.cli`: it handles a closed stdout, runs with the cyclic garbage
+collector off, and freezes what is left so that the interpreter's
+shutdown collection skips it. `main` is for in-process callers and
+leaves the process alone.
 
 Each subcommand imports what it uses when it runs; building the parser
 loads only this module and ``units``. `price` loads ``pricing``, `synth`

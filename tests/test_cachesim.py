@@ -473,6 +473,27 @@ def test_a_run_that_stops_below_low_keeps_the_upper_end_of_its_count():
     assert sweep(trace, CacheConfig(0, B), capacities) == _walked(trace, capacities)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_run_that_stops_at_high_keeps_the_lower_end_of_its_count(seed):
+    # A few hundred gets over one object of a few one-byte blocks, swept
+    # at the footprint less one and at the footprint: low and high are
+    # both the footprint less one, so a run whose distances all reach it
+    # stops there. Such a run keeps its lower end, below the footprint,
+    # and hits at the footprint; its upper end can reach it and miss.
+    rng = random.Random(seed)
+    blocks = rng.randint(6, 10)
+    gets = []
+    for _ in range(rng.randint(200, 400)):
+        off = rng.randrange(blocks)
+        gets.append(("o", off, rng.randint(1, blocks - off)))
+    trace = _trace(gets)
+    footprint = distinct_blocks(trace, 1)
+    capacities = [footprint - 1, footprint]
+    reports = sweep(trace, CacheConfig(0, 1), capacities)
+    assert reports == [_lru_oracle(trace, CacheConfig(cap, 1)) for cap in capacities]
+    assert reports[-1].misses == footprint
+
+
 def _prev_oracle(trace, block):
     """Each block touch's previous touch of its (object, block) pair, or -1, by a dict walk."""
     last, prev = {}, []

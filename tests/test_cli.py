@@ -661,6 +661,17 @@ def test_bundled_reports_cover_every_scenario():
     assert {name for name, _ in REPORT_DIGESTS} == {p.name for p in SCENARIOS.glob("*.json")}
 
 
+@pytest.mark.parametrize("name,fmt", sorted(REPORT_DIGESTS))
+def test_bundled_reports_through_the_process_are_pinned(name, fmt):
+    # The same reports from `python -m iocost.cli`, whose process runs
+    # without the cyclic garbage collector.
+    argv = ["scenario", "run", str(SCENARIOS / name), "--format", fmt] + (["--annual"] if fmt == "table" else [])
+    proc = subprocess.run([sys.executable, "-m", "iocost.cli", *argv], capture_output=True,
+                          env=_src_env(os.environ), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_DIGESTS[(name, fmt)]
+
+
 @pytest.mark.parametrize("name", sorted({name for name, _ in REPORT_DIGESTS}))
 def test_an_annual_run_echoes_the_scenario_it_ran(name, capsys):
     # --annual on a file without "annual": true: the echo alone must reproduce the report.
@@ -1228,6 +1239,25 @@ def test_main_in_process_leaves_the_garbage_collector_alone(capsys):
     assert main(["--help"]) == 0
     assert gc.get_freeze_count() == 0
     assert gc.isenabled()
+
+
+def test_the_process_entry_runs_main_without_the_garbage_collector():
+    # main is a stub that reports the collector's state and exits 2; an
+    # exit handler reports whether entry froze the objects left for the
+    # interpreter's shutdown collection, which runs even when disabled.
+    script = "\n".join([
+        "import atexit, gc, sys",
+        "from iocost import cli",
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))",
+        "def stub():",
+        "    print('enabled', gc.isenabled(), file=sys.stderr)",
+        "    return 2",
+        "cli.main = stub",
+        "cli.entry()",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_src_env(os.environ), timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "enabled False\nfrozen True\n")
 
 
 def test_the_console_script_is_the_process_entry():
