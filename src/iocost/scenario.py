@@ -258,11 +258,27 @@ class CostReport:
 
 
 def _run_scan(section: dict, scenario: Scenario) -> tuple[dict, str, dict]:
+    """Both sides of a scan, planned on the supplied data or on data synthesized from the seed.
+
+    Synthesis draws the layout's columns in layout order up to the last
+    one a predicate compares, so each gets the values a draw of every
+    column gives it; a scan with no predicate draws none.
+    """
     from . import columnar
 
     layout, data, gap = section["layout"], section["data"], section["coalesce_gap"]
     select, predicates, pushdown = section["query"]
-    columns = columnar.synthesize_column_data(layout, scenario.seed) if data is None else data
+    columns = data
+    if data is None:
+        import numpy as np
+
+        # plan_scan only takes the len() of a column no predicate compares, so each
+        # column past the drawn ones is a zero-stride view of one 0: no values, no draw.
+        columns = dict.fromkeys((col.name for col in layout.columns), np.broadcast_to(np.int32(0), layout.rows))
+        drawn = max((layout.columns.index(layout.column(p.column)) + 1 for p in predicates), default=0)
+        if drawn:
+            prefix = replace(layout, columns=layout.columns[:drawn])
+            columns.update(columnar.synthesize_column_data(prefix, scenario.seed))
     sides = {}
     for name, mode_pushdown in (("pushdown", True), ("full_scan", False)):
         plan = columnar.plan_scan(layout, columns, select, predicates, pushdown=mode_pushdown)

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 # The request table lives in ``trace``; its names stay importable from here.
-from .trace import GET, TRACE_KINDS, AccessRecord, Trace, _row_buffers, group_pairs
+from .trace import GET, TRACE_KINDS, AccessRecord, Trace, group_pairs
 from .units import KB, MAX_TRACE_INT, MB, FieldError, _nested, check_fields, check_value, regular_file
 
 # Kinds that carry a byte range and therefore need len > 0.
@@ -361,24 +360,30 @@ def _coded(count: np.ndarray, keys: dict):
 
 
 def _read_canonical(path: str) -> Trace | None:
-    """The trace of a non-empty file of ``trace_lines``-shaped lines, or None at the first other chunk."""
-    ts, _, off, length, kind = _row_buffers()
-    count, keys = array("q"), {}
+    """The trace of a non-empty file of ``trace_lines``-shaped lines, or None at the first other chunk.
+
+    Each chunk's columns and keys are kept as they are parsed and joined
+    once the file is read, one at a time, each list freed as it is joined.
+    """
+    columns, keys = [[] for _ in range(5)], {}  # ts, count, off, length, kind
     with open(path, "rb") as fh:
         for chunk in _chunks(fh):
             parsed = _canonical_columns(chunk)
             if parsed is None:
                 return None
-            columns, chunk_keys = parsed
-            for buffer, column in zip((ts, count, off, length, kind), columns):
-                buffer.frombytes(memoryview(column).cast("B"))
-            for k, key in chunk_keys.items():
-                keys.setdefault(k, array("Q")).frombytes(memoryview(key).cast("B"))
-    if not count:
+            for parts, column in zip(columns, parsed[0]):
+                parts.append(column)
+            for k, key in parsed[1].items():
+                keys.setdefault(k, []).append(key)
+    if not keys:
         return None
-    objects, obj = _coded(np.frombuffer(count, np.int64),
-                          {k: np.frombuffer(key, np.uint64).reshape(-1, k) for k, key in keys.items()})
-    del count, keys  # freed before the sort by time copies the columns
+    for k in keys:
+        keys[k] = np.concatenate(keys[k])
+    objects, obj = _coded(np.concatenate(columns.pop(1)), keys)
+    del keys  # freed before the other columns are joined and the sort by time copies them
+    for i, parts in enumerate(columns):
+        columns[i] = np.concatenate(parts)
+    ts, off, length, kind = columns
     return Trace._from_columns(objects, ts, obj, off, length, kind)
 
 

@@ -138,3 +138,37 @@ def test_pairs_must_be_positive(capsys):
         bench.main(["t", "--against", ".", "--pairs", "0"])
     assert excinfo.value.code == 2
     assert "--pairs must be at least 1" in capsys.readouterr().err
+
+
+def test_named_workloads_run_alone_in_the_order_given(monkeypatch, tmp_path):
+    runs, pairings = [], []
+
+    def fake_paired(roots, workloads, seed, seconds, pairs):
+        pairings.append((sorted(roots), workloads, seed, pairs))
+        return {w: [] for w in workloads}
+
+    monkeypatch.setattr(bench, "run", lambda root, workload, *args: runs.append(workload) or {"exit_code": 0})
+    monkeypatch.setattr(bench, "paired", fake_paired)
+    monkeypatch.chdir(tmp_path)
+    names = ["--workload", "scan_join", "--workload", "ingest_cache", "--workload", "scan_join"]
+    assert bench.main(["t", "--root", str(ROOT), *names]) == 0
+    assert runs == ["scan_join", "ingest_cache"]
+    assert sorted(json.loads((tmp_path / "BENCH_t.json").read_text())["runs"]) == [
+        "ingest_cache --trace 0", "scan_join --trace 0",
+    ]
+    assert bench.main(["t", "--root", str(ROOT), "--against", str(tmp_path), "--seed", "7", "--pairs", "2",
+                       "--workload", "scan_join"]) == 0
+    assert pairings == [(["against", "this"], ["scan_join"], 7, 2)]
+    # With no --workload, every workload of spec.json runs.
+    assert bench.main(["t", "--root", str(ROOT), "--against", str(tmp_path)]) == 0
+    assert pairings[-1][1] == list(json.loads((ROOT / "perfbench" / "spec.json").read_text())["workloads"])
+
+
+def test_an_unknown_workload_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "run", None)
+    monkeypatch.setattr(bench, "paired", None)
+    with pytest.raises(SystemExit) as excinfo:
+        bench.main(["t", "--root", str(ROOT), "--workload", "scan_join", "--workload", "scan"])
+    assert excinfo.value.code == 2
+    assert "unknown workload 'scan' (perfbench/spec.json has: ingest_cache, synth_sweep, scan_join)" in (
+        capsys.readouterr().err)

@@ -138,3 +138,14 @@ def test_a_table_renders_in_a_fresh_process(tmp_path):
     expected = render_report(run_scenario(replace(load_scenario(str(path)), annual=True)), "table")
     assert stdout == expected
     assert "annual total (365 days)" in stdout and "numpy" not in loaded
+
+
+def test_a_synthesized_scan_with_no_predicate_draws_nothing(tmp_path):
+    doc = json.loads((SCENARIOS / "scan_demo.json").read_text())
+    scan = {**doc["scan"], "query": {"select": ["B", "C"]}}
+    del scan["data"]
+    (tmp_path / "s.json").write_text(json.dumps({**doc, "scan": scan}))
+    stdout, loaded = _fresh_run(["scenario", "run", "s.json"], tmp_path)
+    report = json.loads(stdout)["sections"][0]
+    assert (report["details"]["data_source"], report["details"]["survivors"]) == ("synthesized", 8)
+    assert "numpy" in loaded and "numpy.random" not in loaded

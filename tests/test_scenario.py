@@ -5,7 +5,10 @@ import json
 import pathlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iocost import cachesim, columnar, scenario
 from iocost.cli import main
@@ -18,6 +21,7 @@ from iocost.scenario import (
     scenario_from_dict,
     usd_display,
 )
+from iocost.trace import Trace
 
 JOIN_RAW = {
     "price_book": "s3-standard",
@@ -142,6 +146,104 @@ def test_scan_section_synthesizes_data_deterministically():
     second = _run(raw)
     assert first.sections[0].details["data_source"] == "synthesized"
     assert render_report(first) == render_report(second)
+
+
+def _mask_plan(layout, data, projection, predicates, pushdown):
+    """The reads and survivor mask of a scan, with every predicate compared at every row."""
+    steps = [(p.column, p) for p in predicates] + [(name, None) for name in projection]
+    survivors = np.ones(layout.rows, dtype=bool)
+    read = {}
+    offsets, lengths = [], []
+    for i, (name, pred) in enumerate(steps):
+        col = layout.column(name)
+        if pushdown and i > 0:
+            wanted = np.zeros(col.pages, dtype=bool)
+            wanted[np.flatnonzero(survivors) // col.rows_per_page] = True
+        else:
+            wanted = np.ones(col.pages, dtype=bool)
+        wanted &= ~read.setdefault(name, np.zeros(col.pages, dtype=bool))
+        read[name] |= wanted
+        start_rows = np.flatnonzero(wanted) * col.rows_per_page
+        offsets.append(col.offset + start_rows * col.value_bytes)
+        lengths.append(np.minimum(col.rows_per_page, layout.rows - start_rows) * col.value_bytes)
+        if pred is not None:
+            survivors &= columnar._OPS[pred.op](data[name], pred.literal)
+    reads = Trace._gets_on(layout.table, np.concatenate(offsets), np.concatenate(lengths))
+    return columnar.ScanPlan(reads, survivors)
+
+
+@pytest.mark.parametrize(
+    "where",
+    [
+        [("A", "=", 7), ("B", "<", 10)],  # 1% survive A: B is compared at the listed rows
+        [("A", "<", 50), ("B", ">=", 50)],  # half survive A: B is compared at every row
+        [("A", "<", 20), ("B", "<", 20), ("C", "<", 50)],  # every row, then the listed rows
+    ],
+)
+@pytest.mark.parametrize("pushdown", [True, False])
+def test_plan_scan_gives_the_mask_plan_at_any_selectivity(where, pushdown):
+    layout = columnar.build_layout(4000, [(n, 40, 4) for n in "ABC"])
+    data = columnar.synthesize_column_data(layout, 3)
+    predicates = [columnar.Predicate(*p) for p in where]
+    plan = columnar.plan_scan(layout, data, ["C"], predicates, pushdown=pushdown)
+    want = _mask_plan(layout, data, ["C"], predicates, pushdown)
+    assert np.array_equal(plan.mask, want.mask) and plan.mask.dtype == bool
+    assert np.array_equal(plan.reads.off, want.reads.off)
+    assert np.array_equal(plan.reads.length, want.reads.length)
+
+
+# Literals inside [0, 100), where synthesized values lie, and outside the int32 range.
+_LITERALS = st.integers(0, 100) | st.sampled_from([-2**63, -2**31 - 1, -2**31, 2**31 - 1, 2**31, 2**63 - 1, 2**70])
+
+
+@st.composite
+def _synthesized_scans(draw):
+    """A scan section with no data: 1 to 5 columns, each projected, compared, both or neither."""
+    rows = draw(st.integers(1, 60))
+    names = "ABCDE"[: draw(st.integers(1, 5))]
+    roles = [draw(st.sampled_from(["select", "where", "both", "neither"])) for _ in names]
+    compared = [n for n, role in zip(names, roles) if role in ("where", "both")]
+    selected = [n for n, role in zip(names, roles) if role in ("select", "both")]
+    where = [
+        {"col": name, "op": draw(st.sampled_from(sorted(columnar._OPS))), "lit": draw(_LITERALS)}
+        for name in draw(st.permutations(compared))
+    ]
+    select = draw(st.permutations(selected)) if where or selected else [names[0]]
+    columns = [{"name": n, "page_bytes": 4 * draw(st.integers(1, 8)), "value_bytes": 4} for n in names]
+    return {
+        "price_book": "s3-standard",
+        "seed": draw(st.integers(0, 2**32)),
+        "scan": {
+            "layout": {"table": "t", "rows": rows, "columns": columns},
+            "query": {"select": select, "where": where, "pushdown": draw(st.booleans())},
+            "coalesce_gap": draw(st.sampled_from([None, 0, 8])),
+        },
+    }
+
+
+@given(_synthesized_scans())
+def test_a_synthesized_scan_reports_what_every_column_drawn_gives_property(raw):
+    # The section draws only the columns up to the last one compared; the
+    # report must be that of every column drawn and compared at every row.
+    s = scenario_from_dict(copy.deepcopy(raw))
+    section = s.sections["scan"]
+    sides, mode, details = scenario._run_scan(section, s)
+    layout, gap = section["layout"], section["coalesce_gap"]
+    select, predicates, pushdown = section["query"]
+    data = columnar.synthesize_column_data(layout, raw["seed"])
+    want = {}
+    for side, side_pushdown in (("pushdown", True), ("full_scan", False)):
+        plan = _mask_plan(layout, data, select, predicates, side_pushdown)
+        survivors = plan.survivor_count
+        if gap is not None:
+            plan = columnar.coalesce_requests(plan, gap)
+        want[side] = plan.reads.tally()
+    assert sides == want
+    assert mode == ("pushdown" if pushdown else "full_scan")
+    assert details == {
+        "table": "t", "rows": layout.rows, "mode": mode, "survivors": survivors,
+        "coalesce_gap": gap, "data_source": "synthesized",
+    }
 
 
 def test_scan_files_resolve_against_scenario_dir(tmp_path):

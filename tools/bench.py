@@ -2,10 +2,11 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench.py LABEL [--seed 1] [--seconds 10] [--trace 0 1] [--root DIR]
-    python3 tools/bench.py LABEL --against DIR [--pairs 10] [--seed 1] [--seconds 10] [--root DIR]
+    python3 tools/bench.py LABEL [--seed 1] [--seconds 10] [--trace 0 1] [--workload NAME]... [--root DIR]
+    python3 tools/bench.py LABEL --against DIR [--pairs 10] [--seed 1] [--seconds 10] [--workload NAME]... [--root DIR]
 
-For each workload in ``perfbench/spec.json`` and each ``--trace``
+For each workload in ``perfbench/spec.json`` (or each one named by a
+``--workload``, which may be given more than once) and each ``--trace``
 value it runs ``perfbench/run.py --workload W --seed S --seconds N
 --trace T`` in the checkout at ``--root`` (default: this one) and keeps
 the final JSON line it prints: the end-to-end metrics with ``--trace 0``,
@@ -28,6 +29,10 @@ table also gives the change of the median as a share of the "against"
 median, positive when worse, and the metric's ``bound`` from
 ``BENCHMARK.json`` when it has one, marked "beyond bound" when the
 change is worse by more than that.
+
+``--workload`` is for pairs on one workload: a second set of pairs, or
+pairs at a held-out ``--seed``, for a workload whose gain is claimed,
+without running the workloads that are not in question.
 
 The exit code is 1 if any run failed, else 0.
 """
@@ -186,12 +191,18 @@ def main(argv=None) -> int:
     parser.add_argument("--root", default=os.path.dirname(HERE), help="checkout to run (default: this one)")
     parser.add_argument("--against", metavar="DIR", help="second checkout to run untraced pairs against")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload with --against (default: 10)")
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="a workload of perfbench/spec.json to run; repeatable (default: every one)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     root = os.path.abspath(args.root)
     with open(os.path.join(root, "perfbench", "spec.json"), encoding="utf-8") as fh:
         workloads = list(json.load(fh)["workloads"])
+    for name in args.workload or ():
+        if name not in workloads:
+            parser.error(f"unknown workload {name!r} (perfbench/spec.json has: {', '.join(workloads)})")
+    workloads = list(dict.fromkeys(args.workload or workloads))
     host = {"cpus": os.cpu_count(), "machine": platform.machine(), "python": platform.python_version()}
     command = f"perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g}"
     if args.against:
