@@ -29,13 +29,6 @@ _OPS = {
     ">": operator.gt,
 }
 
-# plan_scan compares a predicate only at the listed surviving rows once
-# they are at most 1/_FEW_SURVIVORS of all rows. On 10^6 int32 rows (one
-# x86-64 core) that costs ~30 ns a listed row, while comparing every row
-# and listing the survivors again for the next step's pages costs
-# 0.8-2.1 ms, so the list wins below ~8% survivors and loses far above.
-_FEW_SURVIVORS = 16
-
 # Most values (rows x columns) a layout may hold, which bounds the
 # column data a scan synthesizes for it to 40 MB of int32.
 MAX_LAYOUT_VALUES = 10**7
@@ -208,10 +201,8 @@ def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool 
     ``data`` maps each column the query reads to its values, an integer
     array, compared in its own dtype, or a list of 64-bit integers,
     compared as int64. A column no predicate reads is only measured,
-    never compared. A predicate is compared at every row, except that
-    with pushdown, once the surviving rows are listed for page selection
-    and are at most 1/``_FEW_SURVIVORS`` of the rows, each later one is
-    compared only at them (late materialization).
+    never compared. Every predicate is compared at every row; a
+    pushdown step reads a page when any of its rows survives.
     """
     steps = [(p.column, p) for p in predicates] + [(name, None) for name in projection]
     for name in query_columns(layout, projection, predicates):
@@ -222,16 +213,14 @@ def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool 
                 f"column {name!r} has {len(data[name])} values for {layout.rows} rows"
             )
     survivors = np.ones(layout.rows, dtype=bool)
-    alive = None  # np.flatnonzero(survivors) once pushdown lists it; None while unlisted
     read: dict[str, np.ndarray] = {}  # each column's pages requested so far
     offsets, lengths = [], []
     for i, (name, pred) in enumerate(steps):
         col = layout.column(name)
         if pushdown and i > 0:
-            if alive is None:
-                alive = np.flatnonzero(survivors)
-            wanted = np.zeros(col.pages, dtype=bool)
-            wanted[alive // col.rows_per_page] = True
+            # A page is wanted when any of its rows survives: one OR of the mask's bytes a page.
+            starts = np.arange(0, layout.rows, col.rows_per_page)
+            wanted = np.bitwise_or.reduceat(survivors.view(np.uint8), starts).view(bool)
         else:
             wanted = np.ones(col.pages, dtype=bool)
         wanted &= ~read.setdefault(name, np.zeros(col.pages, dtype=bool))
@@ -243,13 +232,7 @@ def plan_scan(layout: TableLayout, data, projection, predicates, pushdown: bool 
             values = data[name]
             if not isinstance(values, np.ndarray):
                 values = np.asarray(values, dtype=np.int64)
-            if alive is not None and len(alive) * _FEW_SURVIVORS <= layout.rows:
-                keep = _OPS[pred.op](values[alive], pred.literal)
-                survivors[alive[~keep]] = False
-                alive = alive[keep]
-            else:
-                survivors &= _OPS[pred.op](values, pred.literal)
-                alive = None
+            survivors &= _OPS[pred.op](values, pred.literal)
     return ScanPlan(Trace._gets_on(layout.table, np.concatenate(offsets), np.concatenate(lengths)), survivors)
 
 

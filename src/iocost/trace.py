@@ -39,8 +39,10 @@ class Trace:
     """
 
     def __init__(self, rows=()) -> None:
-        codes = _id_codes()
-        ts, obj, off, length, kind = columns = _row_buffers()
+        # An id not seen before takes the next code, so codes follow first appearance.
+        codes = defaultdict()
+        codes.default_factory = codes.__len__
+        ts, obj, off, length, kind = columns = [array(t) for t in ("q", "i", "q", "q", "B")]
         for t, o, a, n, k in rows:
             ts.append(t)
             obj.append(codes[o])
@@ -148,14 +150,3 @@ def group_pairs(obj, block):
     new[1:] |= key[1:] != key[:-1]
     return order, new
 
-
-def _id_codes() -> defaultdict[str, int]:
-    """An empty id → code map in which an id not seen before takes the next code, by first appearance."""
-    codes = defaultdict()
-    codes.default_factory = codes.__len__
-    return codes
-
-
-def _row_buffers() -> list[array]:
-    """Empty ``array`` buffers for the five columns, in ``Trace`` order and dtypes."""
-    return [array(t) for t in ("q", "i", "q", "q", "B")]

@@ -338,7 +338,7 @@ def _coded(count: np.ndarray, keys: dict):
 
     Each word count's keys are grouped (``_grouped``), and the groups of
     every count are ranked by their first line, so the codes are those
-    that ``_id_codes`` gives line by line. Only the first key of each
+    that ``Trace(rows)`` gives line by line. Only the first key of each
     group is decoded to ``str``.
     """
     obj = np.empty(len(count), np.int32)  # the group of each line, then its code

@@ -173,16 +173,27 @@ def _mask_plan(layout, data, projection, predicates, pushdown):
 
 
 @pytest.mark.parametrize(
-    "where",
+    ("layout", "where"),
+    # layout is (rows, page_bytes) of 4-byte values in columns A, B and C.
     [
-        [("A", "=", 7), ("B", "<", 10)],  # 1% survive A: B is compared at the listed rows
-        [("A", "<", 50), ("B", ">=", 50)],  # half survive A: B is compared at every row
-        [("A", "<", 20), ("B", "<", 20), ("C", "<", 50)],  # every row, then the listed rows
+        # 1% survive A: pushdown reads few pages of B
+        pytest.param((4000, 40), [("A", "=", 7), ("B", "<", 10)], id="where0"),
+        # half survive A: pushdown reads nearly every page of B
+        pytest.param((4000, 40), [("A", "<", 50), ("B", ">=", 50)], id="where1"),
+        # every column compared, C after two cuts
+        pytest.param((4000, 40), [("A", "<", 20), ("B", "<", 20), ("C", "<", 50)], id="where2"),
+        pytest.param((4000, 40), [("A", "<", 99), ("B", ">=", 1)], id="99pct_survive_A"),
+        # 9 rows a page leave 4 rows on the last page
+        pytest.param((4000, 36), [("A", "<", 30), ("B", "<", 60)], id="partial_last_page"),
+        pytest.param((4000, 10**6), [("A", "=", 7), ("B", "<", 10)], id="one_page_of_every_row"),
+        # 1,024 rows a page, every row surviving: a per-page count in uint8 would wrap to 0
+        pytest.param((4096, 4096), [("A", ">=", 0)], id="whole_pages_of_1024_survive"),
     ],
 )
 @pytest.mark.parametrize("pushdown", [True, False])
-def test_plan_scan_gives_the_mask_plan_at_any_selectivity(where, pushdown):
-    layout = columnar.build_layout(4000, [(n, 40, 4) for n in "ABC"])
+def test_plan_scan_gives_the_mask_plan_at_any_selectivity(layout, where, pushdown):
+    rows, page_bytes = layout
+    layout = columnar.build_layout(rows, [(n, page_bytes, 4) for n in "ABC"])
     data = columnar.synthesize_column_data(layout, 3)
     predicates = [columnar.Predicate(*p) for p in where]
     plan = columnar.plan_scan(layout, data, ["C"], predicates, pushdown=pushdown)
